@@ -55,6 +55,7 @@ from .oracle import (
 from .central import (
     CentralState,
     SolverConfig,
+    SubproblemRuntime,
     init_state,
     residual_central,
     solve_central,

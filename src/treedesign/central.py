@@ -26,6 +26,7 @@ import numpy as np
 from .graphs import InvalidTreeError, is_spanning_tree
 from .mcf import (
     build_centralized_subproblem,
+    centralized_linear_cost,
     check_feasible,
     objective,
     route_on_tree,
@@ -38,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SolverConfig",
+    "SubproblemRuntime",
     "CentralState",
     "init_state",
     "step",
@@ -50,10 +52,10 @@ __all__ = [
 class SolverConfig:
     """Run parameters shared by the centralized and distributed drivers.
 
-    A max-iters inner solve is accepted (and logged as degraded) when its
-    residuals are at or below ``qp_accept_residual``; anything worse aborts
-    the run. ``w0`` overrides the all-ones initial relaxation. ``seed`` is
-    recorded in reports; the solvers themselves are deterministic.
+    ``qp_accept_residual`` is the worst residual a max-iters inner solve may
+    have and still be used (see :class:`SubproblemRuntime`). ``w0``
+    overrides the all-ones initial relaxation. ``seed`` is recorded in
+    reports; the solvers themselves are deterministic.
     """
 
     rho: float = 1.0
@@ -72,6 +74,64 @@ class SolverConfig:
             raise ValueError("iteration limits must be positive")
         if self.qp_tol <= 0 or self.qp_accept_residual <= 0:
             raise ValueError("solver tolerances must be positive")
+
+
+def initial_w0(inst, cfg):
+    """The starting relaxation: ``cfg.w0`` checked against the unit box, or
+    all ones. Both drivers start from it."""
+    if cfg.w0 is None:
+        return np.ones(inst.dim_w)
+    w0 = np.asarray(cfg.w0, dtype=float)
+    if len(w0) != inst.dim_w:
+        raise ValueError("w0 must have one entry per edge")
+    if (w0 < 0).any() or (w0 > 1).any():
+        raise ValueError("w0 must lie in the unit box")
+    return w0
+
+
+class SubproblemRuntime:
+    """Subproblem QP workspaces, warm starts and the inner-solve policy.
+
+    Holds one fixed-structure QpWorkspace per key: ``None`` for the central
+    driver, the agent id for the distributed ones. The first solve under a
+    key builds the workspace from ``build()``; later solves pass only the
+    new linear cost and warm-start from that key's previous solution. A key
+    stays bound to the instance and scalar diagonal it was built for, and
+    reusing it for others raises ValueError rather than solving a stale QP.
+
+    An infeasible subproblem raises InfeasibleSubproblemError. A max-iters
+    solve is accepted, and logged as degraded, when its residuals are at or
+    below ``cfg.qp_accept_residual``; a worse one raises RuntimeError.
+    """
+
+    def __init__(self):
+        self.workspaces = {}
+        self.last = {}
+
+    def solve(self, key, inst, diag, q, cfg, build):
+        entry = self.workspaces.get(key)
+        if entry is None:
+            entry = self.workspaces[key] = (inst, diag, QpWorkspace(build()))
+        elif entry[0] is not inst or entry[1] != diag:
+            raise ValueError(f"subproblem key {key!r} is bound to another "
+                             f"instance or diagonal")
+        sol = entry[2].solve(q, tol=cfg.qp_tol, max_iters=cfg.qp_max_iters,
+                             warm=self.last.get(key))
+        who = "" if key is None else f"agent {key}: "
+        if sol.status == "infeasible-detected":
+            raise InfeasibleSubproblemError(
+                f"{who}continuous subproblem infeasible: the relaxed "
+                f"constraint set is empty"
+            )
+        if sol.status == "max-iters":
+            if sol.max_residual > cfg.qp_accept_residual:
+                raise RuntimeError(
+                    f"{who}inner solve stalled at residual {sol.max_residual:.3e}"
+                )
+            logger.warning("%saccepting degraded inner solve (residual %.3e)",
+                           who, sol.max_residual)
+        self.last[key] = sol
+        return sol
 
 
 @dataclass
@@ -103,14 +163,7 @@ def init_state(inst, cfg):
     projection see a cost-graded relaxation; every iterate from k = 1 onward
     is an exact spanning tree.
     """
-    if cfg.w0 is None:
-        w0 = np.ones(inst.dim_w)
-    else:
-        w0 = np.asarray(cfg.w0, dtype=float)
-        if len(w0) != inst.dim_w:
-            raise ValueError("w0 must have one entry per edge")
-        if (w0 < 0).any() or (w0 > 1).any():
-            raise ValueError("w0 must lie in the unit box")
+    w0 = initial_w0(inst, cfg)
     return CentralState(
         w=w0,
         u=np.zeros(inst.dim_u),
@@ -121,55 +174,20 @@ def init_state(inst, cfg):
     )
 
 
-class _Runtime:
-    """Per-run cache: QP workspace and the previous solution for warm starts."""
-
-    def __init__(self):
-        self.workspace = None
-        self.last_solution = None
-
-    def solve(self, qp, cfg):
-        if self.workspace is None:
-            self.workspace = QpWorkspace(qp)
-            sol = self.workspace.solve(tol=cfg.qp_tol, max_iters=cfg.qp_max_iters)
-        else:
-            sol = self.workspace.solve_with(
-                qp, tol=cfg.qp_tol, max_iters=cfg.qp_max_iters,
-                warm=self.last_solution,
-            )
-        if sol.status == "infeasible-detected":
-            raise InfeasibleSubproblemError(
-                "continuous subproblem infeasible: the relaxed constraint set "
-                "is empty"
-            )
-        if sol.status == "max-iters":
-            if sol.max_residual > cfg.qp_accept_residual:
-                raise RuntimeError(
-                    f"inner solve stalled at residual {sol.max_residual:.3e}"
-                )
-            logger.warning(
-                "accepting degraded inner solve (residual %.3e)", sol.max_residual
-            )
-        self.last_solution = sol
-        return sol
-
-
 def step(state, inst, cfg, _runtime=None):
     """One ADMM iteration; returns the next state.
 
     The projections consume the pre-update duals: z uses mu_k and y uses
     eta_k, then both duals ascend by their new consensus residuals.
     """
-    runtime = _runtime if _runtime is not None else _Runtime()
-    qp = build_centralized_subproblem(inst, state.z, state.y, state.mu,
-                                      state.eta, cfg.rho)
-    sol = runtime.solve(qp, cfg)
+    runtime = _runtime if _runtime is not None else SubproblemRuntime()
+    args = (inst, state.z, state.y, state.mu, state.eta, cfg.rho)
+    sol = runtime.solve(None, inst, cfg.rho, centralized_linear_cost(*args),
+                        cfg, lambda: build_centralized_subproblem(*args))
     w_next, u_next = inst.split(sol.v)
     w_next = w_next.copy()
     u_next = u_next.copy()
     z_next = project_tree(w_next, state.mu, inst.graph)
-    if not is_spanning_tree(inst.graph, z_next):
-        raise InvalidTreeError("projection returned a non-tree")  # unreachable
     y_next = project_binary(u_next - state.eta)
     mu_next = state.mu + (z_next.vector - w_next)
     eta_next = state.eta + (y_next - u_next)
@@ -213,7 +231,7 @@ def solve_central(inst, cfg):
     """
     t0 = time.perf_counter()
     state = init_state(inst, cfg)
-    runtime = _Runtime()
+    runtime = SubproblemRuntime()
     trace = []
     trees_validated = 0
     status = "not-run" if cfg.max_iters == 0 else "max-iters"

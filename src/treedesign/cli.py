@@ -365,7 +365,6 @@ def build_parser():
         _add_solver_flags(p)
         p.add_argument("--out", type=Path, default=None,
                        help="directory for the trace CSV")
-        p.add_argument("--trace-per-agent", action="store_true", default=True)
         p.add_argument("--trace-aggregate", dest="trace_per_agent",
                        action="store_false",
                        help="one aggregated trace row per round")
@@ -408,7 +407,6 @@ def build_parser():
     p.add_argument("--oracle-max-trees", type=int, default=10_000_000)
     p.add_argument("--no-wall-time", action="store_true",
                    help="write wall_ms as 0 for byte-stable comparisons")
-    p.add_argument("--trace-per-agent", action="store_true", default=True)
     p.add_argument("--trace-aggregate", dest="trace_per_agent",
                    action="store_false")
     p.add_argument("--out", type=Path, required=True)

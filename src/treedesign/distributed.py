@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .central import SubproblemRuntime, initial_w0
 from .graphs import (
     InvalidTreeError,
     TreeIndicator,
@@ -42,6 +43,7 @@ from .graphs import (
     is_spanning_tree,
 )
 from .mcf import (
+    agent_linear_cost,
     build_agent_subproblem,
     check_feasible,
     constraint_blocks,
@@ -50,7 +52,7 @@ from .mcf import (
     route_on_tree,
 )
 from .projection import project_binary, project_tree
-from .qp import InfeasibleSubproblemError, QpWorkspace, QuadraticProgram
+from .qp import QuadraticProgram
 from .report import SolveReport
 
 logger = logging.getLogger(__name__)
@@ -131,12 +133,7 @@ class World:
 
 
 def _initial_agent(inst, cfg):
-    if cfg.w0 is None:
-        w0 = np.ones(inst.dim_w)
-    else:
-        w0 = np.asarray(cfg.w0, dtype=float)
-        if len(w0) != inst.dim_w:
-            raise ValueError("w0 must have one entry per edge")
+    w0 = initial_w0(inst, cfg)
     return AgentState(
         u=np.zeros(inst.dim_u),
         w=w0.copy(),
@@ -165,15 +162,12 @@ def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
     ``neighbor_snapshots`` holds one round-k state per direction of exchange
     (graph neighbors twice for undirected topologies).
     """
-    qp = build_agent_subproblem(
-        inst, agent, own, neighbor_snapshots, cfg.rho,
-        consensus_coeff=_consensus_coeff(cfg),
-    )
-    if _runtime is not None:
-        sol = _runtime.solve(agent, qp, cfg)
-    else:
-        sol = QpWorkspace(qp).solve(tol=cfg.qp_tol, max_iters=cfg.qp_max_iters)
-        _check_qp(sol, cfg, agent)
+    runtime = _runtime if _runtime is not None else SubproblemRuntime()
+    kappa = _consensus_coeff(cfg)
+    args = (inst, agent, own, neighbor_snapshots, cfg.rho, kappa)
+    diag = cfg.rho + 2.0 * kappa * len(neighbor_snapshots)  # as built below
+    sol = runtime.solve(agent, inst, diag, agent_linear_cost(*args), cfg,
+                        lambda: build_agent_subproblem(*args))
     w_next, u_next = inst.split(sol.v)
     w_next, u_next = w_next.copy(), u_next.copy()
     z_next = project_tree(w_next, own.mu, inst.graph)
@@ -209,45 +203,9 @@ def agent_step(inst, agent, own, neighbors_now, cfg, neighbors_next):
     return agent_dual_step(own, staged, neighbors_next)
 
 
-class AgentRuntime:
-    """Per-agent workspaces and warm starts, reused across rounds.
-
-    Optional: passing one to :func:`sync_round` or :func:`full_dual_step`
-    makes repeated rounds much faster without changing their results beyond
-    inner-solver tolerance.
-    """
-
-    def __init__(self):
-        self.workspaces = {}
-        self.last = {}
-
-    def solve(self, agent, qp, cfg):
-        ws = self.workspaces.get(agent)
-        if ws is None:
-            ws = QpWorkspace(qp)
-            self.workspaces[agent] = ws
-            sol = ws.solve(tol=cfg.qp_tol, max_iters=cfg.qp_max_iters)
-        else:
-            sol = ws.solve_with(qp, tol=cfg.qp_tol, max_iters=cfg.qp_max_iters,
-                                warm=self.last.get(agent))
-        _check_qp(sol, cfg, agent)
-        self.last[agent] = sol
-        return sol
-
-
-def _check_qp(sol, cfg, agent):
-    if sol.status == "infeasible-detected":
-        raise InfeasibleSubproblemError(
-            f"agent {agent}: continuous subproblem infeasible"
-        )
-    if sol.status == "max-iters":
-        if sol.max_residual > cfg.qp_accept_residual:
-            raise RuntimeError(
-                f"agent {agent}: inner solve stalled at residual "
-                f"{sol.max_residual:.3e}"
-            )
-        logger.warning("agent %d: accepting degraded inner solve (residual %.3e)",
-                       agent, sol.max_residual)
+# the runtime to pass to sync_round and full_dual_step: one workspace and
+# warm start per agent id, reused across rounds
+AgentRuntime = SubproblemRuntime
 
 
 def sync_round(world, cfg, _runtime=None, order=None):
@@ -304,7 +262,7 @@ def consensus_gap(world):
     return gap
 
 
-def solve_distributed(inst, cfg, trace_per_agent=True):
+def solve_distributed(inst, cfg):
     """Run synchronous rounds until the average residual drops below tol.
 
     The solution is extracted from the lowest-id agent with the same repair
@@ -461,6 +419,7 @@ def full_dual_step(world, cfg, _runtime=None):
     rho = cfg.rho
     agents = world.agents
     a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
+    runtime = _runtime if _runtime is not None else SubproblemRuntime()
     staged = []
     for i, own in enumerate(agents):
         z_vec = indicator_vector(own.z, inst.dim_w).astype(float)
@@ -475,17 +434,13 @@ def full_dual_step(world, cfg, _runtime=None):
             q_u = q_u + world.beta[a] - rho * world.t[a]
             q_w = q_w + world.delta[a] - rho * world.s[a]
             degree2 += 1
-        qp = QuadraticProgram(
-            d=np.full(inst.dim_total, rho * (1.0 + degree2)),
-            q=np.concatenate([q_w, q_u]),
+        diag = rho * (1.0 + degree2)
+        q = np.concatenate([q_w, q_u])
+        sol = runtime.solve(i, inst, diag, q, cfg, lambda: QuadraticProgram(
+            d=np.full(inst.dim_total, diag), q=q,
             a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
             lo=np.zeros(inst.dim_total), hi=np.ones(inst.dim_total),
-        )
-        if _runtime is not None:
-            sol = _runtime.solve(i, qp, cfg)
-        else:
-            sol = QpWorkspace(qp).solve(tol=cfg.qp_tol, max_iters=cfg.qp_max_iters)
-            _check_qp(sol, cfg, i)
+        ))
         w_next, u_next = inst.split(sol.v)
         w_next, u_next = w_next.copy(), u_next.copy()
         z_next = project_tree(w_next, own.mu / rho, inst.graph)

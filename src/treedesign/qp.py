@@ -4,11 +4,12 @@
     subject to  A_eq v = b_eq,   A_in v <= b_in,   lo <= v <= hi
 
 Solved by an operator-splitting iteration: a linear KKT step on the smooth
-part alternates with projection onto the stacked constraint interval. The
-KKT factorization is computed once per structure and cached, so resolving
-after a change of the linear cost (the only thing an outer ADMM iteration
-changes) is cheap; warm starts carry (v, z, lam) across solves. A final
-active-set polish tightens residuals well below the iteration tolerance.
+part alternates with projection onto the stacked constraint interval. A
+QpWorkspace fixes everything except the linear cost: it scales the rows and
+factors the KKT matrix once, and each solve takes a new q (the only thing an
+outer ADMM iteration changes), optionally warm-started from an earlier
+solution's (v, z, lam). A final active-set polish tightens residuals well
+below the iteration tolerance.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -112,27 +113,22 @@ class QpSolution:
 
 
 class QpWorkspace:
-    """Cached scaled/stacked system and KKT factorization for one structure.
+    """Scaled constraint system and KKT factorization for one fixed structure.
 
-    Reuse across solves whose constraint data and diagonal are unchanged;
-    ``solve_with`` accepts a freshly built QuadraticProgram and swaps in its
-    linear cost, rebuilding only when the structure actually changed.
+    The diagonal, the constraint rows and the box of ``qp`` are fixed for the
+    workspace's lifetime; ``qp.q`` is not read. Each :meth:`solve` takes a
+    new linear cost. The penalty adapted by one solve carries over to the
+    next, so a refactorization happens only when rho adaptation moves it.
     """
 
     SIGMA = 1e-6
     ALPHA = 1.6
+    RHO0 = 0.1
     EQ_RHO_FACTOR = 1e3
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e6
 
-    def __init__(self, qp, rho0=0.1):
-        self._lu = None
-        self._rho_base = rho0
-        self._attach(qp)
-
-    # -- structure handling ------------------------------------------------
-
-    def _attach(self, qp):
+    def __init__(self, qp):
         self.qp = qp
         n = qp.n
         m_eq = qp.a_eq.shape[0]
@@ -156,6 +152,7 @@ class QpWorkspace:
         self.m_total = m_eq + m_in + n
         self._is_eq = np.zeros(self.m_total, dtype=bool)
         self._is_eq[:m_eq] = True
+        self._rho_base = self.RHO0
         self._refactor()
 
     def _refactor(self):
@@ -171,34 +168,14 @@ class QpWorkspace:
         )
         self._lu = spla.splu(kkt)
 
-    def matches(self, qp):
-        """True when qp shares this workspace's structure (everything but q)."""
-        mine = self.qp
-        return (
-            qp.n == mine.n
-            and np.array_equal(qp.d, mine.d)
-            and np.array_equal(qp.lo, mine.lo)
-            and np.array_equal(qp.hi, mine.hi)
-            and _same_matrix(qp.a_eq, mine.a_eq)
-            and np.array_equal(qp.b_eq, mine.b_eq)
-            and _same_matrix(qp.a_in, mine.a_in)
-            and np.array_equal(qp.b_in, mine.b_in)
-        )
-
-    def solve_with(self, qp, tol=1e-6, max_iters=20000, warm=None):
-        """Solve a QP that usually shares this workspace's structure."""
-        if self.matches(qp):
-            self.qp = qp  # adopt the new linear cost
-        else:
-            self._attach(qp)
-        return self.solve(tol=tol, max_iters=max_iters, warm=warm)
-
     # -- main iteration ----------------------------------------------------
 
-    def solve(self, tol=1e-6, max_iters=20000, warm=None):
-        qp = self.qp
+    def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
+        """Minimize with linear cost ``q``; ``warm`` is an earlier solution."""
         n, m_total = self.n, self.m_total
-        q = qp.q
+        q = np.asarray(q, dtype=float)
+        if q.shape != (n,):
+            raise ValueError("q must have one entry per variable")
         a_csr = self.a_csr
         l, u = self.l, self.u
 
@@ -230,7 +207,7 @@ class QpWorkspace:
             z = z_new
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
-                r_prim, r_dual = self._residuals(x, z, lam)
+                r_prim, r_dual = self._residuals(x, z, lam, q)
                 if r_prim <= tol and r_dual <= tol:
                     status = "solved"
                     iterations = it
@@ -247,8 +224,8 @@ class QpWorkspace:
                 if it % (self.CHECK_EVERY * 4) == 0:
                     self._adapt_rho(r_prim, r_dual)
 
-        x, z, lam = self._polish(x, z, lam, tol)
-        eq_res, in_vio, stat = self._report_residuals(x, lam)
+        x, z, lam = self._polish(x, z, lam, q)
+        eq_res, in_vio, stat = self._report_residuals(x, lam, q)
         if status == "solved" and max(eq_res, in_vio, stat) > tol:
             # polish never regresses; this can only trip if tolerances are
             # extremely tight relative to conditioning
@@ -266,7 +243,7 @@ class QpWorkspace:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def _residuals(self, x, z, lam):
+    def _residuals(self, x, z, lam, q):
         """(primal, dual) infinity-norm residuals on the original data.
 
         Rows were divided by their scale, so the original-units primal
@@ -275,7 +252,7 @@ class QpWorkspace:
         """
         ax = self.a_csr @ x
         r_prim = np.max(np.abs(ax - z) * self.row_scale) if self.m_total else 0.0
-        grad = self.qp.d * x + self.qp.q + self.a_csr.T @ lam
+        grad = self.qp.d * x + q + self.a_csr.T @ lam
         r_dual = float(np.max(np.abs(grad))) if len(grad) else 0.0
         return float(r_prim), r_dual
 
@@ -315,7 +292,7 @@ class QpWorkspace:
         self._rho_base = new_base
         self._refactor()
 
-    def _report_residuals(self, x, lam):
+    def _report_residuals(self, x, lam, q):
         qp = self.qp
         eq_res = float(np.max(np.abs(qp.a_eq @ x - qp.b_eq))) if self.m_eq else 0.0
         in_vio = 0.0
@@ -324,7 +301,7 @@ class QpWorkspace:
         box_vio = float(np.max(np.maximum.reduce([qp.lo - x, x - qp.hi,
                                                   np.zeros(self.n)])))
         in_vio = max(in_vio, box_vio)
-        grad = qp.d * x + qp.q + self.a_csr.T @ lam
+        grad = qp.d * x + q + self.a_csr.T @ lam
         stat = float(np.max(np.abs(grad))) if len(grad) else 0.0
         # inequality rows only bound from above; a negative multiplier there
         # is a dual-feasibility violation and is folded into stationarity
@@ -336,7 +313,7 @@ class QpWorkspace:
 
     # -- polish --------------------------------------------------------------
 
-    def _polish(self, x, z, lam, tol):
+    def _polish(self, x, z, lam, q):
         """Solve the KKT system on the detected active set; keep it only if
         every residual (on the full constraint data) improves."""
         act_low = (lam < -1e-12) & ~self._is_eq
@@ -360,19 +337,19 @@ class QpWorkspace:
             lu = spla.splu(kkt)
         except RuntimeError:
             return x, z, lam
-        rhs = np.concatenate([-self.qp.q, b_act])
+        rhs = np.concatenate([-q, b_act])
         sol = lu.solve(rhs)
         # one round of iterative refinement against the unregularized system
         x_p, nu_p = sol[:self.n], sol[self.n:]
-        res_top = -self.qp.q - self.qp.d * x_p - a_act.T @ nu_p
+        res_top = -q - self.qp.d * x_p - a_act.T @ nu_p
         res_bot = b_act - a_act @ x_p
         corr = lu.solve(np.concatenate([res_top, res_bot]))
         x_p = x_p + corr[:self.n]
         nu_p = nu_p + corr[self.n:]
         lam_p = np.zeros(self.m_total)
         lam_p[active] = nu_p
-        old = max(self._report_residuals(x, lam))
-        new = max(self._report_residuals(x_p, lam_p))
+        old = max(self._report_residuals(x, lam, q))
+        new = max(self._report_residuals(x_p, lam_p, q))
         if not np.isfinite(new) or new >= old:
             return x, z, lam
         z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
@@ -389,20 +366,10 @@ def _row_scales(mat):
     return scales
 
 
-def _same_matrix(a, b):
-    return (
-        a.shape == b.shape
-        and a.nnz == b.nnz
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 def solve_qp(qp, tol=1e-6, max_iters=20000, warm=None):
-    """One-shot solve; builds and discards a workspace.
+    """One-shot solve of ``qp`` with its own linear cost.
 
-    Long-running drivers should hold a QpWorkspace instead so the KKT
-    factorization and warm starts are reused across iterations.
+    Drivers that re-solve one structure with changing costs should hold a
+    QpWorkspace instead, so the factorization and warm starts are reused.
     """
-    return QpWorkspace(qp).solve(tol=tol, max_iters=max_iters, warm=warm)
+    return QpWorkspace(qp).solve(qp.q, tol=tol, max_iters=max_iters, warm=warm)

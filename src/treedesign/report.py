@@ -70,5 +70,3 @@ class SolveReport:
     extraction: str = "none"
     trees_validated: int = 0
     final_consensus_gap: float | None = None
-    gap_pct: float | None = None
-    oracle_objective: float | None = None

@@ -4,6 +4,7 @@ import pytest
 from treedesign.central import (
     CentralState,
     SolverConfig,
+    SubproblemRuntime,
     init_state,
     residual_central,
     solve_central,
@@ -164,3 +165,18 @@ def test_trace_rows_schema():
         assert isinstance(qp_iters, int)
         assert qp_status in ("solved", "max-iters")
         assert isinstance(feas, bool)
+
+
+def test_runtime_key_is_bound_to_instance_and_rho():
+    inst = random_instance(6, 0.5, seed=2)
+    cfg = SolverConfig(rho=1.0)
+    rt = SubproblemRuntime()
+    state = step(init_state(inst, cfg), inst, cfg, _runtime=rt)
+    step(state, inst, cfg, _runtime=rt)  # same instance and rho: reused
+    assert len(rt.workspaces) == 1
+    other_rho = SolverConfig(rho=0.5)
+    with pytest.raises(ValueError, match="bound to another"):
+        step(init_state(inst, other_rho), inst, other_rho, _runtime=rt)
+    other_inst = random_instance(6, 0.5, seed=3)
+    with pytest.raises(ValueError, match="bound to another"):
+        step(init_state(other_inst, cfg), other_inst, cfg, _runtime=rt)

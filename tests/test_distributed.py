@@ -246,3 +246,26 @@ def test_condensed_matches_full_dual_any_rho():
             assert np.allclose(a.eta, b.eta / rho, atol=1e-8)
             assert np.allclose(a.nu, nu_agg[i] / rho, atol=1e-8)
             assert np.allclose(a.xi, xi_agg[i] / rho, atol=1e-8)
+
+
+def test_w0_outside_unit_box_is_rejected():
+    inst = k3_instance(hop=2)
+    cfg = SolverConfig(w0=np.full(inst.m, 2.0))
+    with pytest.raises(ValueError, match="unit box"):
+        init_world(inst, cfg)
+    with pytest.raises(ValueError, match="unit box"):
+        solve_distributed(inst, cfg)
+
+
+def test_runtime_key_is_bound_to_instance_and_rho():
+    inst = random_instance(5, 0.6, seed=4)
+    cfg = SolverConfig(rho=1.0)
+    rt = AgentRuntime()
+    world = sync_round(init_world(inst, cfg), cfg, _runtime=rt)
+    sync_round(world, cfg, _runtime=rt)  # same instance and rho: reused
+    other_rho = SolverConfig(rho=2.0)
+    with pytest.raises(ValueError, match="bound to another"):
+        sync_round(init_world(inst, other_rho), other_rho, _runtime=rt)
+    twin = random_instance(5, 0.6, seed=4)
+    with pytest.raises(ValueError, match="bound to another"):
+        sync_round(init_world(twin, cfg), cfg, _runtime=rt)

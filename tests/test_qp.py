@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedesign.qp import QpWorkspace, QuadraticProgram, solve_qp
 
@@ -120,22 +122,31 @@ def test_infeasible_detected():
     assert s.status == "infeasible-detected"
 
 
-def test_warm_start_reuses_structure():
-    rng = np.random.default_rng(11)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_warm_start_reuses_structure(seed):
+    # a workspace reused with a new linear cost, warm-started from the old
+    # solution, lands where a cold one-shot solve of the new cost does
+    rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
     ws = QpWorkspace(qp)
-    cold = ws.solve(tol=1e-8)
+    cold = ws.solve(qp.q, tol=1e-8)
+    q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
+    warm = ws.solve(q2, tol=1e-8, warm=cold)
     qp2 = QuadraticProgram(
-        d=qp.d, q=qp.q + 1e-3 * rng.normal(size=qp.n),
-        a_eq=qp.a_eq, b_eq=qp.b_eq, a_in=qp.a_in, b_in=qp.b_in,
+        d=qp.d, q=q2, a_eq=qp.a_eq, b_eq=qp.b_eq, a_in=qp.a_in, b_in=qp.b_in,
         lo=qp.lo, hi=qp.hi,
     )
-    warm = ws.solve_with(qp2, tol=1e-8, warm=cold)
-    assert warm.status == "solved"
-    assert warm.iterations <= cold.iterations
-    # and the warm result matches a cold solve of the same problem
     cold2 = solve_qp(qp2, tol=1e-8)
+    assert warm.status == "solved" and cold2.status == "solved"
+    assert warm.iterations <= cold.iterations
     assert float(np.max(np.abs(warm.v - cold2.v))) <= 1e-6
+
+
+def test_workspace_rejects_wrong_length_cost():
+    qp, _ = random_feasible_qp(np.random.default_rng(13))
+    with pytest.raises(ValueError):
+        QpWorkspace(qp).solve(np.zeros(qp.n + 1))
 
 
 def test_reported_residuals_are_for_original_data():
