@@ -28,12 +28,13 @@ from .mcf import (
     build_centralized_subproblem,
     centralized_linear_cost,
     check_feasible,
+    check_flows,
     objective,
     route_on_tree,
 )
 from .projection import project_binary, project_tree
 from .qp import InfeasibleSubproblemError, QpWorkspace
-from .report import SolveReport
+from .report import CentralTraceRow, SolveReport
 
 logger = logging.getLogger(__name__)
 
@@ -243,15 +244,15 @@ def solve_central(inst, cfg):
             raise InvalidTreeError(f"iterate {state.k} is not a spanning tree")
         trees_validated += 1
         residual = residual_central(prev, state)
-        feas_now = check_feasible(inst, state.z, state.y).feasible
-        trace.append((
-            state.k,
-            objective(inst, state.w),
-            objective(inst, state.z.vector),
-            residual,
-            state.qp_iterations,
-            state.qp_status,
-            feas_now,
+        trace.append(CentralTraceRow(
+            k=state.k,
+            objective_w=objective(inst, state.w),
+            objective_z=objective(inst, state.z.vector),
+            residual=residual,
+            qp_iters=state.qp_iterations,
+            qp_status=state.qp_status,
+            # the tree was checked just above
+            feasible_now=check_flows(inst, state.z, state.y).feasible,
         ))
         if residual < cfg.tol:
             status = "converged"

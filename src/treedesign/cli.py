@@ -33,6 +33,7 @@ from .report import (
     CENTRAL_TRACE_COLUMNS,
     DISTRIBUTED_TRACE_COLUMNS,
     SUMMARY_COLUMNS,
+    DistributedTraceRow,
     write_csv,
 )
 
@@ -83,15 +84,15 @@ def _trace_rows_distributed(report, per_agent):
     if per_agent:
         return report.trace
     rows = []
-    for k in sorted({row[0] for row in report.trace}):
-        group = [row for row in report.trace if row[0] == k]
-        rows.append((
-            k,
-            -1,
-            group[0][2],                      # reporting agent's objective
-            sum(r[3] for r in group) / len(group),
-            group[0][4],
-            sum(r[5] for r in group),
+    for k in sorted({row.k for row in report.trace}):
+        group = [row for row in report.trace if row.k == k]
+        rows.append(DistributedTraceRow(
+            k=k,
+            agent=-1,
+            objective_w=group[0].objective_w,  # reporting agent's objective
+            residual_contrib=sum(r.residual_contrib for r in group) / len(group),
+            consensus_gap=group[0].consensus_gap,
+            qp_iters=sum(r.qp_iters for r in group),
         ))
     return rows
 

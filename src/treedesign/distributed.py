@@ -53,7 +53,7 @@ from .mcf import (
 )
 from .projection import project_binary, project_tree
 from .qp import QuadraticProgram
-from .report import SolveReport
+from .report import DistributedTraceRow, SolveReport
 
 logger = logging.getLogger(__name__)
 
@@ -300,13 +300,13 @@ def solve_distributed(inst, cfg):
                 + float(np.sum((agent.w - old.w) ** 2))
             )
             last = runtime.last.get(i)
-            trace.append((
-                world.k,
-                i,
-                objective(inst, agent.w),
-                contrib,
-                gap,
-                last.iterations if last is not None else 0,
+            trace.append(DistributedTraceRow(
+                k=world.k,
+                agent=i,
+                objective_w=objective(inst, agent.w),
+                residual_contrib=contrib,
+                consensus_gap=gap,
+                qp_iters=last.iterations if last is not None else 0,
             ))
         if residual < cfg.tol:
             status = "converged"

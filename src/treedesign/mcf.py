@@ -44,6 +44,7 @@ __all__ = [
     "agent_linear_cost",
     "constraint_blocks",
     "check_feasible",
+    "check_flows",
     "objective",
     "route_on_tree",
     "random_instance",
@@ -346,7 +347,21 @@ def check_feasible(inst, z, y):
     """Verify a binary (tree, flows) pair against the full model.
 
     Violations are returned as data, one string per failed constraint:
-    binariness, spanning tree, conservation, coupling, and hop budget.
+    spanning tree, then the flow checks of :func:`check_flows`.
+    """
+    violations = check_flows(inst, z, y).violations
+    if not is_spanning_tree(inst.graph, indicator_vector(z, inst.dim_w)):
+        violations = ["selected edges do not form a spanning tree"] + violations
+    return FeasibilityReport(not violations, violations)
+
+
+def check_flows(inst, z, y):
+    """Verify binary flows ``y`` against the edge selection ``z``, without
+    checking that ``z`` is a spanning tree.
+
+    For callers that have already checked the tree; violations are reported
+    as in :func:`check_feasible`: binariness, conservation, coupling, and hop
+    budget.
     """
     violations = []
     zv = indicator_vector(z, inst.dim_w)
@@ -356,8 +371,6 @@ def check_feasible(inst, z, y):
     if not np.isin(yv, (0, 1)).all():
         violations.append("flows are not binary")
     yv = yv.astype(np.int64)
-    if not is_spanning_tree(inst.graph, zv):
-        violations.append("selected edges do not form a spanning tree")
     arcs = inst.arcs
     for f in range(inst.n_commodities):
         uf = yv[inst.flow_slice(f)]

@@ -5,11 +5,19 @@
 
 Solved by an operator-splitting iteration: a linear KKT step on the smooth
 part alternates with projection onto the stacked constraint interval. A
-QpWorkspace fixes everything except the linear cost: it scales the rows and
-factors the KKT matrix once, and each solve takes a new q (the only thing an
-outer ADMM iteration changes), optionally warm-started from an earlier
-solution's (v, z, lam). A final active-set polish tightens residuals well
-below the iteration tolerance.
+QpWorkspace fixes everything except the linear cost: it scales the rows,
+assembles one KKT template and factors the iteration's KKT matrix once, and
+each solve takes a new q (the only thing an outer ADMM iteration changes),
+optionally warm-started from an earlier solution's (v, z, lam). A final
+active-set polish tightens residuals well below the iteration tolerance; its
+KKT matrix is cut out of the template rather than assembled, and the
+residuals it computes to accept or reject the polished point are the ones
+reported.
+
+Each solve allocates its work vectors once and updates them in place with
+ufuncs, so an inner iteration allocates only the triangular solve's result.
+The in-place forms keep the operands and the order of every floating-point
+operation, so they give the same bits as the plain vector expressions.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -113,12 +121,22 @@ class QpSolution:
 
 
 class QpWorkspace:
-    """Scaled constraint system and KKT factorization for one fixed structure.
+    """Scaled constraint system, KKT template and factorization for one
+    fixed structure.
 
     The diagonal, the constraint rows and the box of ``qp`` are fixed for the
     workspace's lifetime; ``qp.q`` is not read. Each :meth:`solve` takes a
     new linear cost. The penalty adapted by one solve carries over to the
     next, so a refactorization happens only when rho adaptation moves it.
+
+    ``__init__`` pays every structural cost once: it scales the rows, builds
+    the CSR transpose ``a_t`` the gradients use, and assembles one CSC
+    template ``[[diag(d) + delta I, A'], [A, -delta I]]`` over all scaled
+    rows. The iteration's KKT matrix is the template with its diagonal
+    overwritten (``d + sigma`` and ``-1/rho``); the polish matrix is the
+    template restricted to the variables and the active rows. Both are
+    entry for entry what assembling them with ``sp.bmat`` gives, so SuperLU
+    sees the same matrices and the iterates keep their bits.
     """
 
     SIGMA = 1e-6
@@ -127,6 +145,7 @@ class QpWorkspace:
     EQ_RHO_FACTOR = 1e3
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e6
+    POLISH_DELTA = 1e-9
 
     def __init__(self, qp):
         self.qp = qp
@@ -143,8 +162,10 @@ class QpWorkspace:
             ],
             format="csc",
         )
-        self.a = a_rows
         self.a_csr = a_rows.tocsr()
+        # each row of a_t lists its constraints in ascending order, so a_t @ lam
+        # adds the terms in the order a_csr.T @ lam does
+        self.a_t = self.a_csr.T.tocsr()
         self.row_scale = np.concatenate([scale_eq, scale_in, np.ones(n)])
         self.l = np.concatenate([qp.b_eq / scale_eq, np.full(m_in, -np.inf), qp.lo])
         self.u = np.concatenate([qp.b_eq / scale_eq, qp.b_in / scale_in, qp.hi])
@@ -152,6 +173,19 @@ class QpWorkspace:
         self.m_total = m_eq + m_in + n
         self._is_eq = np.zeros(self.m_total, dtype=bool)
         self._is_eq[:m_eq] = True
+        delta = self.POLISH_DELTA
+        self._template = sp.bmat(
+            [
+                [sp.diags(qp.d + delta), a_rows.T],
+                [a_rows, sp.diags(np.full(self.m_total, -delta))],
+            ],
+            format="csc",
+        )
+        self._template_cols = np.repeat(np.arange(n + self.m_total),
+                                        np.diff(self._template.indptr))
+        # every column holds exactly one diagonal entry, from the diagonal blocks
+        self._template_diag = np.flatnonzero(
+            self._template.indices == self._template_cols)
         self._rho_base = self.RHO0
         self._refactor()
 
@@ -159,14 +193,12 @@ class QpWorkspace:
         rho = np.full(self.m_total, self._rho_base)
         rho[self._is_eq] *= self.EQ_RHO_FACTOR
         self.rho = rho
-        kkt = sp.bmat(
-            [
-                [sp.diags(self.qp.d + self.SIGMA), self.a.T],
-                [self.a, sp.diags(-1.0 / rho)],
-            ],
-            format="csc",
-        )
-        self._lu = spla.splu(kkt)
+        t = self._template
+        data = t.data.copy()
+        data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
+                                                    -1.0 / rho])
+        self._lu = spla.splu(sp.csc_matrix((data, t.indices, t.indptr),
+                                           shape=t.shape))
 
     # -- main iteration ----------------------------------------------------
 
@@ -176,7 +208,6 @@ class QpWorkspace:
         q = np.asarray(q, dtype=float)
         if q.shape != (n,):
             raise ValueError("q must have one entry per variable")
-        a_csr = self.a_csr
         l, u = self.l, self.u
 
         if warm is not None and warm.z is not None and len(warm.v) == n \
@@ -186,25 +217,50 @@ class QpWorkspace:
             lam = warm.lam.copy()
         else:
             x = np.zeros(n)
-            z = np.clip(a_csr @ x, l, u)
+            z = np.clip(self.a_csr @ x, l, u)
             lam = np.zeros(m_total)
 
+        # x, z and lam are updated in place and returned; the buffers below
+        # live for this solve only. Each line keeps the operands and order of
+        #   rhs   = [sigma x - q, z - lam/rho]
+        #   zt    = z + (nu - lam)/rho
+        #   x     = alpha xt + (1 - alpha) x
+        #   z_pre = alpha zt + (1 - alpha) z
+        #   z     = clip(z_pre + lam/rho, l, u)
+        #   lam   = lam + rho (z_pre - z)
+        # so every iterate is bitwise what the expressions give.
+        alpha, beta, sigma = self.ALPHA, 1.0 - self.ALPHA, self.SIGMA
+        rhs = np.empty(n + m_total)
+        rhs_x, rhs_z = rhs[:n], rhs[n:]
+        lam_rho = np.empty(m_total)
+        z_pre = np.empty(m_total)
         rp_window = []
         lam_snapshot = lam.copy()
         status = "max-iters"
         iterations = max_iters
         for it in range(1, max_iters + 1):
             rho = self.rho
-            rhs = np.concatenate([self.SIGMA * x - q, z - lam / rho])
+            np.divide(lam, rho, out=lam_rho)
+            np.multiply(sigma, x, out=rhs_x)
+            np.subtract(rhs_x, q, out=rhs_x)
+            np.subtract(z, lam_rho, out=rhs_z)
             sol = self._lu.solve(rhs)
-            xt = sol[:n]
-            nu = sol[n:]
-            zt = z + (nu - lam) / rho
-            x = self.ALPHA * xt + (1.0 - self.ALPHA) * x
-            z_pre = self.ALPHA * zt + (1.0 - self.ALPHA) * z
-            z_new = np.clip(z_pre + lam / rho, l, u)
-            lam = lam + rho * (z_pre - z_new)
-            z = z_new
+            xt, zt = sol[:n], sol[n:]
+            np.subtract(zt, lam, out=zt)
+            np.divide(zt, rho, out=zt)
+            np.add(z, zt, out=zt)
+            np.multiply(alpha, xt, out=xt)
+            np.multiply(beta, x, out=x)
+            np.add(xt, x, out=x)
+            np.multiply(alpha, zt, out=zt)
+            np.multiply(beta, z, out=z_pre)
+            np.add(zt, z_pre, out=z_pre)
+            np.add(z_pre, lam_rho, out=z)
+            np.maximum(z, l, out=z)
+            np.minimum(z, u, out=z)
+            np.subtract(z_pre, z, out=z_pre)
+            np.multiply(rho, z_pre, out=z_pre)
+            np.add(lam, z_pre, out=lam)
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
                 r_prim, r_dual = self._residuals(x, z, lam, q)
@@ -224,8 +280,7 @@ class QpWorkspace:
                 if it % (self.CHECK_EVERY * 4) == 0:
                     self._adapt_rho(r_prim, r_dual)
 
-        x, z, lam = self._polish(x, z, lam, q)
-        eq_res, in_vio, stat = self._report_residuals(x, lam, q)
+        x, z, lam, (eq_res, in_vio, stat) = self._polish(x, z, lam, q)
         if status == "solved" and max(eq_res, in_vio, stat) > tol:
             # polish never regresses; this can only trip if tolerances are
             # extremely tight relative to conditioning
@@ -252,7 +307,7 @@ class QpWorkspace:
         """
         ax = self.a_csr @ x
         r_prim = np.max(np.abs(ax - z) * self.row_scale) if self.m_total else 0.0
-        grad = self.qp.d * x + q + self.a_csr.T @ lam
+        grad = self.qp.d * x + q + self.a_t @ lam
         r_dual = float(np.max(np.abs(grad))) if len(grad) else 0.0
         return float(r_prim), r_dual
 
@@ -267,7 +322,7 @@ class QpWorkspace:
         norm = float(np.max(np.abs(dlam))) if len(dlam) else 0.0
         if norm <= 1e-14:
             return False
-        if float(np.max(np.abs(self.a.T @ dlam))) > 1e-8 * norm:
+        if float(np.max(np.abs(self.a_t @ dlam))) > 1e-8 * norm:
             return False
         pos = np.maximum(dlam, 0.0)
         neg = np.minimum(dlam, 0.0)
@@ -301,7 +356,7 @@ class QpWorkspace:
         box_vio = float(np.max(np.maximum.reduce([qp.lo - x, x - qp.hi,
                                                   np.zeros(self.n)])))
         in_vio = max(in_vio, box_vio)
-        grad = qp.d * x + q + self.a_csr.T @ lam
+        grad = qp.d * x + q + self.a_t @ lam
         stat = float(np.max(np.abs(grad))) if len(grad) else 0.0
         # inequality rows only bound from above; a negative multiplier there
         # is a dual-feasibility violation and is folded into stationarity
@@ -313,47 +368,60 @@ class QpWorkspace:
 
     # -- polish --------------------------------------------------------------
 
+    def _polish_kkt(self, active):
+        """``[[diag(d) + delta I, A_act'], [A_act, -delta I]]`` in CSC form.
+
+        The template's entries whose row and column both survive, renumbered;
+        the template's columns are sorted, so the result is the canonical
+        matrix ``sp.bmat`` would assemble from the active rows.
+        """
+        t = self._template
+        keep = np.concatenate([np.ones(self.n, dtype=bool), active])
+        entries = keep[t.indices] & keep[self._template_cols]
+        size = self.n + int(np.count_nonzero(active))
+        indptr = np.zeros(size + 1, dtype=t.indptr.dtype)
+        counts = np.bincount(self._template_cols[entries], minlength=len(keep))
+        np.cumsum(counts[keep], out=indptr[1:])
+        renumber = (np.cumsum(keep) - 1).astype(t.indices.dtype)
+        return sp.csc_matrix((t.data[entries], renumber[t.indices[entries]], indptr),
+                             shape=(size, size))
+
     def _polish(self, x, z, lam, q):
         """Solve the KKT system on the detected active set; keep it only if
-        every residual (on the full constraint data) improves."""
+        the worst residual (on the full constraint data) improves.
+
+        Returns the kept ``(x, z, lam)`` and its reported residuals.
+        """
+        old = self._report_residuals(x, lam, q)
         act_low = (lam < -1e-12) & ~self._is_eq
         act_up = (lam > 1e-12) & ~self._is_eq
         active = self._is_eq | act_low | act_up
         if not active.any():
-            return x, z, lam
-        a_act = self.a_csr[active]
+            return x, z, lam, old
         b_act = np.where(act_up[active], self.u[active], self.l[active])
         b_act = np.where(self._is_eq[active], self.u[active], b_act)
-        k = a_act.shape[0]
-        delta = 1e-9
-        kkt = sp.bmat(
-            [
-                [sp.diags(self.qp.d + delta), a_act.T],
-                [a_act, sp.diags(np.full(k, -delta))],
-            ],
-            format="csc",
-        )
         try:
-            lu = spla.splu(kkt)
+            lu = spla.splu(self._polish_kkt(active))
         except RuntimeError:
-            return x, z, lam
-        rhs = np.concatenate([-q, b_act])
-        sol = lu.solve(rhs)
-        # one round of iterative refinement against the unregularized system
-        x_p, nu_p = sol[:self.n], sol[self.n:]
-        res_top = -q - self.qp.d * x_p - a_act.T @ nu_p
-        res_bot = b_act - a_act @ x_p
-        corr = lu.solve(np.concatenate([res_top, res_bot]))
-        x_p = x_p + corr[:self.n]
-        nu_p = nu_p + corr[self.n:]
+            return x, z, lam, old
+        n = self.n
+        sol = lu.solve(np.concatenate([-q, b_act]))
+        x_p = sol[:n]
         lam_p = np.zeros(self.m_total)
-        lam_p[active] = nu_p
-        old = max(self._report_residuals(x, lam, q))
-        new = max(self._report_residuals(x_p, lam_p, q))
-        if not np.isfinite(new) or new >= old:
-            return x, z, lam
+        lam_p[active] = sol[n:]
+        # one round of iterative refinement against the unregularized system;
+        # off the active set lam_p is +0, and adding a signed zero to a sum
+        # that starts at +0 changes no bit, so A' lam_p equals A_act' nu
+        res_top = -q - self.qp.d * x_p - self.a_t @ lam_p
+        res_bot = b_act - (self.a_csr @ x_p)[active]
+        corr = lu.solve(np.concatenate([res_top, res_bot]))
+        x_p = x_p + corr[:n]
+        lam_p[active] = sol[n:] + corr[n:]
+        new = self._report_residuals(x_p, lam_p, q)
+        if not np.isfinite(max(new)) or max(new) >= max(old):
+            return x, z, lam, old
         z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
-        return x_p, z_p, lam_p
+        return x_p, z_p, lam_p, new
 
 
 def _row_scales(mat):

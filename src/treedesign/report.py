@@ -8,14 +8,34 @@ re-emitting it reproduces it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-CENTRAL_TRACE_COLUMNS = (
-    "k", "objective_w", "objective_z", "residual", "qp_iters", "qp_status",
-    "feasible_now",
-)
-DISTRIBUTED_TRACE_COLUMNS = (
-    "k", "agent", "objective_w", "residual_contrib", "consensus_gap", "qp_iters",
-)
+
+class CentralTraceRow(NamedTuple):
+    """One centralized iteration; the fields are the trace CSV's columns."""
+
+    k: int
+    objective_w: float
+    objective_z: float
+    residual: float
+    qp_iters: int
+    qp_status: str
+    feasible_now: bool
+
+
+class DistributedTraceRow(NamedTuple):
+    """One agent in one round (``agent`` is -1 on an aggregated row)."""
+
+    k: int
+    agent: int
+    objective_w: float
+    residual_contrib: float
+    consensus_gap: float
+    qp_iters: int
+
+
+CENTRAL_TRACE_COLUMNS = CentralTraceRow._fields
+DISTRIBUTED_TRACE_COLUMNS = DistributedTraceRow._fields
 SUMMARY_COLUMNS = (
     "n", "m", "seed", "rho", "mode", "iters", "objective", "feasible",
     "gap_pct", "oracle_obj", "status", "wall_ms", "trace_path",

@@ -2,10 +2,11 @@
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi
 from treedesign.mcf import Commodity, Instance
-from treedesign.qp import QuadraticProgram
+from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram
 
 
 def k3():
@@ -93,3 +94,149 @@ def projected_gradient_qp(qp, steps=10**6, stop_change=1e-15):
         if moved < stop_change:
             break
     return primal(lam_eq, lam_in)
+
+
+def polish_kkt_reference(ws, active):
+    """The polish KKT matrix assembled directly from the active rows."""
+    a_act = ws.a_csr[active]
+    delta = ws.POLISH_DELTA
+    return sp.bmat(
+        [
+            [sp.diags(ws.qp.d + delta), a_act.T],
+            [a_act, sp.diags(np.full(a_act.shape[0], -delta))],
+        ],
+        format="csc",
+    )
+
+
+class ReferenceQpWorkspace(QpWorkspace):
+    """The straightforward form of QpWorkspace's solve, kept as a reference.
+
+    Assembles every KKT matrix with ``sp.bmat``, allocates fresh arrays on
+    every iteration, transposes the constraint matrix on every product and
+    recomputes the final residuals after polish. The fast path must produce
+    the same bits.
+    """
+
+    def _refactor(self):
+        rho = np.full(self.m_total, self._rho_base)
+        rho[self._is_eq] *= self.EQ_RHO_FACTOR
+        self.rho = rho
+        a = self.a_csr.tocsc()
+        kkt = sp.bmat(
+            [
+                [sp.diags(self.qp.d + self.SIGMA), a.T],
+                [a, sp.diags(-1.0 / rho)],
+            ],
+            format="csc",
+        )
+        self._lu = spla.splu(kkt)
+
+    def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
+        n, m_total = self.n, self.m_total
+        q = np.asarray(q, dtype=float)
+        a_csr = self.a_csr
+        l, u = self.l, self.u
+        if warm is not None and warm.z is not None and len(warm.v) == n \
+                and len(warm.z) == m_total:
+            x = warm.v.copy()
+            z = warm.z.copy()
+            lam = warm.lam.copy()
+        else:
+            x = np.zeros(n)
+            z = np.clip(a_csr @ x, l, u)
+            lam = np.zeros(m_total)
+        rp_window = []
+        lam_snapshot = lam.copy()
+        status = "max-iters"
+        iterations = max_iters
+        for it in range(1, max_iters + 1):
+            rho = self.rho
+            rhs = np.concatenate([self.SIGMA * x - q, z - lam / rho])
+            sol = self._lu.solve(rhs)
+            xt = sol[:n]
+            nu = sol[n:]
+            zt = z + (nu - lam) / rho
+            x = self.ALPHA * xt + (1.0 - self.ALPHA) * x
+            z_pre = self.ALPHA * zt + (1.0 - self.ALPHA) * z
+            z_new = np.clip(z_pre + lam / rho, l, u)
+            lam = lam + rho * (z_pre - z_new)
+            z = z_new
+            if it % self.CHECK_EVERY == 0 or it == max_iters:
+                r_prim, r_dual = self._residuals(x, z, lam, q)
+                if r_prim <= tol and r_dual <= tol:
+                    status = "solved"
+                    iterations = it
+                    break
+                rp_window.append(r_prim)
+                if len(rp_window) > 12:
+                    rp_window.pop(0)
+                if self._primal_stalled(rp_window, tol) and \
+                        self._certify_infeasible(lam - lam_snapshot):
+                    status = "infeasible-detected"
+                    iterations = it
+                    break
+                lam_snapshot = lam.copy()
+                if it % (self.CHECK_EVERY * 4) == 0:
+                    self._adapt_rho(r_prim, r_dual)
+        x, z, lam = self._polish(x, z, lam, q)
+        eq_res, in_vio, stat = self._report_residuals(x, lam, q)
+        if status == "solved" and max(eq_res, in_vio, stat) > tol:
+            status = "max-iters"
+        return QpSolution(v=x, eq_residual=eq_res, in_violation=in_vio,
+                          stationarity=stat, iterations=iterations,
+                          status=status, z=z, lam=lam)
+
+    def _residuals(self, x, z, lam, q):
+        ax = self.a_csr @ x
+        r_prim = np.max(np.abs(ax - z) * self.row_scale) if self.m_total else 0.0
+        grad = self.qp.d * x + q + self.a_csr.T @ lam
+        r_dual = float(np.max(np.abs(grad))) if len(grad) else 0.0
+        return float(r_prim), r_dual
+
+    def _report_residuals(self, x, lam, q):
+        qp = self.qp
+        eq_res = float(np.max(np.abs(qp.a_eq @ x - qp.b_eq))) if self.m_eq else 0.0
+        in_vio = 0.0
+        if self.m_in:
+            in_vio = float(np.max(np.maximum(qp.a_in @ x - qp.b_in, 0.0)))
+        box_vio = float(np.max(np.maximum.reduce([qp.lo - x, x - qp.hi,
+                                                  np.zeros(self.n)])))
+        in_vio = max(in_vio, box_vio)
+        grad = qp.d * x + q + self.a_csr.T @ lam
+        stat = float(np.max(np.abs(grad))) if len(grad) else 0.0
+        if self.m_in:
+            sl = slice(self.m_eq, self.m_eq + self.m_in)
+            lam_in = lam[sl] / self.row_scale[sl]
+            stat = max(stat, float(np.max(np.maximum(-lam_in, 0.0))))
+        return eq_res, in_vio, stat
+
+    def _polish(self, x, z, lam, q):
+        act_low = (lam < -1e-12) & ~self._is_eq
+        act_up = (lam > 1e-12) & ~self._is_eq
+        active = self._is_eq | act_low | act_up
+        if not active.any():
+            return x, z, lam
+        a_act = self.a_csr[active]
+        b_act = np.where(act_up[active], self.u[active], self.l[active])
+        b_act = np.where(self._is_eq[active], self.u[active], b_act)
+        try:
+            lu = spla.splu(polish_kkt_reference(self, active))
+        except RuntimeError:
+            return x, z, lam
+        rhs = np.concatenate([-q, b_act])
+        sol = lu.solve(rhs)
+        x_p, nu_p = sol[:self.n], sol[self.n:]
+        res_top = -q - self.qp.d * x_p - a_act.T @ nu_p
+        res_bot = b_act - a_act @ x_p
+        corr = lu.solve(np.concatenate([res_top, res_bot]))
+        x_p = x_p + corr[:self.n]
+        nu_p = nu_p + corr[self.n:]
+        lam_p = np.zeros(self.m_total)
+        lam_p[active] = nu_p
+        old = max(self._report_residuals(x, lam, q))
+        new = max(self._report_residuals(x_p, lam_p, q))
+        if not np.isfinite(new) or new >= old:
+            return x, z, lam
+        z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
+        return x_p, z_p, lam_p
