@@ -9,8 +9,8 @@ and verifies the two implementations coincide.
 import numpy as np
 
 from treedesign import (
-    AgentRuntime,
     SolverConfig,
+    SubproblemRuntime,
     consensus_dual_aggregates,
     consensus_gap,
     full_dual_step,
@@ -27,7 +27,7 @@ print(inst, "hop bound", inst.hop_bound)
 
 cfg = SolverConfig(rho=0.1, tol=1e-4, max_iters=400)
 world = init_world(inst, cfg)
-runtime = AgentRuntime()
+runtime = SubproblemRuntime()
 print("\nround   consensus gap   per-agent objectives")
 for r in range(1, 101):
     world = sync_round(world, cfg, _runtime=runtime)
@@ -46,7 +46,7 @@ print(f"\nfull driver: {report.status} after {report.iterations} rounds, "
 cfg_ref = SolverConfig(rho=1.0, tol=1e-12, max_iters=10, qp_tol=1e-10)
 cond = init_world(inst, cfg_ref)
 ref = init_full_dual_world(inst, cfg_ref)
-rt1, rt2 = AgentRuntime(), AgentRuntime()
+rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
 for _ in range(10):
     cond = sync_round(cond, cfg_ref, _runtime=rt1)
     ref = full_dual_step(ref, cfg_ref, _runtime=rt2)

@@ -62,10 +62,8 @@ from .central import (
     step,
 )
 from .distributed import (
-    AgentRuntime,
     AgentState,
     World,
-    agent_step,
     consensus_dual_aggregates,
     consensus_gap,
     full_dual_step,

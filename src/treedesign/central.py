@@ -205,70 +205,71 @@ def step(state, inst, cfg, _runtime=None):
     )
 
 
+def change_norm(prev, curr, fields):
+    """Euclidean norm of the change in the stacked ``fields`` between two
+    states; the squared differences are summed field by field, in order."""
+    total = 0.0
+    for name in fields:
+        total += float(np.sum((getattr(curr, name) - getattr(prev, name)) ** 2))
+    return math.sqrt(total)
+
+
 def residual_central(prev, curr):
     """Dual-change norm plus primal-change norm between consecutive states.
 
     The flow dual joins the tree dual in one stacked block; the primal block
     stacks (u, w).
     """
-    dual = math.sqrt(
-        float(np.sum((curr.mu - prev.mu) ** 2))
-        + float(np.sum((curr.eta - prev.eta) ** 2))
-    )
-    primal = math.sqrt(
-        float(np.sum((curr.u - prev.u) ** 2))
-        + float(np.sum((curr.w - prev.w) ** 2))
-    )
-    return dual + primal
+    return change_norm(prev, curr, ("mu", "eta")) + change_norm(prev, curr, ("u", "w"))
 
 
-def solve_central(inst, cfg):
-    """Run the centralized method until the residual drops below tolerance.
+def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
+    """The outer loop and answer extraction shared by both drivers.
 
-    The final answer is the last iterate's (tree, flows) when it passes the
-    feasibility check; otherwise the flows are re-derived by routing on the
-    final tree, and if even that breaks the hop bound the run is reported
+    ``init(inst, cfg)`` gives the starting state and ``advance(state)`` the
+    next iterate; a state counts its iterations in ``k``. ``copies(state)``
+    lists the variable copies an iterate holds (the central state itself, or
+    every agent), each with a tree ``z``, flows ``y`` and relaxation ``w``.
+    After each iteration every copy's tree is checked, then
+    ``record(prev, state, trace)`` appends the iterate's trace rows and
+    returns its residual; the run stops once that drops below ``cfg.tol``.
+
+    The answer comes from the first copy: its (tree, flows) when they pass
+    the feasibility check; otherwise the flows are re-derived by routing on
+    its tree, and if even that breaks the hop bound the run is reported
     infeasible rather than repaired further.
     """
     t0 = time.perf_counter()
-    state = init_state(inst, cfg)
-    runtime = SubproblemRuntime()
+    state = init(inst, cfg)
     trace = []
     trees_validated = 0
     status = "not-run" if cfg.max_iters == 0 else "max-iters"
     residual = math.inf
     for _ in range(cfg.max_iters):
         prev = state
-        state = step(state, inst, cfg, _runtime=runtime)
-        if not is_spanning_tree(inst.graph, state.z):
-            raise InvalidTreeError(f"iterate {state.k} is not a spanning tree")
-        trees_validated += 1
-        residual = residual_central(prev, state)
-        trace.append(CentralTraceRow(
-            k=state.k,
-            objective_w=objective(inst, state.w),
-            objective_z=objective(inst, state.z.vector),
-            residual=residual,
-            qp_iters=state.qp_iterations,
-            qp_status=state.qp_status,
-            # the tree was checked just above
-            feasible_now=check_flows(inst, state.z, state.y).feasible,
-        ))
+        state = advance(state)
+        for i, copy in enumerate(copies(state)):
+            if not is_spanning_tree(inst.graph, copy.z):
+                raise InvalidTreeError(
+                    f"iterate {state.k}, copy {i}: not a spanning tree")
+            trees_validated += 1
+        residual = record(prev, state, trace)
         if residual < cfg.tol:
             status = "converged"
             break
+    reporter = copies(state)[0]
     flows = None
     extraction = "none"
     feasible = False
     if state.k == 0:
         # nothing ran: no tree exists yet, only the relaxed starting point
         tree = None
-        final_objective = objective(inst, state.w)
+        final_objective = objective(inst, reporter.w)
     else:
-        tree = state.z
+        tree = reporter.z
         final_objective = objective(inst, tree.vector)
-        if check_feasible(inst, tree, state.y).feasible:
-            flows, extraction, feasible = state.y, "iterate", True
+        if check_feasible(inst, tree, reporter.y).feasible:
+            flows, extraction, feasible = reporter.y, "iterate", True
         else:
             routed = route_on_tree(inst, tree)
             if routed.feasible:
@@ -280,7 +281,7 @@ def solve_central(inst, cfg):
                 )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveReport(
-        mode="central",
+        mode=mode,
         status=status,
         tree=tree,
         flows=flows,
@@ -292,4 +293,30 @@ def solve_central(inst, cfg):
         trace=trace,
         extraction=extraction,
         trees_validated=trees_validated,
+    )
+
+
+def solve_central(inst, cfg):
+    """Run the centralized method until the residual drops below tolerance;
+    :func:`run_outer_loop` checks each tree and extracts the answer."""
+    runtime = SubproblemRuntime()
+
+    def record(prev, state, trace):
+        residual = residual_central(prev, state)
+        trace.append(CentralTraceRow(
+            k=state.k,
+            objective_w=objective(inst, state.w),
+            objective_z=objective(inst, state.z.vector),
+            residual=residual,
+            qp_iters=state.qp_iterations,
+            qp_status=state.qp_status,
+            # the loop checked the tree before recording
+            feasible_now=check_flows(inst, state.z, state.y).feasible,
+        ))
+        return residual
+
+    return run_outer_loop(
+        inst, cfg, "central", init_state,
+        lambda state: step(state, inst, cfg, _runtime=runtime),
+        lambda state: (state,), record,
     )

@@ -27,44 +27,32 @@ the condensed trajectories exactly, at any rho.
 
 from __future__ import annotations
 
-import logging
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .central import SubproblemRuntime, initial_w0
-from .graphs import (
-    InvalidTreeError,
-    TreeIndicator,
-    bidirect,
-    indicator_vector,
-    is_spanning_tree,
-)
+from .central import SubproblemRuntime, change_norm, initial_w0, run_outer_loop
+from .graphs import TreeIndicator, bidirect, indicator_vector
 from .mcf import (
     agent_linear_cost,
     build_agent_subproblem,
-    check_feasible,
     constraint_blocks,
     half_incident_costs,
     objective,
-    route_on_tree,
 )
+# not called here; the patch table in perfbench/tracing.py looks them up here
+from .graphs import is_spanning_tree  # noqa: F401
+from .mcf import check_feasible, route_on_tree  # noqa: F401
 from .projection import project_binary, project_tree
 from .qp import QuadraticProgram
-from .report import DistributedTraceRow, SolveReport
-
-logger = logging.getLogger(__name__)
+from .report import DistributedTraceRow
 
 __all__ = [
-    "AgentRuntime",
     "AgentState",
     "World",
     "init_world",
     "agent_primal_step",
     "agent_dual_step",
-    "agent_step",
     "sync_round",
     "residual_distributed",
     "consensus_gap",
@@ -151,11 +139,6 @@ def init_world(inst, cfg):
     return World(inst, [_initial_agent(inst, cfg) for _ in range(inst.n)])
 
 
-def _consensus_coeff(cfg):
-    # rho/2 per direction of exchange; doubled pairs give the undirected form
-    return cfg.rho / 2.0
-
-
 def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
     """Phase 1 for one agent: subproblem solve plus both projections.
 
@@ -163,7 +146,8 @@ def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
     (graph neighbors twice for undirected topologies).
     """
     runtime = _runtime if _runtime is not None else SubproblemRuntime()
-    kappa = _consensus_coeff(cfg)
+    # rho/2 per direction of exchange; doubled pairs give the undirected form
+    kappa = cfg.rho / 2.0
     args = (inst, agent, own, neighbor_snapshots, cfg.rho, kappa)
     diag = cfg.rho + 2.0 * kappa * len(neighbor_snapshots)  # as built below
     sol = runtime.solve(agent, inst, diag, agent_linear_cost(*args), cfg,
@@ -191,23 +175,6 @@ def agent_dual_step(own, staged, staged_partners):
     )
 
 
-def agent_step(inst, agent, own, neighbors_now, cfg, neighbors_next):
-    """One agent's complete update given both snapshot generations.
-
-    ``neighbors_now`` are round-k states (consumed by the subproblem),
-    ``neighbors_next`` the round-(k+1) primals of the same partners (consumed
-    by the consensus duals); the two-phase round in :func:`sync_round`
-    supplies them in lockstep.
-    """
-    staged = agent_primal_step(inst, agent, own, neighbors_now, cfg)
-    return agent_dual_step(own, staged, neighbors_next)
-
-
-# the runtime to pass to sync_round and full_dual_step: one workspace and
-# warm start per agent id, reused across rounds
-AgentRuntime = SubproblemRuntime
-
-
 def sync_round(world, cfg, _runtime=None, order=None):
     """One synchronous round over all agents.
 
@@ -229,23 +196,28 @@ def sync_round(world, cfg, _runtime=None, order=None):
     return world.replace_agents(new_agents, world.k + 1)
 
 
-def residual_distributed(prev, curr):
-    """Average per-agent dual change plus average per-agent primal change."""
-    n = len(curr.agents)
+def _agent_changes(prev, curr):
+    """Per agent: (dual-change norm, primal-change norm) between rounds."""
+    return [
+        (change_norm(a, b, ("mu", "eta", "nu", "xi")),
+         change_norm(a, b, ("u", "w")))
+        for a, b in zip(prev.agents, curr.agents)
+    ]
+
+
+def _mean_residual(changes):
+    """Average dual change plus average primal change, summed in agent order."""
     dual = 0.0
     primal = 0.0
-    for a, b in zip(prev.agents, curr.agents):
-        dual += math.sqrt(
-            float(np.sum((b.mu - a.mu) ** 2))
-            + float(np.sum((b.eta - a.eta) ** 2))
-            + float(np.sum((b.nu - a.nu) ** 2))
-            + float(np.sum((b.xi - a.xi) ** 2))
-        )
-        primal += math.sqrt(
-            float(np.sum((b.u - a.u) ** 2))
-            + float(np.sum((b.w - a.w) ** 2))
-        )
-    return dual / n + primal / n
+    for d, p in changes:
+        dual += d
+        primal += p
+    return dual / len(changes) + primal / len(changes)
+
+
+def residual_distributed(prev, curr):
+    """Average per-agent dual change plus average per-agent primal change."""
+    return _mean_residual(_agent_changes(prev, curr))
 
 
 def consensus_gap(world):
@@ -265,90 +237,37 @@ def consensus_gap(world):
 def solve_distributed(inst, cfg):
     """Run synchronous rounds until the average residual drops below tol.
 
-    The solution is extracted from the lowest-id agent with the same repair
-    path as the centralized driver. The trace carries one row per (round,
-    agent): its objective, its residual contribution, the world consensus
-    gap, and its inner iteration count.
+    :func:`central.run_outer_loop` checks every agent's tree and extracts
+    the answer from the lowest-id agent, as for the centralized driver. The
+    trace carries one row per (round, agent): its objective, its residual
+    contribution, the world consensus gap, and its inner iteration count.
     """
-    t0 = time.perf_counter()
-    world = init_world(inst, cfg)
-    runtime = AgentRuntime()
-    trace = []
-    trees_validated = 0
-    status = "not-run" if cfg.max_iters == 0 else "max-iters"
-    residual = math.inf
-    gap = consensus_gap(world)
-    for _ in range(cfg.max_iters):
-        prev = world
-        world = sync_round(world, cfg, _runtime=runtime)
-        for i, agent in enumerate(world.agents):
-            if not is_spanning_tree(inst.graph, agent.z):
-                raise InvalidTreeError(
-                    f"agent {i} round {world.k}: iterate is not a spanning tree"
-                )
-            trees_validated += 1
-        residual = residual_distributed(prev, world)
+    runtime = SubproblemRuntime()
+    gap = 0.0  # every agent starts from the same point
+
+    def record(prev, world, trace):
+        nonlocal gap
+        changes = _agent_changes(prev, world)
         gap = consensus_gap(world)
-        for i, (agent, old) in enumerate(zip(world.agents, prev.agents)):
-            contrib = math.sqrt(
-                float(np.sum((agent.mu - old.mu) ** 2))
-                + float(np.sum((agent.eta - old.eta) ** 2))
-                + float(np.sum((agent.nu - old.nu) ** 2))
-                + float(np.sum((agent.xi - old.xi) ** 2))
-            ) + math.sqrt(
-                float(np.sum((agent.u - old.u) ** 2))
-                + float(np.sum((agent.w - old.w) ** 2))
-            )
+        for i, (agent, (dual, primal)) in enumerate(zip(world.agents, changes)):
             last = runtime.last.get(i)
             trace.append(DistributedTraceRow(
                 k=world.k,
                 agent=i,
                 objective_w=objective(inst, agent.w),
-                residual_contrib=contrib,
+                residual_contrib=dual + primal,
                 consensus_gap=gap,
                 qp_iters=last.iterations if last is not None else 0,
             ))
-        if residual < cfg.tol:
-            status = "converged"
-            break
-    reporter = world.agents[0]
-    flows = None
-    extraction = "none"
-    feasible = False
-    if world.k == 0:
-        # nothing ran: only the relaxed starting point exists
-        tree = None
-        final_objective = objective(inst, reporter.w)
-    else:
-        tree = reporter.z
-        final_objective = objective(inst, tree.vector)
-        if check_feasible(inst, tree, reporter.y).feasible:
-            flows, extraction, feasible = reporter.y, "iterate", True
-        else:
-            routed = route_on_tree(inst, tree)
-            if routed.feasible:
-                flows, extraction, feasible = routed.flows, "rerouted", True
-            else:
-                logger.warning(
-                    "no feasible extraction: commodities %s exceed the hop "
-                    "bound on the reporting agent's tree", routed.over_limit,
-                )
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveReport(
-        mode="distributed",
-        status=status,
-        tree=tree,
-        flows=flows,
-        objective=final_objective,
-        feasible=feasible,
-        iterations=world.k,
-        residual=residual,
-        wall_ms=wall_ms,
-        trace=trace,
-        extraction=extraction,
-        trees_validated=trees_validated,
-        final_consensus_gap=gap,
+        return _mean_residual(changes)
+
+    report = run_outer_loop(
+        inst, cfg, "distributed", init_world,
+        lambda world: sync_round(world, cfg, _runtime=runtime),
+        lambda world: world.agents, record,
     )
+    report.final_consensus_gap = gap
+    return report
 
 
 # -- un-condensed reference with explicit per-arc averages and duals ---------

@@ -186,6 +186,11 @@ class QpWorkspace:
         # every column holds exactly one diagonal entry, from the diagonal blocks
         self._template_diag = np.flatnonzero(
             self._template.indices == self._template_cols)
+        # the reported residuals' rows in original units: one product with
+        # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack
+        eye = sp.identity(n, format="csr")
+        self._report_rows = sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr")
+        self._report_rhs = np.concatenate([qp.b_eq, qp.b_in, qp.hi, -qp.lo])
         self._rho_base = self.RHO0
         self._refactor()
 
@@ -348,22 +353,20 @@ class QpWorkspace:
         self._refactor()
 
     def _report_residuals(self, x, lam, q):
-        qp = self.qp
-        eq_res = float(np.max(np.abs(qp.a_eq @ x - qp.b_eq))) if self.m_eq else 0.0
-        in_vio = 0.0
-        if self.m_in:
-            in_vio = float(np.max(np.maximum(qp.a_in @ x - qp.b_in, 0.0)))
-        box_vio = float(np.max(np.maximum.reduce([qp.lo - x, x - qp.hi,
-                                                  np.zeros(self.n)])))
-        in_vio = max(in_vio, box_vio)
-        grad = qp.d * x + q + self.a_t @ lam
-        stat = float(np.max(np.abs(grad))) if len(grad) else 0.0
+        """(equality residual, inequality and box violation, stationarity)
+        of ``(x, lam)`` on the original data."""
+        m_eq = self.m_eq
+        r = self._report_rows @ x
+        r -= self._report_rhs
+        eq_res = float(np.abs(r[:m_eq]).max()) if m_eq else 0.0
+        in_vio = max(float(r[m_eq:].max()), 0.0)  # a NaN slack stays NaN
+        grad = self.qp.d * x + q + self.a_t @ lam
+        stat = float(np.abs(grad).max()) if len(grad) else 0.0
         # inequality rows only bound from above; a negative multiplier there
         # is a dual-feasibility violation and is folded into stationarity
         if self.m_in:
-            sl = slice(self.m_eq, self.m_eq + self.m_in)
-            lam_in = lam[sl] / self.row_scale[sl]
-            stat = max(stat, float(np.max(np.maximum(-lam_in, 0.0))))
+            sl = slice(m_eq, m_eq + self.m_in)
+            stat = max(stat, float((-lam[sl] / self.row_scale[sl]).max()))
         return eq_res, in_vio, stat
 
     # -- polish --------------------------------------------------------------

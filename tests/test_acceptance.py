@@ -9,10 +9,15 @@ import statistics
 import numpy as np
 import pytest
 
-from treedesign.central import SolverConfig, solve_central, init_state, step
+from treedesign.central import (
+    SolverConfig,
+    SubproblemRuntime,
+    init_state,
+    solve_central,
+    step,
+)
 from treedesign.cli import compute_gap, main
 from treedesign.distributed import (
-    AgentRuntime,
     consensus_dual_aggregates,
     full_dual_step,
     init_full_dual_world,
@@ -114,7 +119,7 @@ def test_criterion_03_condensed_equals_arc_dual_reference():
         cfg = SolverConfig(rho=1.0, tol=1e-12, max_iters=10**6, qp_tol=1e-10)
         world = init_world(inst, cfg)
         ref = init_full_dual_world(inst, cfg)
-        rt1, rt2 = AgentRuntime(), AgentRuntime()
+        rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(20):
             world = sync_round(world, cfg, _runtime=rt1)
             ref = full_dual_step(ref, cfg, _runtime=rt2)
@@ -151,7 +156,7 @@ def test_criterion_04_every_iterate_is_a_spanning_tree():
         inst = random_instance(6, 0.5, seed=seed)
         cfg = SolverConfig(rho=0.1, tol=1e-10, max_iters=0)
         world = init_world(inst, cfg)
-        rt = AgentRuntime()
+        rt = SubproblemRuntime()
         for _ in range(15):
             world = sync_round(world, cfg, _runtime=rt)
             for agent in world.agents:

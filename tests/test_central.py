@@ -10,6 +10,7 @@ from treedesign.central import (
     solve_central,
     step,
 )
+from treedesign.distributed import solve_distributed
 from treedesign.graphs import UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, check_feasible, objective, random_instance
 
@@ -180,3 +181,34 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     other_inst = random_instance(6, 0.5, seed=3)
     with pytest.raises(ValueError, match="bound to another"):
         step(init_state(other_inst, cfg), other_inst, cfg, _runtime=rt)
+
+
+# (n, seed, rho, max_iters) on random_instance(n, 0.5, seed, hop_slack=0):
+# with no hop slack, an early final iterate's flows fail the check, and
+# routing on its tree either repairs them or still breaks the hop bound
+EXTRACTION_CASES = {
+    (solve_central, "rerouted"): (6, 2, 1.0, 1),
+    (solve_central, "none"): (6, 8, 10.0, 1),
+    (solve_distributed, "rerouted"): (5, 6, 1.0, 1),
+    (solve_distributed, "none"): (5, 0, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("solve", [solve_central, solve_distributed],
+                         ids=["central", "distributed"])
+def test_extraction_outcomes_match_across_drivers(solve, caplog):
+    for extraction in ("rerouted", "none"):
+        n, seed, rho, max_iters = EXTRACTION_CASES[solve, extraction]
+        inst = random_instance(n, 0.5, seed, hop_slack=0)
+        caplog.clear()
+        rep = solve(inst, SolverConfig(rho=rho, max_iters=max_iters))
+        assert rep.extraction == extraction
+        assert is_spanning_tree(inst.graph, rep.tree)
+        assert rep.objective == objective(inst, rep.tree)
+        if extraction == "rerouted":
+            assert rep.feasible
+            assert check_feasible(inst, rep.tree, rep.flows).feasible
+        else:
+            assert rep.flows is None and not rep.feasible
+            assert "no feasible extraction" in caplog.text
+

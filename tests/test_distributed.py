@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from treedesign.central import SolverConfig, solve_central
+from treedesign.central import SolverConfig, SubproblemRuntime, solve_central
 from treedesign.distributed import (
     AgentState,
     World,
-    AgentRuntime,
     agent_dual_step,
-    agent_step,
+    agent_primal_step,
     consensus_dual_aggregates,
     consensus_gap,
     full_dual_step,
@@ -51,7 +50,8 @@ def test_agent_step_without_neighbors_keeps_consensus_duals():
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
     own = world.agents[0]
-    nxt = agent_step(inst, 0, own, [], cfg, [])
+    staged = agent_primal_step(inst, 0, own, [], cfg)
+    nxt = agent_dual_step(own, staged, [])
     assert not np.any(nxt.nu)
     assert not np.any(nxt.xi)
     assert is_spanning_tree(inst.graph, nxt.z)
@@ -210,7 +210,7 @@ def test_full_dual_identities_and_averages():
     inst = random_instance(4, 0.7, seed=1)
     cfg = SolverConfig(rho=0.7, tol=1e-6, max_iters=10)
     fd = init_full_dual_world(inst, cfg)
-    rt = AgentRuntime()
+    rt = SubproblemRuntime()
     prev_agents = [a.u.copy() for a in fd.agents]
     fd = full_dual_step(fd, cfg, _runtime=rt)
     # averages are the midpoints of the fresh primals
@@ -231,7 +231,7 @@ def test_condensed_matches_full_dual_any_rho():
         cfg = SolverConfig(rho=rho, tol=1e-12, max_iters=10, qp_tol=1e-10)
         world = init_world(inst, cfg)
         fd = init_full_dual_world(inst, cfg)
-        rt1, rt2 = AgentRuntime(), AgentRuntime()
+        rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(6):
             world = sync_round(world, cfg, _runtime=rt1)
             fd = full_dual_step(fd, cfg, _runtime=rt2)
@@ -260,7 +260,7 @@ def test_w0_outside_unit_box_is_rejected():
 def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(5, 0.6, seed=4)
     cfg = SolverConfig(rho=1.0)
-    rt = AgentRuntime()
+    rt = SubproblemRuntime()
     world = sync_round(init_world(inst, cfg), cfg, _runtime=rt)
     sync_round(world, cfg, _runtime=rt)  # same instance and rho: reused
     other_rho = SolverConfig(rho=2.0)
