@@ -73,7 +73,6 @@ from .distributed import (
     solve_distributed,
     sync_round,
 )
-from .report import SolveReport
-from .cli import SweepSpec, compute_gap, run_experiment
+from .report import SolveReport, compute_gap
 
 __version__ = "0.1.0"

@@ -34,30 +34,13 @@ from .report import (
     DISTRIBUTED_TRACE_COLUMNS,
     SUMMARY_COLUMNS,
     DistributedTraceRow,
+    compute_gap,
     write_csv,
 )
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["compute_gap", "SweepSpec", "run_experiment", "main"]
-
-
-def compute_gap(heuristic_obj, exact_obj):
-    """Optimality gap in percent: (heuristic / exact - 1) * 100.
-
-    Zero means an exact match. A materially negative value for a feasible
-    heuristic would contradict the oracle's optimality and is logged as an
-    internal error (and still returned, never hidden).
-    """
-    if exact_obj <= 0:
-        raise ValueError("exact objective must be positive")
-    gap = (heuristic_obj / exact_obj - 1.0) * 100.0
-    if gap < -1e-9:
-        logger.error(
-            "internal error: feasible heuristic objective %.12g beats the "
-            "exact optimum %.12g", heuristic_obj, exact_obj,
-        )
-    return gap
+__all__ = ["SweepSpec", "run_experiment", "main"]
 
 
 @dataclass

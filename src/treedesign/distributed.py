@@ -33,18 +33,11 @@ import numpy as np
 
 from .central import SubproblemRuntime, change_norm, initial_w0, run_outer_loop
 from .graphs import TreeIndicator, bidirect, indicator_vector
-from .mcf import (
-    agent_linear_cost,
-    build_agent_subproblem,
-    constraint_blocks,
-    half_incident_costs,
-    objective,
-)
+from .mcf import agent_diagonal, agent_linear_cost, half_incident_costs, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
-from .mcf import check_feasible, route_on_tree  # noqa: F401
+from .mcf import build_agent_subproblem, check_feasible, route_on_tree  # noqa: F401
 from .projection import project_binary, project_tree
-from .qp import QuadraticProgram
 from .report import DistributedTraceRow
 
 __all__ = [
@@ -92,7 +85,6 @@ class _Staged:
     w: np.ndarray
     z: TreeIndicator
     y: np.ndarray
-    qp_iterations: int
 
 
 class World:
@@ -148,15 +140,14 @@ def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
     runtime = _runtime if _runtime is not None else SubproblemRuntime()
     # rho/2 per direction of exchange; doubled pairs give the undirected form
     kappa = cfg.rho / 2.0
-    args = (inst, agent, own, neighbor_snapshots, cfg.rho, kappa)
-    diag = cfg.rho + 2.0 * kappa * len(neighbor_snapshots)  # as built below
-    sol = runtime.solve(agent, inst, diag, agent_linear_cost(*args), cfg,
-                        lambda: build_agent_subproblem(*args))
+    diag = agent_diagonal(cfg.rho, kappa, len(neighbor_snapshots))
+    q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho, kappa)
+    sol = runtime.solve(agent, inst, diag, q, cfg)
     w_next, u_next = inst.split(sol.v)
     w_next, u_next = w_next.copy(), u_next.copy()
     z_next = project_tree(w_next, own.mu, inst.graph)
     y_next = project_binary(u_next - own.eta)
-    return _Staged(u_next, w_next, z_next, y_next, sol.iterations)
+    return _Staged(u_next, w_next, z_next, y_next)
 
 
 def agent_dual_step(own, staged, staged_partners):
@@ -337,7 +328,6 @@ def full_dual_step(world, cfg, _runtime=None):
     arcs = world.arcs
     rho = cfg.rho
     agents = world.agents
-    a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
     runtime = _runtime if _runtime is not None else SubproblemRuntime()
     staged = []
     for i, own in enumerate(agents):
@@ -355,11 +345,7 @@ def full_dual_step(world, cfg, _runtime=None):
             degree2 += 1
         diag = rho * (1.0 + degree2)
         q = np.concatenate([q_w, q_u])
-        sol = runtime.solve(i, inst, diag, q, cfg, lambda: QuadraticProgram(
-            d=np.full(inst.dim_total, diag), q=q,
-            a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
-            lo=np.zeros(inst.dim_total), hi=np.ones(inst.dim_total),
-        ))
+        sol = runtime.solve(i, inst, diag, q, cfg)
         w_next, u_next = inst.split(sol.v)
         w_next, u_next = w_next.copy(), u_next.copy()
         z_next = project_tree(w_next, own.mu / rho, inst.graph)

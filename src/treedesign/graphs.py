@@ -56,28 +56,23 @@ class UnionFind:
 
 
 class TreeIndicator:
-    """0/1 selection vector over edge (or arc) indices.
+    """0/1 selection vector over edge (or arc) indices."""
 
-    ``validated`` is set only by a spanning-tree or arborescence check; a
-    validated indicator always selects exactly n-1 entries.
-    """
+    __slots__ = ("vector",)
 
-    __slots__ = ("vector", "validated")
-
-    def __init__(self, vector, validated=False):
+    def __init__(self, vector):
         vec = np.asarray(vector)
         if vec.ndim != 1:
             raise ValueError("indicator must be a flat vector")
         if not np.isin(vec, (0, 1)).all():
             raise ValueError("indicator entries must be 0 or 1")
         self.vector = vec.astype(np.int8)
-        self.validated = bool(validated)
 
     @classmethod
-    def from_indices(cls, length, indices, validated=False):
+    def from_indices(cls, length, indices):
         vec = np.zeros(length, dtype=np.int8)
         vec[list(indices)] = 1
-        return cls(vec, validated=validated)
+        return cls(vec)
 
     @property
     def selected(self):

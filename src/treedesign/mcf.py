@@ -38,8 +38,10 @@ __all__ = [
     "Instance",
     "FeasibilityReport",
     "RoutingResult",
+    "relaxed_qp",
     "build_centralized_subproblem",
     "centralized_linear_cost",
+    "agent_diagonal",
     "build_agent_subproblem",
     "agent_linear_cost",
     "constraint_blocks",
@@ -129,11 +131,6 @@ class Instance:
     def u_index(self, f, arc):
         """Index of commodity f's arc variable within a stacked (w, u) vector."""
         return self.dim_w + f * self.n_arcs + arc
-
-    def u_slice(self, f):
-        """Commodity f's block within a stacked (w, u) vector."""
-        base = self.dim_w + f * self.n_arcs
-        return slice(base, base + self.n_arcs)
 
     def flow_index(self, f, arc):
         """Index of commodity f's arc variable within a flow-only vector."""
@@ -237,24 +234,19 @@ def centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho):
     return q
 
 
-def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
-    """Quadratic subproblem of the centralized method at the current iterate.
+def relaxed_qp(inst, diag, q):
+    """The subproblem every ADMM variant solves over the relaxed set.
 
-    Diagonal rho on every variable, the linear cost from
-    :func:`centralized_linear_cost`, the shared constraint blocks, and the
-    unit box. The tree-counting rows are not part of the feasible set; the
-    projection step enforces the tree structure instead.
+    Scalar diagonal ``diag`` on every variable, linear cost ``q``, the shared
+    constraint blocks, and the unit box. The tree-counting rows are not part
+    of the feasible set; the projection step enforces the tree structure
+    instead. Only ``q`` changes between iterations, and only ``q`` and
+    ``diag`` between variants.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
-    logger.debug(
-        "centralized subproblem: %d vars, %d eq rows, %d ineq rows",
-        inst.dim_total, a_eq.shape[0], a_in.shape[0],
-    )
     return QuadraticProgram(
-        d=np.full(inst.dim_total, float(rho)),
-        q=centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho),
+        d=np.full(inst.dim_total, diag),
+        q=q,
         a_eq=a_eq,
         b_eq=b_eq,
         a_in=a_in,
@@ -262,6 +254,16 @@ def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
         lo=np.zeros(inst.dim_total),
         hi=np.ones(inst.dim_total),
     )
+
+
+def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
+    """Quadratic subproblem of the centralized method at the current iterate:
+    :func:`relaxed_qp` with diagonal rho and the linear cost from
+    :func:`centralized_linear_cost`."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return relaxed_qp(inst, float(rho),
+                      centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho))
 
 
 def half_incident_costs(inst, agent):
@@ -273,21 +275,20 @@ def half_incident_costs(inst, agent):
 
 
 def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
-                      consensus_coeff=None):
+                      consensus_coeff):
     """Linear term of one agent's subproblem.
 
     ``local`` and each snapshot provide the attributes u, w, z, y, mu, eta,
-    nu, xi. ``consensus_coeff`` is the weight on each listed consensus
-    quadratic ||. - midpoint||^2; it defaults to rho, the bidirected form for
-    agents of an undirected graph (a one-directional partner contributes
-    rho/2 instead).
+    nu, xi. ``consensus_coeff`` is the weight kappa on each listed consensus
+    quadratic ||. - midpoint||^2. The solvers list every neighbor once per
+    direction of exchange with kappa = rho/2, which for an undirected graph
+    equals one entry per neighbor with kappa = rho.
 
     The consensus duals nu/xi are scaled (their ascent steps carry no rho),
     so their contribution to the objective is rho * nu' u + rho * xi' w --
     dividing the unscaled duals by rho leaves this factor on the linear
     terms, exactly as it leaves the quadratic penalty on the mu term.
     """
-    kappa = rho if consensus_coeff is None else consensus_coeff
     z = indicator_vector(local.z, inst.dim_w).astype(float)
     q_w = (half_incident_costs(inst, agent)
            - rho * (z + np.asarray(local.mu, dtype=float))
@@ -298,39 +299,28 @@ def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
     w_own = np.asarray(local.w, dtype=float)
     u_own = np.asarray(local.u, dtype=float)
     for snap in neighbor_snapshots:
-        q_w = q_w - kappa * (w_own + np.asarray(snap.w, dtype=float))
-        q_u = q_u - kappa * (u_own + np.asarray(snap.u, dtype=float))
+        q_w = q_w - consensus_coeff * (w_own + np.asarray(snap.w, dtype=float))
+        q_u = q_u - consensus_coeff * (u_own + np.asarray(snap.u, dtype=float))
     return np.concatenate([q_w, q_u])
 
 
-def build_agent_subproblem(inst, agent, local, neighbor_snapshots, rho,
-                           consensus_coeff=None):
-    """Quadratic subproblem of one agent given its neighbors' snapshots.
+def agent_diagonal(rho, consensus_coeff, n_partners):
+    """Diagonal of an agent's subproblem: rho plus 2*kappa per consensus
+    block."""
+    return float(rho) + 2.0 * consensus_coeff * n_partners
 
-    Constraint rows are the agent-local replicas of conservation, coupling,
-    hop, and box -- identical to the centralized rows. Each consensus block
-    adds 2*kappa to every diagonal entry.
-    """
+
+def build_agent_subproblem(inst, agent, local, neighbor_snapshots, rho,
+                           consensus_coeff):
+    """Quadratic subproblem of one agent given its neighbors' snapshots:
+    :func:`relaxed_qp` (the agent-local replicas of the centralized rows)
+    with :func:`agent_diagonal` and :func:`agent_linear_cost`."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    kappa = rho if consensus_coeff is None else consensus_coeff
-    a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
-    logger.debug(
-        "agent %d subproblem: %d vars, %d eq rows, %d ineq rows, "
-        "%d consensus blocks", agent, inst.dim_total, a_eq.shape[0],
-        a_in.shape[0], len(neighbor_snapshots),
-    )
-    diag = float(rho) + 2.0 * kappa * len(neighbor_snapshots)
-    return QuadraticProgram(
-        d=np.full(inst.dim_total, diag),
-        q=agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
-                            consensus_coeff),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_in=a_in,
-        b_in=b_in,
-        lo=np.zeros(inst.dim_total),
-        hi=np.ones(inst.dim_total),
+    return relaxed_qp(
+        inst, agent_diagonal(rho, consensus_coeff, len(neighbor_snapshots)),
+        agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
+                          consensus_coeff),
     )
 
 
@@ -440,14 +430,7 @@ def route_on_tree(inst, z):
 
 def relaxed_set_nonempty(inst, tol=1e-6):
     """One feasibility solve over the relaxed constraint set."""
-    a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
-    probe = QuadraticProgram(
-        d=np.ones(inst.dim_total),
-        q=np.zeros(inst.dim_total),
-        a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
-        lo=np.zeros(inst.dim_total),
-        hi=np.ones(inst.dim_total),
-    )
+    probe = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
     return solve_qp(probe, tol=tol).status == "solved"
 
 

@@ -100,7 +100,7 @@ def enumerate_spanning_trees(g, budget=DEFAULT_BUDGET):
     """
     _check_tree_budget(g, budget)
     for combo in _tree_edge_sets(g):
-        yield TreeIndicator.from_indices(g.m, combo, validated=True)
+        yield TreeIndicator.from_indices(g.m, combo)
 
 
 def spanning_tree_count_kirchhoff(g):
@@ -150,9 +150,7 @@ def enumerate_arborescences(arcs, root, budget=DEFAULT_BUDGET):
             if not ok:
                 break
         if ok:
-            yield TreeIndicator.from_indices(
-                len(arcs), [a for a, _ in combo], validated=True
-            )
+            yield TreeIndicator.from_indices(len(arcs), [a for a, _ in combo])
 
 
 @dataclass
@@ -162,7 +160,6 @@ class ExactSolution:
     tree: TreeIndicator | None
     objective: float | None
     trees_enumerated: int
-    trees_feasible: int
 
     @property
     def feasible(self):
@@ -188,7 +185,6 @@ def exact_solve(inst, budget=DEFAULT_BUDGET):
     best_cost = math.inf
     best_combo = None
     enumerated = 0
-    feasible_count = 0
     for combo in _tree_edge_sets(g):
         enumerated += 1
         cost = float(costs[list(combo)].sum())
@@ -200,16 +196,15 @@ def exact_solve(inst, budget=DEFAULT_BUDGET):
             adj[u].append(v)
             adj[v].append(u)
         if _all_paths_within(adj, pairs, d, n):
-            feasible_count += 1
             best_cost = cost
             best_combo = combo
     if best_combo is None:
-        return ExactSolution(None, None, enumerated, 0)
-    tree = TreeIndicator.from_indices(g.m, best_combo, validated=True)
+        return ExactSolution(None, None, enumerated)
+    tree = TreeIndicator.from_indices(g.m, best_combo)
     # recompute through the same dot product the solvers report, so equal
     # trees give bit-identical objectives and a gap of exactly zero
     final_cost = float(np.dot(costs, tree.vector.astype(float)))
-    return ExactSolution(tree, final_cost, enumerated, feasible_count)
+    return ExactSolution(tree, final_cost, enumerated)
 
 
 def _all_paths_within(adj, pairs, d, n):
@@ -252,5 +247,5 @@ def exact_project(w, mu, g, budget=DEFAULT_BUDGET):
         if val < best_val:
             best_val = val
             best_combo = combo
-    tree = TreeIndicator.from_indices(g.m, best_combo, validated=True)
+    tree = TreeIndicator.from_indices(g.m, best_combo)
     return tree, best_val

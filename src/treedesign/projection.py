@@ -56,7 +56,7 @@ def mst_kruskal(g, h):
                 break
     if len(chosen) < g.n - 1:
         raise DisconnectedGraphError("no spanning tree exists")
-    return TreeIndicator.from_indices(g.m, chosen, validated=True)
+    return TreeIndicator.from_indices(g.m, chosen)
 
 
 class _Arc:
@@ -164,8 +164,7 @@ def mwra_edmonds(arcs, root, h):
     ]
     chosen = _min_arborescence(list(range(arcs.n)), records, root)
     assert len(chosen) == arcs.n - 1
-    return TreeIndicator.from_indices(len(arcs), [a.index for a in chosen],
-                                      validated=True)
+    return TreeIndicator.from_indices(len(arcs), [a.index for a in chosen])
 
 
 def projection_weights(w_next, mu):

@@ -117,7 +117,9 @@ class QpSolution:
 
     @property
     def max_residual(self):
-        return max(self.eq_residual, self.in_violation, self.stationarity)
+        """The worst residual; NaN if any residual is NaN."""
+        return float(np.max((self.eq_residual, self.in_violation,
+                             self.stationarity)))
 
 
 class QpWorkspace:
@@ -421,7 +423,9 @@ class QpWorkspace:
         x_p = x_p + corr[:n]
         lam_p[active] = sol[n:] + corr[n:]
         new = self._report_residuals(x_p, lam_p, q)
-        if not np.isfinite(max(new)) or max(new) >= max(old):
+        # np.max, unlike Python's max, keeps a NaN in any position
+        worst = np.max(new)
+        if not np.isfinite(worst) or worst >= np.max(old):
             return x, z, lam, old
         z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
         return x_p, z_p, lam_p, new

@@ -1,4 +1,4 @@
-"""Solve reports and the CSV trace/summary formats.
+"""Solve reports, the optimality gap, and the CSV trace/summary formats.
 
 Floats are written with repr (shortest round-trip form), so re-running a
 deterministic solve re-emits byte-identical files and parsing a file and
@@ -7,8 +7,11 @@ re-emitting it reproduces it exactly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+logger = logging.getLogger(__name__)
 
 
 class CentralTraceRow(NamedTuple):
@@ -65,6 +68,24 @@ def read_csv(path):
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     header = tuple(lines[0].split(","))
     return header, [tuple(line.split(",")) for line in lines[1:]]
+
+
+def compute_gap(heuristic_obj, exact_obj):
+    """Optimality gap in percent: (heuristic / exact - 1) * 100.
+
+    Zero means an exact match. A materially negative value for a feasible
+    heuristic would contradict the oracle's optimality and is logged as an
+    internal error (and still returned, never hidden).
+    """
+    if exact_obj <= 0:
+        raise ValueError("exact objective must be positive")
+    gap = (heuristic_obj / exact_obj - 1.0) * 100.0
+    if gap < -1e-9:
+        logger.error(
+            "internal error: feasible heuristic objective %.12g beats the "
+            "exact optimum %.12g", heuristic_obj, exact_obj,
+        )
+    return gap
 
 
 @dataclass

@@ -13,6 +13,7 @@ from treedesign.central import (
 from treedesign.distributed import solve_distributed
 from treedesign.graphs import UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, check_feasible, objective, random_instance
+from treedesign.qp import QpSolution, QpWorkspace
 
 from helpers import k3_instance
 
@@ -181,6 +182,20 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     other_inst = random_instance(6, 0.5, seed=3)
     with pytest.raises(ValueError, match="bound to another"):
         step(init_state(other_inst, cfg), other_inst, cfg, _runtime=rt)
+
+
+def test_runtime_rejects_nan_residual_of_a_max_iters_solve(monkeypatch):
+    inst = single_edge_instance()
+    cfg = SolverConfig(rho=1.0)
+
+    def nan_solve(self, q, tol=1e-6, max_iters=20000, warm=None):
+        return QpSolution(np.zeros(len(q)), 1e-9, 0.0, float("nan"),
+                          max_iters, "max-iters")
+
+    monkeypatch.setattr(QpWorkspace, "solve", nan_solve)
+    with pytest.raises(RuntimeError, match="stalled at residual nan"):
+        SubproblemRuntime().solve(None, inst, cfg.rho,
+                                  np.zeros(inst.dim_total), cfg)
 
 
 # (n, seed, rho, max_iters) on random_instance(n, 0.5, seed, hop_slack=0):

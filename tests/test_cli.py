@@ -1,6 +1,12 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import treedesign
 
 from treedesign.cli import SweepSpec, build_parser, compute_gap, main, run_experiment
 from treedesign.report import SUMMARY_COLUMNS, read_csv
@@ -134,3 +140,16 @@ def test_parser_rejects_missing_input():
     with pytest.raises(SystemExit):
         from treedesign.cli import _load_instance
         _load_instance(args)
+
+
+def test_cli_module_runs_without_runtime_warning():
+    # importing the package must not import treedesign.cli, or running it
+    # with -m warns that the module is already in sys.modules
+    env = dict(os.environ, PYTHONPATH=str(Path(treedesign.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "treedesign.cli",
+         "gen", "--n", "5", "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("nodes 5")

@@ -202,7 +202,8 @@ def test_agent_subproblem_shapes_and_isolated_case():
     local = _Snapshot(inst)
     # no partners: the subproblem is the centralized one with the local
     # half-cost objective
-    qp = build_agent_subproblem(inst, 1, local, [], rho=1.0)
+    qp = build_agent_subproblem(inst, 1, local, [], rho=1.0,
+                                consensus_coeff=1.0)
     central = build_centralized_subproblem(
         inst, z_k=local.z, y_k=local.y, mu_k=local.mu, eta_k=local.eta,
         rho=1.0,
@@ -216,7 +217,8 @@ def test_agent_subproblem_shapes_and_isolated_case():
 
     # two partners add two consensus blocks to every diagonal entry
     qp2 = build_agent_subproblem(inst, 1, local,
-                                 [_Snapshot(inst), _Snapshot(inst)], rho=1.0)
+                                 [_Snapshot(inst), _Snapshot(inst)], rho=1.0,
+                                 consensus_coeff=1.0)
     assert np.allclose(qp2.d, 1.0 + 2.0 * 1.0 * 2)
 
 
@@ -229,14 +231,14 @@ def test_agent_consensus_pull_toward_midpoints():
     # identical snapshots: the consensus target is the agent's own iterate,
     # so the linear term matches -2*kappa*own per block
     twin = _Snapshot(inst, w=local.w, u=local.u)
-    q = agent_linear_cost(inst, 0, local, [twin, twin], rho)
-    base = agent_linear_cost(inst, 0, local, [], rho)
+    q = agent_linear_cost(inst, 0, local, [twin, twin], rho, rho)
+    base = agent_linear_cost(inst, 0, local, [], rho, rho)
     assert np.allclose(q[:inst.dim_w] - base[:inst.dim_w],
                        -2 * rho * 2 * local.w / 2 * 2)
     # general midpoint algebra
     other = _Snapshot(inst, w=rng.uniform(0, 1, inst.dim_w),
                       u=rng.uniform(0, 1, inst.dim_u))
-    q2 = agent_linear_cost(inst, 0, local, [other], rho)
+    q2 = agent_linear_cost(inst, 0, local, [other], rho, rho)
     assert np.allclose(q2[:inst.dim_w] - base[:inst.dim_w],
                        -rho * (local.w + other.w))
 

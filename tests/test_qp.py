@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treedesign.qp import QpWorkspace, QuadraticProgram, solve_qp
+from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, solve_qp
 
 from helpers import (
     ReferenceQpWorkspace,
@@ -17,6 +17,15 @@ from helpers import (
 def box_qp(d, q, lo, hi):
     return QuadraticProgram(d=np.asarray(d, float), q=np.asarray(q, float),
                             lo=np.asarray(lo, float), hi=np.asarray(hi, float))
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_max_residual_propagates_nan_in_any_position(position):
+    residuals = [1e-9, 0.0, 2e-9]
+    assert QpSolution(np.zeros(1), *residuals, 1, "solved").max_residual == 2e-9
+    residuals[position] = float("nan")
+    sol = QpSolution(np.zeros(1), *residuals, 1, "max-iters")
+    assert np.isnan(sol.max_residual)
 
 
 def test_unconstrained_interior():
