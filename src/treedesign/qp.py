@@ -12,7 +12,8 @@ optionally warm-started from an earlier solution's (v, z, lam). A final
 active-set polish tightens residuals well below the iteration tolerance; its
 KKT matrix is cut out of the template rather than assembled, and the
 residuals it computes to accept or reject the polished point are the ones
-reported.
+reported. Both KKT matrices are symmetric quasi-definite, so SuperLU factors
+them under a symmetric fill-reducing ordering without pivoting.
 
 Each solve allocates its work vectors once and updates them in place with
 ufuncs, so an inner iteration allocates only the triangular solve's result.
@@ -47,6 +48,23 @@ class InfeasibleSubproblemError(RuntimeError):
 
 def _empty_system(n):
     return sp.csr_matrix((0, n)), np.zeros(0)
+
+
+_KKT_ORDERING = "MMD_AT_PLUS_A"
+_KKT_PIVOT_THRESH = 0.0
+_KKT_OPTIONS = {"SymmetricMode": True}
+
+
+def factor_kkt(kkt):
+    """SuperLU factorization of a symmetric quasi-definite CSC matrix.
+
+    Such a matrix (positive definite leading block, negative definite
+    trailing block) has an LDL' factorization under every symmetric
+    permutation (Vanderbei 1995). So SuperLU takes a minimum-degree ordering
+    of A' + A for rows and columns alike and pivots on the diagonal.
+    """
+    return spla.splu(kkt, permc_spec=_KKT_ORDERING,
+                     diag_pivot_thresh=_KKT_PIVOT_THRESH, options=_KKT_OPTIONS)
 
 
 @dataclass
@@ -137,8 +155,12 @@ class QpWorkspace:
     rows. The iteration's KKT matrix is the template with its diagonal
     overwritten (``d + sigma`` and ``-1/rho``); the polish matrix is the
     template restricted to the variables and the active rows. Both are
-    entry for entry what assembling them with ``sp.bmat`` gives, so SuperLU
-    sees the same matrices and the iterates keep their bits.
+    entry for entry what assembling them with ``sp.bmat`` gives.
+
+    Both matrices are factored by :func:`factor_kkt` without pivoting. That
+    is safe because both are quasi-definite: the iteration matrix has
+    ``d + sigma > 0`` on its leading diagonal and ``-1/rho < 0`` on its
+    trailing one, the polish matrix ``d + delta`` and ``-delta``.
     """
 
     SIGMA = 1e-6
@@ -146,7 +168,7 @@ class QpWorkspace:
     RHO0 = 0.1
     EQ_RHO_FACTOR = 1e3
     CHECK_EVERY = 25
-    RHO_MIN, RHO_MAX = 1e-6, 1e6
+    RHO_MIN, RHO_MAX = 1e-6, 1e3
     POLISH_DELTA = 1e-9
 
     def __init__(self, qp):
@@ -204,8 +226,8 @@ class QpWorkspace:
         data = t.data.copy()
         data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
                                                     -1.0 / rho])
-        self._lu = spla.splu(sp.csc_matrix((data, t.indices, t.indptr),
-                                           shape=t.shape))
+        self._lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr),
+                                            shape=t.shape))
 
     # -- main iteration ----------------------------------------------------
 
@@ -406,7 +428,7 @@ class QpWorkspace:
         b_act = np.where(act_up[active], self.u[active], self.l[active])
         b_act = np.where(self._is_eq[active], self.u[active], b_act)
         try:
-            lu = spla.splu(self._polish_kkt(active))
+            lu = factor_kkt(self._polish_kkt(active))
         except RuntimeError:
             return x, z, lam, old
         n = self.n

@@ -2,11 +2,10 @@
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi
 from treedesign.mcf import Commodity, Instance
-from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram
+from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
 
 
 def k3():
@@ -96,6 +95,18 @@ def projected_gradient_qp(qp, steps=10**6, stop_change=1e-15):
     return primal(lam_eq, lam_in)
 
 
+def iteration_kkt_reference(ws, rho):
+    """The iteration's KKT matrix at penalties ``rho``, assembled directly."""
+    a = ws.a_csr.tocsc()
+    return sp.bmat(
+        [
+            [sp.diags(ws.qp.d + ws.SIGMA), a.T],
+            [a, sp.diags(-1.0 / rho)],
+        ],
+        format="csc",
+    )
+
+
 def polish_kkt_reference(ws, active):
     """The polish KKT matrix assembled directly from the active rows."""
     a_act = ws.a_csr[active]
@@ -122,15 +133,7 @@ class ReferenceQpWorkspace(QpWorkspace):
         rho = np.full(self.m_total, self._rho_base)
         rho[self._is_eq] *= self.EQ_RHO_FACTOR
         self.rho = rho
-        a = self.a_csr.tocsc()
-        kkt = sp.bmat(
-            [
-                [sp.diags(self.qp.d + self.SIGMA), a.T],
-                [a, sp.diags(-1.0 / rho)],
-            ],
-            format="csc",
-        )
-        self._lu = spla.splu(kkt)
+        self._lu = factor_kkt(iteration_kkt_reference(self, rho))
 
     def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
         n, m_total = self.n, self.m_total
@@ -221,7 +224,7 @@ class ReferenceQpWorkspace(QpWorkspace):
         b_act = np.where(act_up[active], self.u[active], self.l[active])
         b_act = np.where(self._is_eq[active], self.u[active], b_act)
         try:
-            lu = spla.splu(polish_kkt_reference(self, active))
+            lu = factor_kkt(polish_kkt_reference(self, active))
         except RuntimeError:
             return x, z, lam
         rhs = np.concatenate([-q, b_act])
