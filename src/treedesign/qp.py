@@ -15,10 +15,12 @@ residuals it computes to accept or reject the polished point are the ones
 reported. Both KKT matrices are symmetric quasi-definite, so SuperLU factors
 them under a symmetric fill-reducing ordering without pivoting.
 
-Each solve allocates its work vectors once and updates them in place with
-ufuncs, so an inner iteration allocates only the triangular solve's result.
-The in-place forms keep the operands and the order of every floating-point
-operation, so they give the same bits as the plain vector expressions.
+Each solve iterates on one stacked state [x; z] whose coefficients (sigma
+and 1, alpha and 1 - alpha) are constant vectors, so one in-place ufunc
+updates x and z together and an iteration allocates only the triangular
+solve's result. Each ufunc keeps the operands and order of the operation it
+replaces (1.0 z is exactly z), so the iterates are bitwise those of the
+plain vector expressions.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -215,6 +217,9 @@ class QpWorkspace:
         eye = sp.identity(n, format="csr")
         self._report_rows = sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr")
         self._report_rhs = np.concatenate([qp.b_eq, qp.b_in, qp.hi, -qp.lo])
+        self._c = np.concatenate([np.full(n, self.SIGMA), np.ones(self.m_total)])
+        self._alpha = np.full(len(self._c), self.ALPHA)
+        self._beta = np.full(len(self._c), 1.0 - self.ALPHA)
         self._rho_base = self.RHO0
         self._refactor()
 
@@ -239,57 +244,57 @@ class QpWorkspace:
             raise ValueError("q must have one entry per variable")
         l, u = self.l, self.u
 
+        # the iteration state is s = [x; z]; x and z are views into it
+        s = np.zeros(n + m_total)
+        x, z = s[:n], s[n:]
         if warm is not None and warm.z is not None and len(warm.v) == n \
                 and len(warm.z) == m_total:
-            x = warm.v.copy()
-            z = warm.z.copy()
+            x[:] = warm.v
+            z[:] = warm.z
             lam = warm.lam.copy()
         else:
-            x = np.zeros(n)
-            z = np.clip(self.a_csr @ x, l, u)
+            z[:] = np.clip(self.a_csr @ x, l, u)
             lam = np.zeros(m_total)
 
-        # x, z and lam are updated in place and returned; the buffers below
-        # live for this solve only. Each line keeps the operands and order of
-        #   rhs   = [sigma x - q, z - lam/rho]
+        # s, lam and the buffers below live for this solve only. With the
+        # constant vectors c = [sigma; 1], alpha 1 and (1 - alpha) 1 of
+        # length n + m, and g = [q; lam/rho], each line keeps the operands
+        # and order of
+        #   rhs   = [sigma x - q, z - lam/rho]    (1.0 z is z, bit for bit)
         #   zt    = z + (nu - lam)/rho
-        #   x     = alpha xt + (1 - alpha) x
-        #   z_pre = alpha zt + (1 - alpha) z
+        #   [x; z_pre] = alpha [xt; zt] + (1 - alpha) [x; z]
         #   z     = clip(z_pre + lam/rho, l, u)
         #   lam   = lam + rho (z_pre - z)
         # so every iterate is bitwise what the expressions give.
-        alpha, beta, sigma = self.ALPHA, 1.0 - self.ALPHA, self.SIGMA
-        rhs = np.empty(n + m_total)
-        rhs_x, rhs_z = rhs[:n], rhs[n:]
-        lam_rho = np.empty(m_total)
-        z_pre = np.empty(m_total)
+        c, alpha, beta = self._c, self._alpha, self._beta
+        g, rhs, pre = np.empty((3, n + m_total))
+        g[:n] = q
+        lam_rho = g[n:]
+        x_new, z_pre = pre[:n], pre[n:]
+        rho, lu = self.rho, self._lu
         rp_window = []
         lam_snapshot = lam.copy()
         status = "max-iters"
         iterations = max_iters
         for it in range(1, max_iters + 1):
-            rho = self.rho
-            np.divide(lam, rho, out=lam_rho)
-            np.multiply(sigma, x, out=rhs_x)
-            np.subtract(rhs_x, q, out=rhs_x)
-            np.subtract(z, lam_rho, out=rhs_z)
-            sol = self._lu.solve(rhs)
-            xt, zt = sol[:n], sol[n:]
-            np.subtract(zt, lam, out=zt)
-            np.divide(zt, rho, out=zt)
-            np.add(z, zt, out=zt)
-            np.multiply(alpha, xt, out=xt)
-            np.multiply(beta, x, out=x)
-            np.add(xt, x, out=x)
-            np.multiply(alpha, zt, out=zt)
-            np.multiply(beta, z, out=z_pre)
-            np.add(zt, z_pre, out=z_pre)
-            np.add(z_pre, lam_rho, out=z)
+            np.divide(lam, rho, lam_rho)
+            np.multiply(c, s, rhs)
+            np.subtract(rhs, g, rhs)
+            sol = lu.solve(rhs)
+            zt = sol[n:]
+            np.subtract(zt, lam, zt)
+            np.divide(zt, rho, zt)
+            np.add(z, zt, zt)
+            np.multiply(alpha, sol, sol)
+            np.multiply(beta, s, pre)
+            np.add(sol, pre, pre)
+            np.add(z_pre, lam_rho, z)
             np.maximum(z, l, out=z)
             np.minimum(z, u, out=z)
-            np.subtract(z_pre, z, out=z_pre)
-            np.multiply(rho, z_pre, out=z_pre)
-            np.add(lam, z_pre, out=lam)
+            np.subtract(z_pre, z, z_pre)
+            np.multiply(rho, z_pre, z_pre)
+            np.add(lam, z_pre, lam)
+            x[:] = x_new
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
                 r_prim, r_dual = self._residuals(x, z, lam, q)
@@ -308,9 +313,12 @@ class QpWorkspace:
                 lam_snapshot = lam.copy()
                 if it % (self.CHECK_EVERY * 4) == 0:
                     self._adapt_rho(r_prim, r_dual)
+                    rho, lu = self.rho, self._lu
 
-        x, z, lam, (eq_res, in_vio, stat) = self._polish(x, z, lam, q)
-        if status == "solved" and max(eq_res, in_vio, stat) > tol:
+        # copies, so the returned v and z are not views into s
+        x, z, lam, (eq_res, in_vio, stat) = self._polish(x.copy(), z.copy(), lam, q)
+        # np.max, unlike Python's max, keeps a NaN in any position
+        if status == "solved" and not np.max((eq_res, in_vio, stat)) <= tol:
             # polish never regresses; this can only trip if tolerances are
             # extremely tight relative to conditioning
             status = "max-iters"

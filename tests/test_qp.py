@@ -142,6 +142,7 @@ def test_infeasible_detected():
     )
     s = solve_qp(qp, max_iters=20000)
     assert s.status == "infeasible-detected"
+    assert_same_solution(s, ReferenceQpWorkspace(qp).solve(qp.q, max_iters=20000))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -195,6 +196,51 @@ def assert_same_solution(fast, ref):
     assert fast.status == ref.status
     assert (fast.eq_residual, fast.in_violation, fast.stationarity) == \
         (ref.eq_residual, ref.in_violation, ref.stationarity)
+
+
+def test_max_iters_exit_is_bit_identical_to_reference():
+    # 37 is not a multiple of CHECK_EVERY, so the last check is the
+    # it == max_iters one, and x and z leave the loop mid-way between checks
+    qp, _ = random_feasible_qp(np.random.default_rng(21))
+    fast = QpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
+    ref = ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
+    assert fast.status == "max-iters" and fast.iterations == 37
+    assert_same_solution(fast, ref)
+
+
+@pytest.mark.parametrize("polish", ["kept", "rejected"])
+def test_returned_arrays_are_not_reused_by_later_solves(polish, monkeypatch):
+    # a rejected polish hands back the loop's own x and z
+    rng = np.random.default_rng(22)
+    qp, _ = random_feasible_qp(rng)
+    ws = QpWorkspace(qp)
+    if polish == "rejected":
+        monkeypatch.setattr(ws, "_polish", lambda x, z, lam, q: (
+            x, z, lam, ws._report_residuals(x, lam, q)))
+    a = ws.solve(qp.q)
+    kept = (a.v.copy(), a.z.copy(), a.lam.copy())
+    b = ws.solve(qp.q + 1e-2 * rng.normal(size=qp.n), warm=a)
+    c = ws.solve(qp.q - 1e-2 * rng.normal(size=qp.n))
+    for old, now in zip(kept, (a.v, a.z, a.lam)):
+        assert np.array_equal(old, now)
+    assert not np.shares_memory(a.v, a.z)
+    for later in (b, c):
+        for arr in (later.v, later.z, later.lam):
+            assert not any(np.shares_memory(arr, mine) for mine in (a.v, a.z, a.lam))
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_nan_residual_after_polish_is_not_solved(position, monkeypatch):
+    # the loop converges, then polish reports a NaN residual: the solve
+    # must not stay "solved" whichever residual is NaN
+    ws = QpWorkspace(box_qp([1.0], [-0.3], [0.0], [1.0]))
+    residuals = [1e-9, 0.0, 2e-9]
+    residuals[position] = float("nan")
+    monkeypatch.setattr(ws, "_polish",
+                        lambda x, z, lam, q: (x, z, lam, tuple(residuals)))
+    s = ws.solve(np.array([-0.3]))
+    assert s.status == "max-iters"
+    assert s.iterations < ws.CHECK_EVERY * 4
 
 
 def assert_same_csc(a, b):
