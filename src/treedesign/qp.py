@@ -15,12 +15,26 @@ residuals it computes to accept or reject the polished point are the ones
 reported. Both KKT matrices are symmetric quasi-definite, so SuperLU factors
 them under a symmetric fill-reducing ordering without pivoting.
 
-Each solve iterates on one stacked state [x; z] whose coefficients (sigma
-and 1, alpha and 1 - alpha) are constant vectors, so one in-place ufunc
-updates x and z together and an iteration allocates only the triangular
-solve's result. Each ufunc keeps the operands and order of the operation it
-replaces (1.0 z is exactly z), so the iterates are bitwise those of the
-plain vector expressions.
+Each solve runs one of two inner loops over the same iteration, chosen by
+size alone. The sparse loop iterates on one stacked state [x; z] whose
+coefficients (sigma and 1, alpha and 1 - alpha) are constant vectors, so
+one in-place ufunc updates x and z together and an iteration allocates
+only the triangular solve's result. Each ufunc keeps the operands and
+order of the operation it replaces (1.0 z is exactly z), so the iterates
+are bitwise those of the plain vector expressions.
+
+With rho fixed, that iteration is an affine map followed by a clip. Put
+w = z_pre + lam/rho, the point the clip projects, and p = clip(w, l, u),
+the new z; the multiplier update lam + rho (z_pre - p) is then exactly
+rho (w - p), so lam/rho = w - p at every step and the KKT right-hand side
+and every update are linear in [x; w; p] plus a constant. One step on the
+state [x; w; p; 1] is [x; w] <- M [x; w; p; 1], then p <- clip(w, l, u).
+This is exact algebra on the same step, so only the rounding differs from
+the sparse loop. For a KKT system of size N = n + m whose map has at most
+2^16 entries, the dense loop builds M once per factorization from the
+inverse KKT matrix, and an iteration is one matrix-vector product and one
+clip: at that size a product is cheaper than the fixed cost of one sparse
+triangular solve. Larger structures keep the sparse loop.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -90,6 +104,8 @@ class QuadraticProgram:
             raise ValueError("d and q must have the same length")
         if not np.isfinite(self.d).all() or (self.d < 0).any():
             raise ValueError("d must be finite and nonnegative")
+        if not np.isfinite(self.q).all():
+            raise ValueError("q must be finite")
         if self.a_eq is None:
             self.a_eq, self.b_eq = _empty_system(n)
         else:
@@ -163,6 +179,20 @@ class QpWorkspace:
     is safe because both are quasi-definite: the iteration matrix has
     ``d + sigma > 0`` on its leading diagonal and ``-1/rho < 0`` on its
     trailing one, the polish matrix ``d + delta`` and ``-delta``.
+
+    The inner loop is chosen once, by size. With N = n + m (m counts the
+    box rows too), a structure with N (N + m + 1) <= ``DENSE_MAX_ENTRIES``
+    keeps the dense iteration map ``M`` of shape (N, N + m + 1), rebuilt
+    in place from K^-1 at every factorization; every other structure runs
+    the sparse loop, whose iterates are bitwise those of the plain vector
+    expressions. In terms of the blocks of K^-1 and R = diag(rho), M is
+
+        x rows: [a s K_xx + (1-a) I,  -a K_xz,                 2a K_xz,          c_x]
+        w rows: [a s R^-1 K_zx,  (1-a) I - a R^-1 K_zz,  a I + 2a R^-1 K_zz,  c_w]
+
+    with a = alpha, s = sigma, and [c_x; c_w] = -a [K_xx q; R^-1 K_zx q]
+    written by each solve from one triangular solve. Both loops stop, check
+    residuals, detect infeasibility and adapt rho alike.
     """
 
     SIGMA = 1e-6
@@ -172,6 +202,11 @@ class QpWorkspace:
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e3
     POLISH_DELTA = 1e-9
+    # the two loops cost about the same per iteration near 1e5 map entries
+    # (measured on n=10 relaxed subproblems); below 2^16 the product is
+    # clearly the cheaper
+    DENSE_MAX_ENTRIES = 2**16
+    _MAP_BLOCK = 32
 
     def __init__(self, qp):
         self.qp = qp
@@ -220,19 +255,54 @@ class QpWorkspace:
         self._c = np.concatenate([np.full(n, self.SIGMA), np.ones(self.m_total)])
         self._alpha = np.full(len(self._c), self.ALPHA)
         self._beta = np.full(len(self._c), 1.0 - self.ALPHA)
-        self._rho_base = self.RHO0
-        self._refactor()
+        big = n + self.m_total
+        self._map = self._map_scale = None
+        if big * (big + self.m_total + 1) <= self.DENSE_MAX_ENTRIES:
+            self._map = np.empty((big, big + self.m_total + 1))
+            # [alpha 1; alpha / rho], the row scale of every K^-1 block in M
+            self._map_scale = np.full(big, self.ALPHA)
+        self._refactor(self.RHO0)
 
-    def _refactor(self):
-        rho = np.full(self.m_total, self._rho_base)
+    def _refactor(self, rho_base):
+        """Factor (and map) the iteration at ``rho_base``; the workspace
+        takes the new penalty only once that has succeeded."""
+        rho = np.full(self.m_total, rho_base)
         rho[self._is_eq] *= self.EQ_RHO_FACTOR
-        self.rho = rho
         t = self._template
         data = t.data.copy()
         data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
                                                     -1.0 / rho])
-        self._lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr),
-                                            shape=t.shape))
+        lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
+        if self._map is not None:
+            self._build_map(lu, rho)
+        self._rho_base, self.rho, self._lu = rho_base, rho, lu
+
+    def _build_map(self, lu, rho):
+        """Write every column of the dense map but the last, in place."""
+        n, big, alpha = self.n, self.n + self.m_total, self.ALPHA
+        m_map, scale = self._map, self._map_scale
+        np.divide(alpha, rho, out=scale[n:])
+        scale = scale[:, None]
+        # M[:, :N] starts as diag(scale) K^-1, solved for 32 unit columns at
+        # a time: given a hundred or more right-hand sides at once, SuperLU
+        # calls threaded BLAS-3, which at these sizes is about 30 times
+        # slower and leaves a BLAS thread spinning against this one
+        for j in range(0, big, self._MAP_BLOCK):
+            block = m_map[:, j:min(j + self._MAP_BLOCK, big)]
+            np.multiply(lu.solve(np.eye(big, block.shape[1], -j)), scale, out=block)
+        x_cols, w_cols, p_cols = m_map[:, :n], m_map[:, n:big], m_map[:, big:-1]
+        np.multiply(x_cols, self.SIGMA, out=x_cols)
+        np.multiply(w_cols, 2.0, out=p_cols)
+        np.negative(w_cols, out=w_cols)
+        diag = np.arange(big)
+        m_map[diag, diag] += 1.0 - alpha
+        m_map[diag[n:], diag[n:] + self.m_total] += alpha
+
+    def _set_map_offset(self, q):
+        """Write the map's last column, -alpha [K_xx q; R^-1 K_zx q]."""
+        rhs = np.zeros(self.n + self.m_total)
+        np.negative(q, out=rhs[:self.n])
+        np.multiply(self._map_scale, self._lu.solve(rhs), out=self._map[:, -1])
 
     # -- main iteration ----------------------------------------------------
 
@@ -242,19 +312,44 @@ class QpWorkspace:
         q = np.asarray(q, dtype=float)
         if q.shape != (n,):
             raise ValueError("q must have one entry per variable")
-        l, u = self.l, self.u
-
-        # the iteration state is s = [x; z]; x and z are views into it
-        s = np.zeros(n + m_total)
-        x, z = s[:n], s[n:]
+        if not np.isfinite(q).all():
+            raise ValueError("q must be finite")
         if warm is not None and warm.z is not None and len(warm.v) == n \
                 and len(warm.z) == m_total:
-            x[:] = warm.v
-            z[:] = warm.z
-            lam = warm.lam.copy()
+            x, z, lam = warm.v, warm.z, warm.lam
         else:
-            z[:] = np.clip(self.a_csr @ x, l, u)
+            x = np.zeros(n)
+            z = np.clip(self.a_csr @ x, self.l, self.u)
             lam = np.zeros(m_total)
+        loop = self._sparse_loop if self._map is None else self._dense_loop
+        # the loops return fresh arrays, never views into their state
+        x, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
+        x, z, lam, (eq_res, in_vio, stat) = self._polish(x, z, lam, q)
+        # np.max, unlike Python's max, keeps a NaN in any position
+        if status == "solved" and not np.max((eq_res, in_vio, stat)) <= tol:
+            # polish never regresses; this can only trip if tolerances are
+            # extremely tight relative to conditioning
+            status = "max-iters"
+        return QpSolution(
+            v=x,
+            eq_residual=eq_res,
+            in_violation=in_vio,
+            stationarity=stat,
+            iterations=iterations,
+            status=status,
+            z=z,
+            lam=lam,
+        )
+
+    def _sparse_loop(self, q, x0, z0, lam, tol, max_iters):
+        n, m_total = self.n, self.m_total
+        l, u = self.l, self.u
+        # the iteration state is s = [x; z]; x and z are views into it
+        s = np.empty(n + m_total)
+        x, z = s[:n], s[n:]
+        x[:] = x0
+        z[:] = z0
+        lam = lam.copy()
 
         # s, lam and the buffers below live for this solve only. With the
         # constant vectors c = [sigma; 1], alpha 1 and (1 - alpha) 1 of
@@ -272,10 +367,7 @@ class QpWorkspace:
         lam_rho = g[n:]
         x_new, z_pre = pre[:n], pre[n:]
         rho, lu = self.rho, self._lu
-        rp_window = []
-        lam_snapshot = lam.copy()
-        status = "max-iters"
-        iterations = max_iters
+        window, lam_snapshot = [], lam.copy()
         for it in range(1, max_iters + 1):
             np.divide(lam, rho, lam_rho)
             np.multiply(c, s, rhs)
@@ -297,41 +389,67 @@ class QpWorkspace:
             x[:] = x_new
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
-                r_prim, r_dual = self._residuals(x, z, lam, q)
-                if r_prim <= tol and r_dual <= tol:
-                    status = "solved"
-                    iterations = it
-                    break
-                rp_window.append(r_prim)
-                if len(rp_window) > 12:
-                    rp_window.pop(0)
-                if self._primal_stalled(rp_window, tol) and \
-                        self._certify_infeasible(lam - lam_snapshot):
-                    status = "infeasible-detected"
-                    iterations = it
-                    break
+                status = self._check(it, x, z, lam, q, tol, window, lam_snapshot)
+                if status is not None:
+                    return x.copy(), z.copy(), lam, status, it
                 lam_snapshot = lam.copy()
-                if it % (self.CHECK_EVERY * 4) == 0:
-                    self._adapt_rho(r_prim, r_dual)
-                    rho, lu = self.rho, self._lu
+                rho, lu = self.rho, self._lu
+        return x.copy(), z.copy(), lam, "max-iters", max_iters
 
-        # copies, so the returned v and z are not views into s
-        x, z, lam, (eq_res, in_vio, stat) = self._polish(x.copy(), z.copy(), lam, q)
-        # np.max, unlike Python's max, keeps a NaN in any position
-        if status == "solved" and not np.max((eq_res, in_vio, stat)) <= tol:
-            # polish never regresses; this can only trip if tolerances are
-            # extremely tight relative to conditioning
-            status = "max-iters"
-        return QpSolution(
-            v=x,
-            eq_residual=eq_res,
-            in_violation=in_vio,
-            stationarity=stat,
-            iterations=iterations,
-            status=status,
-            z=z,
-            lam=lam,
-        )
+    def _dense_loop(self, q, x0, z0, lam, tol, max_iters):
+        n, big = self.n, self.n + self.m_total
+        l, u, m_map = self.l, self.u, self._map
+        # two states [x; w; p; 1]: a step writes the other state's [x; w]
+        # with one product and clips its w into its p, then they swap
+        states = np.empty((2, big + self.m_total + 1))
+        states[:, -1] = 1.0
+        cur, nxt = [(st, st[:big], st[n:big], st[big:-1]) for st in states]
+        s, _, w, p = cur
+        s[:n] = x0
+        p[:] = z0
+        lam = lam.copy()
+        rho = self.rho
+        np.add(p, lam / rho, w)
+        self._set_map_offset(q)
+        window, lam_snapshot = [], lam
+        for it in range(1, max_iters + 1):
+            np.dot(m_map, cur[0], out=nxt[1])
+            np.maximum(nxt[2], l, out=nxt[3])
+            np.minimum(nxt[3], u, out=nxt[3])
+            cur, nxt = nxt, cur
+
+            if it % self.CHECK_EVERY == 0 or it == max_iters:
+                s, _, w, p = cur
+                lam = rho * (w - p)
+                status = self._check(it, s[:n], p, lam, q, tol, window, lam_snapshot)
+                if status is not None:
+                    return s[:n].copy(), p.copy(), lam, status, it
+                lam_snapshot = lam
+                if self.rho is not rho:
+                    # lam carries over to the new penalty, as in the sparse loop
+                    rho = self.rho
+                    np.add(p, lam / rho, w)
+                    self._set_map_offset(q)
+        return cur[0][:n].copy(), cur[3].copy(), lam, "max-iters", max_iters
+
+    def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):
+        """The periodic test of both loops: a status to stop with, or None.
+
+        ``window`` keeps the last 12 primal residuals and ``lam_snapshot``
+        is lam at the previous check. Every fourth check may adapt rho.
+        """
+        r_prim, r_dual = self._residuals(x, z, lam, q)
+        if r_prim <= tol and r_dual <= tol:
+            return "solved"
+        window.append(r_prim)
+        if len(window) > 12:
+            window.pop(0)
+        if self._primal_stalled(window, tol) and \
+                self._certify_infeasible(lam - lam_snapshot):
+            return "infeasible-detected"
+        if it % (self.CHECK_EVERY * 4) == 0:
+            self._adapt_rho(r_prim, r_dual)
+        return None
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -381,8 +499,7 @@ class QpWorkspace:
         new_base = float(np.clip(self._rho_base * ratio, self.RHO_MIN, self.RHO_MAX))
         if new_base == self._rho_base:
             return
-        self._rho_base = new_base
-        self._refactor()
+        self._refactor(new_base)
 
     def _report_residuals(self, x, lam, q):
         """(equality residual, inequality and box violation, stationarity)

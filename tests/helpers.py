@@ -129,11 +129,11 @@ class ReferenceQpWorkspace(QpWorkspace):
     the same bits.
     """
 
-    def _refactor(self):
-        rho = np.full(self.m_total, self._rho_base)
+    def _refactor(self, rho_base):
+        rho = np.full(self.m_total, rho_base)
         rho[self._is_eq] *= self.EQ_RHO_FACTOR
-        self.rho = rho
         self._lu = factor_kkt(iteration_kkt_reference(self, rho))
+        self._rho_base, self.rho = rho_base, rho
 
     def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
         n, m_total = self.n, self.m_total

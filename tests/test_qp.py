@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treedesign.mcf import random_instance, relaxed_qp
 from treedesign.qp import (
     QpSolution,
     QpWorkspace,
@@ -20,6 +21,21 @@ from helpers import (
     projected_gradient_qp,
     random_feasible_qp,
 )
+
+
+def sparse_workspace(qp):
+    """A workspace that runs the sparse loop whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
+        ws = QpWorkspace(qp)
+    assert ws._map is None
+    return ws
+
+
+def keep_loop_output(ws):
+    """Make ``ws`` return its inner loop's own (x, z, lam), unpolished."""
+    ws._polish = lambda x, z, lam, q: (x, z, lam, ws._report_residuals(x, lam, q))
+    return ws
 
 
 def box_qp(d, q, lo, hi):
@@ -134,12 +150,15 @@ def test_objective_certificate():
     assert tested > 0
 
 
-def test_infeasible_detected():
+def test_infeasible_detected(monkeypatch):
     qp = QuadraticProgram(
         d=np.ones(2), q=np.zeros(2),
         a_eq=sp.csr_matrix(np.array([[1.0, 1.0]])), b_eq=np.array([3.0]),
         lo=np.zeros(2), hi=np.ones(2),
     )
+    assert solve_qp(qp, max_iters=20000).status == "infeasible-detected"
+    # the reference spells out the sparse loop, so compare bits there
+    monkeypatch.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
     s = solve_qp(qp, max_iters=20000)
     assert s.status == "infeasible-detected"
     assert_same_solution(s, ReferenceQpWorkspace(qp).solve(qp.q, max_iters=20000))
@@ -198,9 +217,10 @@ def assert_same_solution(fast, ref):
         (ref.eq_residual, ref.in_violation, ref.stationarity)
 
 
-def test_max_iters_exit_is_bit_identical_to_reference():
+def test_max_iters_exit_is_bit_identical_to_reference(monkeypatch):
     # 37 is not a multiple of CHECK_EVERY, so the last check is the
     # it == max_iters one, and x and z leave the loop mid-way between checks
+    monkeypatch.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
     qp, _ = random_feasible_qp(np.random.default_rng(21))
     fast = QpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
     ref = ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
@@ -209,24 +229,25 @@ def test_max_iters_exit_is_bit_identical_to_reference():
 
 
 @pytest.mark.parametrize("polish", ["kept", "rejected"])
-def test_returned_arrays_are_not_reused_by_later_solves(polish, monkeypatch):
+def test_returned_arrays_are_not_reused_by_later_solves(polish):
     # a rejected polish hands back the loop's own x and z
-    rng = np.random.default_rng(22)
-    qp, _ = random_feasible_qp(rng)
-    ws = QpWorkspace(qp)
-    if polish == "rejected":
-        monkeypatch.setattr(ws, "_polish", lambda x, z, lam, q: (
-            x, z, lam, ws._report_residuals(x, lam, q)))
-    a = ws.solve(qp.q)
-    kept = (a.v.copy(), a.z.copy(), a.lam.copy())
-    b = ws.solve(qp.q + 1e-2 * rng.normal(size=qp.n), warm=a)
-    c = ws.solve(qp.q - 1e-2 * rng.normal(size=qp.n))
-    for old, now in zip(kept, (a.v, a.z, a.lam)):
-        assert np.array_equal(old, now)
-    assert not np.shares_memory(a.v, a.z)
-    for later in (b, c):
-        for arr in (later.v, later.z, later.lam):
-            assert not any(np.shares_memory(arr, mine) for mine in (a.v, a.z, a.lam))
+    for make in (QpWorkspace, sparse_workspace):
+        rng = np.random.default_rng(22)
+        qp, _ = random_feasible_qp(rng)
+        ws = make(qp)
+        if polish == "rejected":
+            keep_loop_output(ws)
+        a = ws.solve(qp.q)
+        kept = (a.v.copy(), a.z.copy(), a.lam.copy())
+        b = ws.solve(qp.q + 1e-2 * rng.normal(size=qp.n), warm=a)
+        c = ws.solve(qp.q - 1e-2 * rng.normal(size=qp.n))
+        for old, now in zip(kept, (a.v, a.z, a.lam)):
+            assert np.array_equal(old, now)
+        assert not np.shares_memory(a.v, a.z)
+        for later in (b, c):
+            for arr in (later.v, later.z, later.lam):
+                assert not any(np.shares_memory(arr, mine)
+                               for mine in (a.v, a.z, a.lam))
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -253,12 +274,12 @@ def assert_same_csc(a, b):
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fast_path_is_bit_identical_to_reference(seed):
-    # the in-place iteration, the templated KKT matrices and the reused
-    # residuals reproduce the straightforward solver bit for bit, cold and
-    # warm, across rho adaptation
+    # the sparse loop's in-place iteration, the templated KKT matrices and
+    # the reused residuals reproduce the straightforward solver bit for bit,
+    # cold and warm, across rho adaptation
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
-    ws, ref = QpWorkspace(qp), ReferenceQpWorkspace(qp)
+    ws, ref = sparse_workspace(qp), ReferenceQpWorkspace(qp)
     cold = ws.solve(qp.q, tol=1e-8)
     cold_ref = ref.solve(qp.q, tol=1e-8)
     assert_same_solution(cold, cold_ref)
@@ -313,3 +334,90 @@ def test_feasible_qp_does_not_stall():
     qp, _ = random_feasible_qp(np.random.default_rng(240 * 7919 + 1))
     s = solve_qp(qp)
     assert s.status == "solved"
+
+
+def assert_loops_agree(dense, sparse, tol):
+    assert dense.status == sparse.status
+    if dense.status == "solved":
+        assert dense.max_residual <= tol and sparse.max_residual <= tol
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dense_loop_agrees_with_sparse_loop(seed):
+    # the dense map is the sparse iteration in other rounding: the same
+    # exits, cold and warm, across rho adaptation, with iterates that agree
+    # to rounding when both run out of iterations
+    rng = np.random.default_rng(seed)
+    qp, _ = random_feasible_qp(rng)
+    dense, sparse = QpWorkspace(qp), sparse_workspace(qp)
+    assert dense._map is not None
+    tol = 1e-8
+    cold = dense.solve(qp.q, tol=tol), sparse.solve(qp.q, tol=tol)
+    assert_loops_agree(*cold, tol)
+    if seed == 0:
+        assert dense._rho_base != dense.RHO0
+    assert dense._rho_base == pytest.approx(sparse._rho_base, rel=1e-3)
+    q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
+    assert_loops_agree(dense.solve(q2, tol=tol, warm=cold[0]),
+                       sparse.solve(q2, tol=tol, warm=cold[1]), tol)
+
+    # 137 iterations cross the rho adaptation at the fourth check
+    pair = QpWorkspace(qp), sparse_workspace(qp)
+    capped = [keep_loop_output(ws).solve(qp.q, tol=1e-15, max_iters=137)
+              for ws in pair]
+    assert [sol.status for sol in capped] == ["max-iters"] * 2
+    if seed == 0:
+        assert pair[0]._rho_base != pair[0].RHO0
+    for name in ("v", "z", "lam"):
+        a, b = (getattr(sol, name) for sol in capped)
+        assert float(np.max(np.abs(a - b))) <= 1e-8 * max(1.0, float(np.max(np.abs(b))))
+
+    # an inequality row that cuts off the equality row it copies
+    bad = QuadraticProgram(
+        d=qp.d, q=qp.q, a_eq=qp.a_eq, b_eq=qp.b_eq,
+        a_in=sp.vstack([qp.a_in, qp.a_eq[0]]),
+        b_in=np.concatenate([qp.b_in, qp.b_eq[:1] - 0.5]), lo=qp.lo, hi=qp.hi,
+    )
+    assert_loops_agree(QpWorkspace(bad).solve(bad.q),
+                       sparse_workspace(bad).solve(bad.q), 1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [QpWorkspace, sparse_workspace],
+                         ids=["dense", "sparse"])
+def test_non_finite_cost_is_rejected_and_leaves_the_workspace_intact(make, bad):
+    qp, _ = random_feasible_qp(np.random.default_rng(23))
+    q_bad = qp.q.copy()
+    q_bad[3] = bad
+    with pytest.raises(ValueError):
+        QuadraticProgram(d=qp.d, q=q_bad)
+    ws = make(qp)
+    with pytest.raises(ValueError):
+        ws.solve(q_bad)
+    assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
+
+
+def test_failed_refactor_keeps_the_old_penalty():
+    # a factorization that raises must leave rho, the factor and the map
+    # as they were, so later solves are those of an untouched workspace
+    qp, _ = random_feasible_qp(np.random.default_rng(24))
+    ws = QpWorkspace(qp)
+    rho_base, rho, lu = ws._rho_base, ws.rho, ws._lu
+    with pytest.raises(RuntimeError):
+        ws._refactor(float("nan"))
+    assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
+    assert_same_solution(ws.solve(qp.q), QpWorkspace(qp).solve(qp.q))
+
+
+@pytest.mark.parametrize("n, commodities, dense",
+                         [(8, None, True), (10, 2, False)],
+                         ids=["dist-n8", "sweep-n10"])
+def test_loop_is_chosen_by_structure_size(n, commodities, dense):
+    # the benchmark's distributed n=8 subproblems run the dense map; its
+    # central n=10 ones, with two commodities, keep the sparse loop
+    for seed in range(5):
+        inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
+        ws = QpWorkspace(relaxed_qp(inst, 1.0, np.zeros(inst.dim_total)))
+        assert (ws._map is not None) == dense
