@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -55,26 +56,28 @@ __all__ = [
 class SolverConfig:
     """Run parameters shared by the centralized and distributed drivers.
 
-    ``qp_accept_residual`` is the worst residual a max-iters inner solve may
-    have and still be used (see :class:`SubproblemRuntime`). ``w0``
-    overrides the all-ones initial relaxation.
+    The penalty ``rho``, the outer tolerance ``tol`` and cap ``max_iters``
+    and the inner QP tolerance ``qp_tol``; ``w0`` overrides the all-ones
+    initial relaxation. ``rho``, ``tol`` and ``qp_tol`` must be finite and
+    positive, ``max_iters`` a nonnegative integer. :class:`SubproblemRuntime`
+    fixes the rest of the inner policy.
     """
 
     rho: float = 1.0
     tol: float = 1e-4
     max_iters: int = 500
     qp_tol: float = 1e-6
-    qp_max_iters: int = 20000
-    qp_accept_residual: float = 1e-4
     w0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol <= 0:
-            raise ValueError("rho and tol must be positive")
-        if self.max_iters < 0 or self.qp_max_iters <= 0:
-            raise ValueError("iteration limits must be positive")
-        if self.qp_tol <= 0 or self.qp_accept_residual <= 0:
-            raise ValueError("solver tolerances must be positive")
+        for name in ("rho", "tol", "qp_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, "
+                             f"got {self.max_iters!r}")
 
 
 def initial_w0(inst, cfg):
@@ -101,10 +104,14 @@ class SubproblemRuntime:
     instance and diagonal, and reusing it for others raises ValueError
     rather than solving a stale QP.
 
-    An infeasible subproblem raises InfeasibleSubproblemError. A max-iters
-    solve is accepted, and logged as degraded, when its residuals are at or
-    below ``cfg.qp_accept_residual``; a worse or NaN one raises RuntimeError.
+    An inner solve runs at most ``QP_MAX_ITERS`` iterations. An infeasible
+    subproblem raises InfeasibleSubproblemError. A max-iters solve is
+    accepted, and logged as degraded, when its residuals are at or below
+    ``QP_ACCEPT_RESIDUAL``; a worse or NaN one raises RuntimeError.
     """
+
+    QP_MAX_ITERS = 20000
+    QP_ACCEPT_RESIDUAL = 1e-4
 
     def __init__(self):
         self.workspaces = {}
@@ -118,7 +125,7 @@ class SubproblemRuntime:
         elif entry[0] is not inst or entry[1] != diag:
             raise ValueError(f"subproblem key {key!r} is bound to another "
                              f"instance or diagonal")
-        sol = entry[2].solve(q, tol=cfg.qp_tol, max_iters=cfg.qp_max_iters,
+        sol = entry[2].solve(q, tol=cfg.qp_tol, max_iters=self.QP_MAX_ITERS,
                              warm=self.last.get(key))
         who = "" if key is None else f"agent {key}: "
         if sol.status == "infeasible-detected":
@@ -127,7 +134,7 @@ class SubproblemRuntime:
                 f"constraint set is empty"
             )
         if sol.status == "max-iters":
-            if not sol.max_residual <= cfg.qp_accept_residual:
+            if not sol.max_residual <= self.QP_ACCEPT_RESIDUAL:
                 raise RuntimeError(
                     f"{who}inner solve stalled at residual {sol.max_residual:.3e}"
                 )

@@ -80,7 +80,7 @@ def _trace_rows_distributed(report, per_agent):
     return rows
 
 
-def _write_trace(report, path, per_agent=True):
+def _write_trace(report, path, per_agent):
     if report.mode == "central":
         write_csv(path, CENTRAL_TRACE_COLUMNS, report.trace)
     else:
@@ -171,31 +171,54 @@ def _run_cell(spec, inst, oracle_result, n, seed, rho, mode):
 # -- argument plumbing --------------------------------------------------------
 
 
-def _add_instance_flags(p):
-    p.add_argument("--instance", type=Path, help="instance file to load")
-    p.add_argument("--n", type=int, help="node count for a generated instance")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--hop-slack", type=int, default=2,
-                   help="hop bound slack over the longest shortest path")
-    p.add_argument("--commodities", type=int, default=None,
-                   help="commodity count (default floor(n/5), min 1)")
+# one definition per flag; each subcommand lists the flags it takes
+_FLAGS = {
+    "--instance": dict(type=Path, help="instance file to load"),
+    "--n": dict(type=int, help="node count for a generated instance"),
+    "--seed": dict(type=int, default=0, help="generator seed"),
+    "--p": dict(type=float, default=0.5, help="edge probability"),
+    "--hop-slack": dict(type=int, default=2,
+                        help="hop bound slack over the longest shortest path"),
+    "--commodities": dict(type=int, default=None,
+                          help="commodity count (default floor(n/5), min 1)"),
+    "--rho": dict(type=float, default=1.0, help="penalty parameter"),
+    "--tol": dict(type=float, default=1e-4, help="stopping tolerance"),
+    "--max-iters": dict(type=int, default=500, help="iteration cap"),
+    "--oracle-max-edges": dict(type=int, default=24),
+    "--oracle-max-trees": dict(type=int, default=10_000_000),
+    "--trace-aggregate": dict(
+        dest="trace_per_agent", action="store_false",
+        help="one aggregated distributed trace row per round"),
+}
+_FAMILY_FLAGS = ("--p", "--hop-slack", "--commodities")
+_GENERATOR_FLAGS = ("--n", "--seed") + _FAMILY_FLAGS
+_INSTANCE_FLAGS = ("--instance",) + _GENERATOR_FLAGS
+_STOPPING_FLAGS = ("--tol", "--max-iters")
+_ORACLE_FLAGS = ("--oracle-max-edges", "--oracle-max-trees")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--rho", type=float, default=1.0, help="penalty parameter")
-    p.add_argument("--tol", type=float, default=1e-4, help="stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=500, help="iteration cap")
+def _add_flags(p, names):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
+
+
+def _oracle_budget(args):
+    return EnumerationBudget(max_edges=args.oracle_max_edges,
+                             max_trees=args.oracle_max_trees)
+
+
+def _generate(args):
+    if args.n is None:
+        raise SystemExit("need --n to generate an instance")
+    return random_instance(args.n, args.p, args.seed,
+                           n_commodities=args.commodities,
+                           hop_slack=args.hop_slack)
 
 
 def _load_instance(args):
     if args.instance is not None:
         return read_instance(args.instance)
-    if args.n is None:
-        raise SystemExit("need --instance or --n/--p/--seed")
-    return random_instance(args.n, args.p, args.seed,
-                           n_commodities=args.commodities,
-                           hop_slack=args.hop_slack)
+    return _generate(args)
 
 
 def _parse_floats(text):
@@ -220,9 +243,7 @@ def _print_report(report, inst):
 
 
 def _cmd_gen(args):
-    inst = random_instance(args.n, args.p, args.seed,
-                           n_commodities=args.commodities,
-                           hop_slack=args.hop_slack)
+    inst = _generate(args)
     if args.out is None:
         sys.stdout.write(format_instance(inst))
     else:
@@ -243,16 +264,16 @@ def _cmd_solve(args, mode):
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         trace_path = args.out / f"trace_{mode}.csv"
-        _write_trace(report, trace_path, per_agent=args.trace_per_agent)
+        # solve-central has no --trace-aggregate; a central trace has no agents
+        _write_trace(report, trace_path,
+                     per_agent=mode == "central" or args.trace_per_agent)
         print(f"trace: {trace_path}")
     return 0
 
 
 def _cmd_oracle(args):
     inst = _load_instance(args)
-    budget = EnumerationBudget(max_edges=args.oracle_max_edges,
-                               max_trees=args.oracle_max_trees)
-    result = exact_solve(inst, budget)
+    result = exact_solve(inst, _oracle_budget(args))
     if not result.feasible:
         print("infeasible: no spanning tree satisfies the hop bound")
         return 1
@@ -280,7 +301,7 @@ def _cmd_project(args):
 def _cmd_dump_qp(args):
     inst = _load_instance(args)
     from .central import init_state
-    cfg = SolverConfig(rho=args.rho, tol=args.tol, max_iters=args.max_iters)
+    cfg = SolverConfig(rho=args.rho)
     state = init_state(inst, cfg)
     qp = build_centralized_subproblem(inst, state.z, state.y, state.mu,
                                       state.eta, cfg.rho)
@@ -316,8 +337,7 @@ def _cmd_sweep(args):
         tol=args.tol,
         max_iters=args.max_iters,
         oracle=not args.no_oracle,
-        oracle_budget=EnumerationBudget(max_edges=args.oracle_max_edges,
-                                        max_trees=args.oracle_max_trees),
+        oracle_budget=_oracle_budget(args),
         out_dir=args.out,
         wall_time=not args.no_wall_time,
         trace_per_agent=args.trace_per_agent,
@@ -340,40 +360,34 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    _add_instance_flags(p)
+    _add_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--out", type=Path, default=None)
 
     for mode, name in (("central", "solve-central"), ("dist", "solve-dist")):
         p = sub.add_parser(name, help=f"run the {mode} solver")
-        _add_instance_flags(p)
-        _add_solver_flags(p)
+        _add_flags(p, _INSTANCE_FLAGS + ("--rho",) + _STOPPING_FLAGS)
         p.add_argument("--out", type=Path, default=None,
                        help="directory for the trace CSV")
-        p.add_argument("--trace-aggregate", dest="trace_per_agent",
-                       action="store_false",
-                       help="one aggregated trace row per round")
+        if mode == "dist":
+            _add_flags(p, ("--trace-aggregate",))
 
     p = sub.add_parser("oracle", help="exhaustive exact solve")
-    _add_instance_flags(p)
-    p.add_argument("--oracle-max-edges", type=int, default=24)
-    p.add_argument("--oracle-max-trees", type=int, default=10_000_000)
+    _add_flags(p, _INSTANCE_FLAGS + _ORACLE_FLAGS)
     p.add_argument("--out", type=Path, default=None,
                    help="write instance plus tree stanza here")
 
     p = sub.add_parser("project", help="debug: print projection weights and tree")
-    _add_instance_flags(p)
+    _add_flags(p, _INSTANCE_FLAGS)
     p.add_argument("--w", type=str, default=None, help="comma-separated w vector")
     p.add_argument("--mu", type=str, default=None, help="comma-separated mu vector")
 
     p = sub.add_parser("dump-qp", help="debug: dump the initial subproblem")
-    _add_instance_flags(p)
-    _add_solver_flags(p)
+    _add_flags(p, _INSTANCE_FLAGS + ("--rho",))
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("sweep", help="run an experiment grid")
     p.add_argument("--n", type=int, action="append", required=True,
                    help="node count (repeatable)")
-    p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of seeds (0..k-1)")
     p.add_argument("--seed-list", type=str, default=None,
@@ -382,17 +396,11 @@ def build_parser():
                    help="comma-separated penalty values")
     p.add_argument("--modes", choices=["central", "dist", "both"],
                    default="both")
-    p.add_argument("--commodities", type=int, default=None)
-    p.add_argument("--hop-slack", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=500)
+    _add_flags(p, _FAMILY_FLAGS + _STOPPING_FLAGS + _ORACLE_FLAGS)
     p.add_argument("--no-oracle", action="store_true")
-    p.add_argument("--oracle-max-edges", type=int, default=24)
-    p.add_argument("--oracle-max-trees", type=int, default=10_000_000)
     p.add_argument("--no-wall-time", action="store_true",
                    help="write wall_ms as 0 for byte-stable comparisons")
-    p.add_argument("--trace-aggregate", dest="trace_per_agent",
-                   action="store_false")
+    _add_flags(p, ("--trace-aggregate",))
     p.add_argument("--out", type=Path, required=True)
     return parser
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central import SubproblemRuntime, change_norm, initial_w0, run_outer_loop
-from .graphs import TreeIndicator, bidirect, indicator_vector
+from .graphs import TreeIndicator, indicator_vector
 from .mcf import agent_diagonal, agent_linear_cost, half_incident_costs, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
@@ -101,15 +101,12 @@ class World:
         self.inst = inst
         self.agents = list(agents)
         self.k = k
-        self.comm = comm if comm is not None else bidirect(inst.graph)
+        self.comm = comm if comm is not None else inst.arcs
         partners = [[] for _ in range(inst.n)]
         for (i, j) in self.comm.arcs:
             partners[i].append(j)
             partners[j].append(i)
         self.partners = tuple(tuple(sorted(p)) for p in partners)
-
-    def replace_agents(self, agents, k):
-        return World(self.inst, agents, k=k, comm=self.comm)
 
 
 def _initial_agent(inst, cfg):
@@ -184,7 +181,7 @@ def sync_round(world, cfg, _runtime=None, order=None):
     for i in order:
         staged_partners = [staged[j] for j in world.partners[i]]
         new_agents[i] = agent_dual_step(agents[i], staged[i], staged_partners)
-    return world.replace_agents(new_agents, world.k + 1)
+    return World(inst, new_agents, k=world.k + 1, comm=world.comm)
 
 
 def _agent_changes(prev, curr):
@@ -285,7 +282,7 @@ class FullDualWorld:
 
     def __init__(self, inst, agents, t, s, alpha, beta, gamma, delta, k=0):
         self.inst = inst
-        self.arcs = bidirect(inst.graph)
+        self.arcs = inst.arcs
         self.agents = list(agents)
         self.t = t
         self.s = s
@@ -306,7 +303,7 @@ def init_full_dual_world(inst, cfg):
         )
         for _ in range(inst.n)
     ]
-    arcs = bidirect(inst.graph)
+    arcs = inst.arcs
     t = [(agents[i].u + agents[j].u) / 2.0 for (i, j) in arcs.arcs]
     s = [(agents[i].w + agents[j].w) / 2.0 for (i, j) in arcs.arcs]
     alpha = [np.zeros(inst.dim_u) for _ in arcs.arcs]

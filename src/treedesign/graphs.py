@@ -135,12 +135,6 @@ class UndirectedGraph:
         """Pairs (edge index, other endpoint) for edges touching node i."""
         return self._incident[i]
 
-    def neighbors(self, i):
-        return tuple(j for _, j in self._incident[i])
-
-    def degree(self, i):
-        return len(self._incident[i])
-
     def edge_index(self, u, v):
         return self._edge_index[(min(u, v), max(u, v))]
 
@@ -171,13 +165,9 @@ class UndirectedGraph:
 
 
 class DirectedArcSet:
-    """Ordered arc list with in/out-neighbor lookups.
+    """Ordered arc list with in/out-arc lookups."""
 
-    ``parent_edge`` maps each arc back to the undirected edge it was derived
-    from when the set was built by :func:`bidirect`, else None.
-    """
-
-    def __init__(self, n, arcs, parent_edge=None):
+    def __init__(self, n, arcs):
         if n < 1:
             raise ValueError("arc set needs at least 1 node")
         seen = set()
@@ -194,9 +184,6 @@ class DirectedArcSet:
             canon.append((i, j))
         self.n = n
         self.arcs = tuple(canon)
-        self.parent_edge = tuple(parent_edge) if parent_edge is not None else None
-        if self.parent_edge is not None and len(self.parent_edge) != len(canon):
-            raise ValueError("parent_edge length must match arc count")
         outs = [[] for _ in range(n)]
         ins = [[] for _ in range(n)]
         for a, (i, j) in enumerate(canon):
@@ -216,12 +203,6 @@ class DirectedArcSet:
     def in_arcs(self, i):
         """Pairs (arc index, tail) for arcs entering node i."""
         return self._in[i]
-
-    def out_neighbors(self, i):
-        return tuple(j for _, j in self._out[i])
-
-    def in_neighbors(self, i):
-        return tuple(j for _, j in self._in[i])
 
     def arc_index(self, i, j):
         return self._arc_index[(i, j)]
@@ -264,8 +245,7 @@ def bidirect(g):
     """Both orientations of every edge: forward arcs 0..m-1 mirror the edge
     indices, reverse arcs m..2m-1."""
     arcs = list(g.edges) + [(v, u) for u, v in g.edges]
-    parent = list(range(g.m)) * 2
-    return DirectedArcSet(g.n, arcs, parent_edge=parent)
+    return DirectedArcSet(g.n, arcs)
 
 
 def is_spanning_tree(g, z):

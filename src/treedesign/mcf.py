@@ -329,9 +329,6 @@ class FeasibilityReport:
     feasible: bool
     violations: list
 
-    def __bool__(self):
-        return self.feasible
-
 
 def check_feasible(inst, z, y):
     """Verify a binary (tree, flows) pair against the full model.
@@ -428,25 +425,28 @@ def route_on_tree(inst, z):
     return RoutingResult(y, over)
 
 
-def relaxed_set_nonempty(inst, tol=1e-6):
+def relaxed_set_nonempty(inst):
     """One feasibility solve over the relaxed constraint set."""
     probe = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
-    return solve_qp(probe, tol=tol).status == "solved"
+    return solve_qp(probe, tol=1e-6).status == "solved"
 
 
-def random_instance(n, p, seed, n_commodities=None, hop_slack=2,
-                    cost_low=0.1, cost_high=1.1, max_attempts=1000):
+# edge costs of generated instances are uniform on [low, high)
+COST_RANGE = (0.1, 1.1)
+
+
+def random_instance(n, p, seed, n_commodities=None, hop_slack=2):
     """Seed-deterministic random instance.
 
-    Connected G(n, p) topology, uniform costs on [cost_low, cost_high),
+    Connected G(n, p) topology, uniform costs on ``COST_RANGE``,
     floor(n/5) commodities by default (at least one) with endpoints drawn
     without replacement, and hop bound max shortest-path hops + slack, capped
     at n-1 and verified nonempty by one feasibility solve (incrementing the
     bound on failure).
     """
-    graph = generate_erdos_renyi(n, p, seed, max_attempts=max_attempts)
+    graph = generate_erdos_renyi(n, p, seed)
     rng = np.random.default_rng([seed, 0x7EE5])
-    costs = rng.uniform(cost_low, cost_high, graph.m)
+    costs = rng.uniform(*COST_RANGE, graph.m)
     count = max(1, n // 5) if n_commodities is None else int(n_commodities)
     if count < 1:
         raise ValueError("need at least one commodity")
@@ -480,28 +480,39 @@ def format_instance(inst):
     return "\n".join(lines) + "\n"
 
 
+_RECORD_FIELDS = {"nodes": 1, "edge": 3, "commodity": 2, "hopbound": 1}
+
+
 def parse_instance(text):
+    """Instance from :func:`format_instance` text; malformed input raises
+    ValueError naming its line."""
     n = None
     edges, costs, commodities, hop = [], [], [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "nodes":
-            n = int(parts[1])
-        elif kind == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
-            costs.append(float(parts[3]))
-        elif kind == "commodity":
-            commodities.append(Commodity(int(parts[1]), int(parts[2])))
-        elif kind == "hopbound":
-            hop = int(parts[1])
-        elif kind == "tree":
-            continue  # solution stanza appended by the oracle writer
-        else:
+        parts = raw.split()
+        if not parts or parts[0] == "tree":
+            continue  # blank, or the solution stanza the oracle writer appends
+        kind, fields = parts[0], parts[1:]
+        if kind not in _RECORD_FIELDS:
             raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        if len(fields) != _RECORD_FIELDS[kind]:
+            raise ValueError(f"line {lineno}: {kind} record needs "
+                             f"{_RECORD_FIELDS[kind]} fields, got {len(fields)}")
+        if (kind == "nodes" and n is not None) or \
+                (kind == "hopbound" and hop is not None):
+            raise ValueError(f"line {lineno}: repeated {kind} record")
+        try:
+            if kind == "nodes":
+                n = int(fields[0])
+            elif kind == "edge":
+                edges.append((int(fields[0]), int(fields[1])))
+                costs.append(float(fields[2]))
+            elif kind == "commodity":
+                commodities.append(Commodity(int(fields[0]), int(fields[1])))
+            else:
+                hop = int(fields[0])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if n is None or hop is None:
         raise ValueError("instance text is missing nodes or hopbound")
     graph = UndirectedGraph(n, edges)

@@ -62,14 +62,6 @@ def write_csv(path, columns, rows):
             fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
-def read_csv(path):
-    """Header tuple and rows of raw string cells."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = tuple(lines[0].split(","))
-    return header, [tuple(line.split(",")) for line in lines[1:]]
-
-
 def compute_gap(heuristic_obj, exact_obj):
     """Optimality gap in percent: (heuristic / exact - 1) * 100.
 

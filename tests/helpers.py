@@ -25,6 +25,14 @@ def edge_weights(g, mapping):
     return np.array([mapping[e] for e in g.edges], dtype=float)
 
 
+def read_csv(path):
+    """Header tuple and rows of raw string cells of a CSV the CLI wrote."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    header = tuple(lines[0].split(","))
+    return header, [tuple(line.split(",")) for line in lines[1:]]
+
+
 def random_connected_graph(rng, n_low=3, n_high=8, p=0.6):
     n = int(rng.integers(n_low, n_high))
     return generate_erdos_renyi(n, p, int(rng.integers(10**6)))

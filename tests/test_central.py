@@ -30,6 +30,17 @@ def test_config_validation():
         SolverConfig(tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
+    for cap in (2.5, float("nan")):
+        with pytest.raises(ValueError, match="^max_iters must be"):
+            SolverConfig(max_iters=cap)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["rho", "tol", "qp_tol"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SolverConfig(**{field: value})
 
 
 def test_init_state_defaults():
@@ -121,8 +132,8 @@ def test_solve_single_edge():
 
 def test_solve_tol_infinite_stops_after_one_iteration():
     inst = random_instance(6, 0.5, seed=1)
-    rep = solve_central(inst, SolverConfig(rho=1.0, tol=float("inf"),
-                                           max_iters=100))
+    # a tolerance above any residual (a config rejects a non-finite one)
+    rep = solve_central(inst, SolverConfig(rho=1.0, tol=1e300, max_iters=100))
     assert rep.iterations == 1
     assert is_spanning_tree(inst.graph, rep.tree)
 

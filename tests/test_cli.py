@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 import treedesign
 
 from treedesign.cli import SweepSpec, build_parser, compute_gap, main, run_experiment
-from treedesign.report import SUMMARY_COLUMNS, read_csv
+from treedesign.report import SUMMARY_COLUMNS
+
+from helpers import read_csv
 
 
 def test_compute_gap_examples(caplog):
@@ -132,6 +135,41 @@ def test_solve_dist_cli_aggregate_trace(tmp_path, capsys):
                       "consensus_gap", "qp_iters")
     agents = {row[1] for row in rows}
     assert agents == {"-1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-central", "--n", "6", "--trace-aggregate"],
+    ["dump-qp", "--n", "6", "--tol", "0.5"],
+    ["dump-qp", "--n", "6", "--max-iters", "1"],
+    ["gen", "--n", "6", "--instance", "inst.txt"],
+], ids=["solve-central-trace-aggregate", "dump-qp-tol", "dump-qp-max-iters",
+        "gen-instance"])
+def test_parser_rejects_retired_flags(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
+def test_sweep_flags_and_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["sweep", "--n", "6", "--out", "o"]) == Namespace(
+        verbose=False, command="sweep", n=[6], seeds=1, seed_list=None,
+        rhos="1.0", modes="both", p=0.5, hop_slack=2, commodities=None,
+        tol=1e-4, max_iters=500, no_oracle=False, oracle_max_edges=24,
+        oracle_max_trees=10_000_000, no_wall_time=False, trace_per_agent=True,
+        out=Path("o"),
+    )
+    args = parser.parse_args([
+        "sweep", "--n", "6", "--n", "8", "--p", "0.4", "--seeds", "2",
+        "--seed-list", "1,3", "--rhos", "0.1,1", "--modes", "dist",
+        "--commodities", "2", "--hop-slack", "1", "--tol", "1e-3",
+        "--max-iters", "7", "--no-oracle", "--oracle-max-edges", "9",
+        "--oracle-max-trees", "99", "--no-wall-time", "--trace-aggregate",
+        "--out", "o",
+    ])
+    assert (args.n, args.p, args.commodities, args.hop_slack, args.tol,
+            args.max_iters, args.oracle_max_edges, args.oracle_max_trees) == (
+        [6, 8], 0.4, 2, 1, 1e-3, 7, 9, 99)
+    assert args.no_oracle and args.no_wall_time and not args.trace_per_agent
 
 
 def test_parser_rejects_missing_input():

@@ -173,7 +173,8 @@ def test_directed_one_way_comm_uses_half_increments():
 
 def test_solve_distributed_one_round_trees():
     inst = random_instance(5, 0.6, seed=7)
-    rep = solve_distributed(inst, SolverConfig(rho=1.0, tol=float("inf"),
+    # a tolerance above any residual (a config rejects a non-finite one)
+    rep = solve_distributed(inst, SolverConfig(rho=1.0, tol=1e300,
                                                max_iters=50))
     assert rep.iterations == 1
     assert is_spanning_tree(inst.graph, rep.tree)

@@ -69,10 +69,10 @@ def test_bidirect_counts_and_parents():
     assert len(arcs) == 6
     assert arcs.arcs[:3] == g.edges
     assert arcs.arcs[3:] == tuple((v, u) for u, v in g.edges)
-    # every edge maps back to exactly its two orientations
-    for e in range(g.m):
-        children = [a for a, p in enumerate(arcs.parent_edge) if p == e]
-        assert children == [e, e + g.m]
+    # every edge e is exactly arcs e (forward) and e + m (reverse)
+    for e, (u, v) in enumerate(g.edges):
+        assert arcs.arc_index(u, v) == e
+        assert arcs.arc_index(v, u) == e + g.m
 
 
 def test_bidirect_complete_graph_degrees():
@@ -163,6 +163,6 @@ def test_directed_arc_set_validation():
     with pytest.raises(ValueError):
         DirectedArcSet(2, [(0, 1), (0, 1)])
     arcs = DirectedArcSet(3, [(0, 1), (1, 2), (2, 0)])
-    assert arcs.out_neighbors(0) == (1,)
-    assert arcs.in_neighbors(0) == (2,)
+    assert arcs.out_arcs(0) == ((0, 1),)
+    assert arcs.in_arcs(0) == ((2, 2),)
     assert arcs.arc_index(1, 2) == 1

@@ -269,6 +269,24 @@ def test_parse_rejects_unknown_records():
         parse_instance("nodes 2\nedge 0 1 1.0\n")
 
 
+def test_parse_rejects_truncated_record_with_line_number():
+    with pytest.raises(ValueError, match="^line 2: edge record needs 3 fields"):
+        parse_instance("nodes 2\nedge 0\ncommodity 0 1\nhopbound 1\n")
+
+
+def test_parse_rejects_non_numeric_field_with_line_number():
+    with pytest.raises(ValueError, match="^line 3: .*'x'"):
+        parse_instance("nodes 3\nedge 0 1 1.0\nedge 0 1 x\n"
+                       "commodity 0 1\nhopbound 1\n")
+
+
+@pytest.mark.parametrize("kind", ["nodes 2", "hopbound 1"])
+def test_parse_rejects_repeated_record_with_line_number(kind):
+    text = "nodes 2\nedge 0 1 1.0\ncommodity 0 1\nhopbound 1\n"
+    with pytest.raises(ValueError, match=f"^line 5: repeated {kind.split()[0]}"):
+        parse_instance(text + kind + "\n")
+
+
 def test_random_instance_deterministic_and_feasible():
     a = random_instance(8, 0.5, seed=3)
     b = random_instance(8, 0.5, seed=3)
