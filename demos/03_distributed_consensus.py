@@ -1,4 +1,4 @@
-"""Multi-agent consensus run, plus the arc-dual reference implementation.
+"""Multi-agent consensus run, checked against the arc-dual reference.
 
 Every graph node runs its own copy of the problem and talks only to its
 neighbors. The script shows the per-agent objectives clustering over rounds,
@@ -6,20 +6,28 @@ then replays the same trajectory with the un-condensed per-arc dual variables
 and verifies the two implementations coincide.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from treedesign import (
     SolverConfig,
     SubproblemRuntime,
-    consensus_dual_aggregates,
     consensus_gap,
-    full_dual_step,
-    init_full_dual_world,
     init_world,
     objective,
     random_instance,
     solve_distributed,
     sync_round,
+)
+
+# the arc-dual reference is validation code and lives with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import (  # noqa: E402
+    consensus_dual_aggregates,
+    full_dual_step,
+    init_full_dual_world,
 )
 
 inst = random_instance(6, 0.5, seed=3)

@@ -64,10 +64,7 @@ from .central import (
 from .distributed import (
     AgentState,
     World,
-    consensus_dual_aggregates,
     consensus_gap,
-    full_dual_step,
-    init_full_dual_world,
     init_world,
     residual_distributed,
     solve_distributed,

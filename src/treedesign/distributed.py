@@ -17,12 +17,8 @@ coefficient rho and unit dual increments; a one-directional partner (directed
 topologies) contributes rho/2 and a half increment. The same code path
 covers both: a partner list entry is one direction of exchange.
 
-The module also carries the un-condensed reference implementation with
-explicit per-arc averages (t, s) and duals (alpha, beta, gamma, delta),
-used to validate the condensed updates. With zero-initialized arc duals,
-alpha + beta and gamma + delta vanish identically and the averages collapse
-to midpoints; dividing the per-agent dual aggregates by rho then reproduces
-the condensed trajectories exactly, at any rho.
+The condensed updates are validated against an un-condensed reference with
+explicit per-arc averages and duals, kept in the tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central import SubproblemRuntime, change_norm, initial_w0, run_outer_loop
-from .graphs import TreeIndicator, indicator_vector
-from .mcf import agent_diagonal, agent_linear_cost, half_incident_costs, objective
+from .graphs import TreeIndicator
+from .mcf import agent_diagonal, agent_linear_cost, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
 from .mcf import build_agent_subproblem, check_feasible, route_on_tree  # noqa: F401
@@ -50,11 +46,6 @@ __all__ = [
     "residual_distributed",
     "consensus_gap",
     "solve_distributed",
-    "FullDualAgentState",
-    "FullDualWorld",
-    "init_full_dual_world",
-    "full_dual_step",
-    "consensus_dual_aggregates",
 ]
 
 
@@ -256,136 +247,3 @@ def solve_distributed(inst, cfg):
     )
     report.final_consensus_gap = gap
     return report
-
-
-# -- un-condensed reference with explicit per-arc averages and duals ---------
-
-
-@dataclass
-class FullDualAgentState:
-    """Agent copy for the reference implementation; mu/eta are unscaled."""
-
-    u: np.ndarray
-    w: np.ndarray
-    z: object
-    y: np.ndarray
-    mu: np.ndarray
-    eta: np.ndarray
-
-
-class FullDualWorld:
-    """Reference state: per-arc averages t/s and duals alpha..delta.
-
-    Arc index a runs over both orientations of every edge; t[a] and alpha[a],
-    beta[a] live in flow space, s[a] and gamma[a], delta[a] in edge space.
-    """
-
-    def __init__(self, inst, agents, t, s, alpha, beta, gamma, delta, k=0):
-        self.inst = inst
-        self.arcs = inst.arcs
-        self.agents = list(agents)
-        self.t = t
-        self.s = s
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.delta = delta
-        self.k = k
-
-
-def init_full_dual_world(inst, cfg):
-    """Zero arc duals; averages seeded with the (identical) initial primals."""
-    base = _initial_agent(inst, cfg)
-    agents = [
-        FullDualAgentState(
-            u=base.u.copy(), w=base.w.copy(), z=base.z, y=base.y.copy(),
-            mu=np.zeros(inst.dim_w), eta=np.zeros(inst.dim_u),
-        )
-        for _ in range(inst.n)
-    ]
-    arcs = inst.arcs
-    t = [(agents[i].u + agents[j].u) / 2.0 for (i, j) in arcs.arcs]
-    s = [(agents[i].w + agents[j].w) / 2.0 for (i, j) in arcs.arcs]
-    alpha = [np.zeros(inst.dim_u) for _ in arcs.arcs]
-    beta = [np.zeros(inst.dim_u) for _ in arcs.arcs]
-    gamma = [np.zeros(inst.dim_w) for _ in arcs.arcs]
-    delta = [np.zeros(inst.dim_w) for _ in arcs.arcs]
-    return FullDualWorld(inst, agents, t, s, alpha, beta, gamma, delta)
-
-
-def full_dual_step(world, cfg, _runtime=None):
-    """One synchronous round of the un-condensed updates, written literally.
-
-    Phase 1 minimizes each agent's local Lagrangian with the per-arc linear
-    dual terms and (rho/2)-weighted squared distances to the stored averages;
-    phase 2 recomputes the averages as midpoints of the fresh primals and
-    ascends all duals with their rho-scaled residuals.
-    """
-    inst = world.inst
-    arcs = world.arcs
-    rho = cfg.rho
-    agents = world.agents
-    runtime = _runtime if _runtime is not None else SubproblemRuntime()
-    staged = []
-    for i, own in enumerate(agents):
-        z_vec = indicator_vector(own.z, inst.dim_w).astype(float)
-        q_w = half_incident_costs(inst, i) - own.mu - rho * z_vec
-        q_u = -own.eta - rho * own.y.astype(float)
-        degree2 = 0
-        for a, _ in arcs.out_arcs(i):
-            q_u = q_u + world.alpha[a] - rho * world.t[a]
-            q_w = q_w + world.gamma[a] - rho * world.s[a]
-            degree2 += 1
-        for a, _ in arcs.in_arcs(i):
-            q_u = q_u + world.beta[a] - rho * world.t[a]
-            q_w = q_w + world.delta[a] - rho * world.s[a]
-            degree2 += 1
-        diag = rho * (1.0 + degree2)
-        q = np.concatenate([q_w, q_u])
-        sol = runtime.solve(i, inst, diag, q, cfg)
-        w_next, u_next = inst.split(sol.v)
-        w_next, u_next = w_next.copy(), u_next.copy()
-        z_next = project_tree(w_next, own.mu / rho, inst.graph)
-        y_next = project_binary(u_next - own.eta / rho)
-        staged.append((u_next, w_next, z_next, y_next))
-    t_next, s_next = [], []
-    alpha, beta = [], []
-    gamma, delta = [], []
-    for a, (i, j) in enumerate(arcs.arcs):
-        ui, wi = staged[i][0], staged[i][1]
-        uj, wj = staged[j][0], staged[j][1]
-        t_next.append((ui + uj) / 2.0)
-        s_next.append((wi + wj) / 2.0)
-        alpha.append(world.alpha[a] + (rho / 2.0) * (ui - uj))
-        beta.append(world.beta[a] + (rho / 2.0) * (uj - ui))
-        gamma.append(world.gamma[a] + (rho / 2.0) * (wi - wj))
-        delta.append(world.delta[a] + (rho / 2.0) * (wj - wi))
-    new_agents = []
-    for own, (u_next, w_next, z_next, y_next) in zip(agents, staged):
-        new_agents.append(FullDualAgentState(
-            u=u_next, w=w_next, z=z_next, y=y_next,
-            mu=own.mu + rho * (z_next.vector - w_next),
-            eta=own.eta + rho * (y_next - u_next),
-        ))
-    return FullDualWorld(inst, new_agents, t_next, s_next, alpha, beta,
-                         gamma, delta, k=world.k + 1)
-
-
-def consensus_dual_aggregates(world):
-    """Condensed consensus duals recovered from the per-arc duals.
-
-    Agent i aggregates alpha over its outgoing arcs and beta over its
-    incoming ones (flow space), likewise gamma/delta in edge space.
-    """
-    inst = world.inst
-    arcs = world.arcs
-    nu = [np.zeros(inst.dim_u) for _ in range(inst.n)]
-    xi = [np.zeros(inst.dim_w) for _ in range(inst.n)]
-    for i in range(inst.n):
-        for a, _ in arcs.out_arcs(i):
-            nu[i] += world.alpha[a]
-            xi[i] += world.gamma[a]
-        for a, _ in arcs.in_arcs(i):
-            nu[i] += world.beta[a]
-            xi[i] += world.delta[a]
-    return nu, xi

@@ -15,7 +15,7 @@ residuals it computes to accept or reject the polished point are the ones
 reported. Both KKT matrices are symmetric quasi-definite, so SuperLU factors
 them under a symmetric fill-reducing ordering without pivoting.
 
-Each solve runs one of two inner loops over the same iteration, chosen by
+Each solve runs one of three inner loops over the same iteration, chosen by
 size alone. The sparse loop iterates on one stacked state [x; z] whose
 coefficients (sigma and 1, alpha and 1 - alpha) are constant vectors, so
 one in-place ufunc updates x and z together and an iteration allocates
@@ -34,7 +34,23 @@ the sparse loop. For a KKT system of size N = n + m whose map has at most
 2^16 entries, the dense loop builds M once per factorization from the
 inverse KKT matrix, and an iteration is one matrix-vector product and one
 clip: at that size a product is cheaper than the fixed cost of one sparse
-triangular solve. Larger structures keep the sparse loop.
+triangular solve.
+
+Past that size M is mostly redundant, because the KKT step's z part is
+exactly A times its x part (z~ = A x~), an affine map of rank n:
+
+    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q],  v = 2p - w
+    x rows:    x <- (1 - alpha) x + alpha x~
+    w rows:    w <- w - alpha p + A (alpha x~)
+
+So the w rows of M are A times its rank-n part plus the structured part
+[0, I, -alpha I, 0], and the x-space loop keeps only the n x (N + 1) map V,
+built from the x rows of K^-1, and the dense constraint rows of A. A step
+is one product with V, one with the constraint rows (the box rows of A are
+the identity), the updates of x and w, and the clip. Its cost grows with
+n N rather than N^2. Structures whose M is too big but whose V has at most
+2^16 entries run it, as nearly every n=10 relaxed subproblem with two
+commodities does; larger ones keep the sparse loop.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -180,19 +196,24 @@ class QpWorkspace:
     ``d + sigma > 0`` on its leading diagonal and ``-1/rho < 0`` on its
     trailing one, the polish matrix ``d + delta`` and ``-delta``.
 
-    The inner loop is chosen once, by size. With N = n + m (m counts the
-    box rows too), a structure with N (N + m + 1) <= ``DENSE_MAX_ENTRIES``
-    keeps the dense iteration map ``M`` of shape (N, N + m + 1), rebuilt
-    in place from K^-1 at every factorization; every other structure runs
-    the sparse loop, whose iterates are bitwise those of the plain vector
-    expressions. In terms of the blocks of K^-1 and R = diag(rho), M is
+    The inner loop (``_loop``) is chosen once, by size. With N = n + m
+    (m counts the box rows too), a structure with N (N + m + 1) <=
+    ``DENSE_MAX_ENTRIES`` keeps the dense iteration map ``M`` of shape
+    (N, N + m + 1); one with n (N + 1) <= ``XSPACE_MAX_ENTRIES`` keeps only
+    the x-space map ``V`` of shape (n, N + 1) and a dense copy of the
+    constraint rows; every other structure runs the sparse loop, whose
+    iterates are bitwise those of the plain vector expressions. Either map
+    is ``_map``, rebuilt in place from K^-1 at every factorization. In terms
+    of the blocks of K^-1 and R = diag(rho), M is
 
         x rows: [a s K_xx + (1-a) I,  -a K_xz,                 2a K_xz,          c_x]
         w rows: [a s R^-1 K_zx,  (1-a) I - a R^-1 K_zz,  a I + 2a R^-1 K_zz,  c_w]
 
-    with a = alpha, s = sigma, and [c_x; c_w] = -a [K_xx q; R^-1 K_zx q]
-    written by each solve from one triangular solve. Both loops stop, check
-    residuals, detect infeasibility and adapt rho alike.
+    and V is [a s K_xx, a K_xz, c_x], with a = alpha, s = sigma, and
+    [c_x; c_w] = -a [K_xx q; R^-1 K_zx q] written by each solve from one
+    triangular solve. V needs only the first n columns of K^-1, which K's
+    symmetry makes its x rows. All three loops stop, check residuals,
+    detect infeasibility and adapt rho alike.
     """
 
     SIGMA = 1e-6
@@ -202,10 +223,12 @@ class QpWorkspace:
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e3
     POLISH_DELTA = 1e-9
-    # the two loops cost about the same per iteration near 1e5 map entries
-    # (measured on n=10 relaxed subproblems); below 2^16 the product is
-    # clearly the cheaper
+    # the dense and sparse loops cost about the same per iteration near 1e5
+    # map entries (measured on n=10 relaxed subproblems), and the x-space
+    # and sparse loops from about 75k to 130k (n=10 to 16); below 2^16
+    # either product is clearly the cheaper
     DENSE_MAX_ENTRIES = 2**16
+    XSPACE_MAX_ENTRIES = 2**16
     _MAP_BLOCK = 32
 
     def __init__(self, qp):
@@ -256,11 +279,19 @@ class QpWorkspace:
         self._alpha = np.full(len(self._c), self.ALPHA)
         self._beta = np.full(len(self._c), 1.0 - self.ALPHA)
         big = n + self.m_total
-        self._map = self._map_scale = None
+        self._loop, self._map, self._map_scale = "sparse", None, None
         if big * (big + self.m_total + 1) <= self.DENSE_MAX_ENTRIES:
+            self._loop = "dense"
             self._map = np.empty((big, big + self.m_total + 1))
             # [alpha 1; alpha / rho], the row scale of every K^-1 block in M
             self._map_scale = np.full(big, self.ALPHA)
+        elif n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
+            self._loop = "xspace"
+            self._map = np.empty((n, big + 1))
+            # alpha 1, the row scale of V's offset column
+            self._map_scale = np.full(n, self.ALPHA)
+            # the constraint rows of A; its box rows are the identity
+            self._a_con = self.a_csr[:m_eq + m_in].toarray()
         self._refactor(self.RHO0)
 
     def _refactor(self, rho_base):
@@ -273,8 +304,10 @@ class QpWorkspace:
         data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
                                                     -1.0 / rho])
         lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
-        if self._map is not None:
+        if self._loop == "dense":
             self._build_map(lu, rho)
+        elif self._loop == "xspace":
+            self._build_xspace_map(lu)
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
     def _build_map(self, lu, rho):
@@ -298,11 +331,25 @@ class QpWorkspace:
         m_map[diag, diag] += 1.0 - alpha
         m_map[diag[n:], diag[n:] + self.m_total] += alpha
 
+    def _build_xspace_map(self, lu):
+        """Write every column of the x-space map but the last, in place."""
+        n, big = self.n, self.n + self.m_total
+        v_map = self._map
+        # the first n columns of K^-1, 32 at a time as in _build_map; K is
+        # symmetric, so their transposes are the x rows of K^-1
+        for j in range(0, n, self._MAP_BLOCK):
+            k = min(j + self._MAP_BLOCK, n)
+            np.multiply(lu.solve(np.eye(big, k - j, -j)).T, self.ALPHA,
+                        out=v_map[j:k, :big])
+        np.multiply(v_map[:, :n], self.SIGMA, out=v_map[:, :n])
+
     def _set_map_offset(self, q):
-        """Write the map's last column, -alpha [K_xx q; R^-1 K_zx q]."""
+        """Write the map's last column: -alpha [K_xx q; R^-1 K_zx q], or
+        only its x rows for the x-space map."""
         rhs = np.zeros(self.n + self.m_total)
         np.negative(q, out=rhs[:self.n])
-        np.multiply(self._map_scale, self._lu.solve(rhs), out=self._map[:, -1])
+        sol = self._lu.solve(rhs)
+        np.multiply(self._map_scale, sol[:len(self._map_scale)], out=self._map[:, -1])
 
     # -- main iteration ----------------------------------------------------
 
@@ -321,7 +368,7 @@ class QpWorkspace:
             x = np.zeros(n)
             z = np.clip(self.a_csr @ x, self.l, self.u)
             lam = np.zeros(m_total)
-        loop = self._sparse_loop if self._map is None else self._dense_loop
+        loop = getattr(self, f"_{self._loop}_loop")
         # the loops return fresh arrays, never views into their state
         x, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
         x, z, lam, (eq_res, in_vio, stat) = self._polish(x, z, lam, q)
@@ -432,8 +479,54 @@ class QpWorkspace:
                     self._set_map_offset(q)
         return cur[0][:n].copy(), cur[3].copy(), lam, "max-iters", max_iters
 
+    def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
+        n, m_total = self.n, self.m_total
+        l, u, v_map, a_con = self.l, self.u, self._map, self._a_con
+        alpha, beta = self.ALPHA, 1.0 - self.ALPHA
+        # the product's input is y = [x; v; 1] with v = 2p - w, the z part of
+        # the KKT right-hand side; zt holds alpha z~ = A (alpha x~), and the
+        # box rows of A are the identity and sit last, so the product writes
+        # alpha x~ straight into zt's box slice
+        y = np.empty(n + m_total + 1)
+        y[-1] = 1.0
+        x, v = y[:n], y[n:-1]
+        w, p, zt = np.empty((3, m_total))
+        zt_con, xt = zt[:m_total - n], zt[m_total - n:]
+        x[:] = x0
+        p[:] = z0
+        lam = lam.copy()
+        rho = self.rho
+        np.add(p, lam / rho, w)
+        self._set_map_offset(q)
+        window, lam_snapshot = [], lam
+        for it in range(1, max_iters + 1):
+            np.multiply(p, 2.0, v)
+            np.subtract(v, w, v)
+            np.dot(v_map, y, out=xt)
+            np.dot(a_con, xt, out=zt_con)
+            # w <- w - alpha p + alpha z~; p is free until the clip rewrites it
+            np.multiply(p, alpha, p)
+            np.subtract(w, p, w)
+            np.add(w, zt, w)
+            np.multiply(x, beta, x)
+            np.add(x, xt, x)
+            np.maximum(w, l, out=p)
+            np.minimum(p, u, out=p)
+
+            if it % self.CHECK_EVERY == 0 or it == max_iters:
+                lam = rho * (w - p)
+                status = self._check(it, x, p, lam, q, tol, window, lam_snapshot)
+                if status is not None:
+                    return x.copy(), p.copy(), lam, status, it
+                lam_snapshot = lam
+                if self.rho is not rho:
+                    rho = self.rho
+                    np.add(p, lam / rho, w)
+                    self._set_map_offset(q)
+        return x.copy(), p.copy(), lam, "max-iters", max_iters
+
     def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):
-        """The periodic test of both loops: a status to stop with, or None.
+        """The periodic test of every loop: a status to stop with, or None.
 
         ``window`` keeps the last 12 primal residuals and ``lam_snapshot``
         is lam at the previous check. Every fourth check may adapt rho.

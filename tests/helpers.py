@@ -1,10 +1,15 @@
 """Shared test fixtures: reference oracles and small deterministic generators."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
-from treedesign.graphs import UndirectedGraph, generate_erdos_renyi
-from treedesign.mcf import Commodity, Instance
+from treedesign.central import SubproblemRuntime
+from treedesign.distributed import init_world
+from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
+from treedesign.mcf import Commodity, Instance, half_incident_costs
+from treedesign.projection import project_binary, project_tree
 from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
 
 
@@ -251,3 +256,141 @@ class ReferenceQpWorkspace(QpWorkspace):
             return x, z, lam
         z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
         return x_p, z_p, lam_p
+
+
+# -- un-condensed distributed reference with explicit per-arc averages and duals
+#
+# With zero-initialized arc duals, alpha + beta and gamma + delta vanish
+# identically and the averages collapse to midpoints; dividing the per-agent
+# dual aggregates by rho then reproduces the condensed trajectories of
+# treedesign.distributed exactly, at any rho.
+
+
+@dataclass
+class FullDualAgentState:
+    """Agent copy for the reference implementation; mu/eta are unscaled."""
+
+    u: np.ndarray
+    w: np.ndarray
+    z: object
+    y: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+
+
+class FullDualWorld:
+    """Reference state: per-arc averages t/s and duals alpha..delta.
+
+    Arc index a runs over both orientations of every edge; t[a] and alpha[a],
+    beta[a] live in flow space, s[a] and gamma[a], delta[a] in edge space.
+    """
+
+    def __init__(self, inst, agents, t, s, alpha, beta, gamma, delta, k=0):
+        self.inst = inst
+        self.arcs = inst.arcs
+        self.agents = list(agents)
+        self.t = t
+        self.s = s
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.delta = delta
+        self.k = k
+
+
+def init_full_dual_world(inst, cfg):
+    """Zero arc duals; averages seeded with the (identical) initial primals."""
+    base = init_world(inst, cfg).agents[0]
+    agents = [
+        FullDualAgentState(
+            u=base.u.copy(), w=base.w.copy(), z=base.z, y=base.y.copy(),
+            mu=np.zeros(inst.dim_w), eta=np.zeros(inst.dim_u),
+        )
+        for _ in range(inst.n)
+    ]
+    arcs = inst.arcs
+    t = [(agents[i].u + agents[j].u) / 2.0 for (i, j) in arcs.arcs]
+    s = [(agents[i].w + agents[j].w) / 2.0 for (i, j) in arcs.arcs]
+    alpha = [np.zeros(inst.dim_u) for _ in arcs.arcs]
+    beta = [np.zeros(inst.dim_u) for _ in arcs.arcs]
+    gamma = [np.zeros(inst.dim_w) for _ in arcs.arcs]
+    delta = [np.zeros(inst.dim_w) for _ in arcs.arcs]
+    return FullDualWorld(inst, agents, t, s, alpha, beta, gamma, delta)
+
+
+def full_dual_step(world, cfg, _runtime=None):
+    """One synchronous round of the un-condensed updates, written literally.
+
+    Phase 1 minimizes each agent's local Lagrangian with the per-arc linear
+    dual terms and (rho/2)-weighted squared distances to the stored averages;
+    phase 2 recomputes the averages as midpoints of the fresh primals and
+    ascends all duals with their rho-scaled residuals.
+    """
+    inst = world.inst
+    arcs = world.arcs
+    rho = cfg.rho
+    agents = world.agents
+    runtime = _runtime if _runtime is not None else SubproblemRuntime()
+    staged = []
+    for i, own in enumerate(agents):
+        z_vec = indicator_vector(own.z, inst.dim_w).astype(float)
+        q_w = half_incident_costs(inst, i) - own.mu - rho * z_vec
+        q_u = -own.eta - rho * own.y.astype(float)
+        degree2 = 0
+        for a, _ in arcs.out_arcs(i):
+            q_u = q_u + world.alpha[a] - rho * world.t[a]
+            q_w = q_w + world.gamma[a] - rho * world.s[a]
+            degree2 += 1
+        for a, _ in arcs.in_arcs(i):
+            q_u = q_u + world.beta[a] - rho * world.t[a]
+            q_w = q_w + world.delta[a] - rho * world.s[a]
+            degree2 += 1
+        diag = rho * (1.0 + degree2)
+        q = np.concatenate([q_w, q_u])
+        sol = runtime.solve(i, inst, diag, q, cfg)
+        w_next, u_next = inst.split(sol.v)
+        w_next, u_next = w_next.copy(), u_next.copy()
+        z_next = project_tree(w_next, own.mu / rho, inst.graph)
+        y_next = project_binary(u_next - own.eta / rho)
+        staged.append((u_next, w_next, z_next, y_next))
+    t_next, s_next = [], []
+    alpha, beta = [], []
+    gamma, delta = [], []
+    for a, (i, j) in enumerate(arcs.arcs):
+        ui, wi = staged[i][0], staged[i][1]
+        uj, wj = staged[j][0], staged[j][1]
+        t_next.append((ui + uj) / 2.0)
+        s_next.append((wi + wj) / 2.0)
+        alpha.append(world.alpha[a] + (rho / 2.0) * (ui - uj))
+        beta.append(world.beta[a] + (rho / 2.0) * (uj - ui))
+        gamma.append(world.gamma[a] + (rho / 2.0) * (wi - wj))
+        delta.append(world.delta[a] + (rho / 2.0) * (wj - wi))
+    new_agents = []
+    for own, (u_next, w_next, z_next, y_next) in zip(agents, staged):
+        new_agents.append(FullDualAgentState(
+            u=u_next, w=w_next, z=z_next, y=y_next,
+            mu=own.mu + rho * (z_next.vector - w_next),
+            eta=own.eta + rho * (y_next - u_next),
+        ))
+    return FullDualWorld(inst, new_agents, t_next, s_next, alpha, beta,
+                         gamma, delta, k=world.k + 1)
+
+
+def consensus_dual_aggregates(world):
+    """Condensed consensus duals recovered from the per-arc duals.
+
+    Agent i aggregates alpha over its outgoing arcs and beta over its
+    incoming ones (flow space), likewise gamma/delta in edge space.
+    """
+    inst = world.inst
+    arcs = world.arcs
+    nu = [np.zeros(inst.dim_u) for _ in range(inst.n)]
+    xi = [np.zeros(inst.dim_w) for _ in range(inst.n)]
+    for i in range(inst.n):
+        for a, _ in arcs.out_arcs(i):
+            nu[i] += world.alpha[a]
+            xi[i] += world.gamma[a]
+        for a, _ in arcs.in_arcs(i):
+            nu[i] += world.beta[a]
+            xi[i] += world.delta[a]
+    return nu, xi

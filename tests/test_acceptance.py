@@ -18,9 +18,6 @@ from treedesign.central import (
 )
 from treedesign.cli import compute_gap, main
 from treedesign.distributed import (
-    consensus_dual_aggregates,
-    full_dual_step,
-    init_full_dual_world,
     init_world,
     solve_distributed,
     sync_round,
@@ -42,7 +39,13 @@ from treedesign.oracle import (
 from treedesign.projection import NoArborescenceError, mwra_edmonds, project_tree
 from treedesign.qp import solve_qp
 
-from helpers import projected_gradient_qp, random_feasible_qp
+from helpers import (
+    consensus_dual_aggregates,
+    full_dual_step,
+    init_full_dual_world,
+    projected_gradient_qp,
+    random_feasible_qp,
+)
 
 N10_SEEDS = tuple(range(10))
 N10_BUDGET = EnumerationBudget(max_edges=34, max_trees=30_000_000)

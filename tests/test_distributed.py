@@ -7,10 +7,7 @@ from treedesign.distributed import (
     World,
     agent_dual_step,
     agent_primal_step,
-    consensus_dual_aggregates,
     consensus_gap,
-    full_dual_step,
-    init_full_dual_world,
     init_world,
     residual_distributed,
     solve_distributed,
@@ -19,7 +16,12 @@ from treedesign.distributed import (
 from treedesign.graphs import DirectedArcSet, UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, random_instance
 
-from helpers import k3_instance
+from helpers import (
+    consensus_dual_aggregates,
+    full_dual_step,
+    init_full_dual_world,
+    k3_instance,
+)
 
 
 def two_node_instance():

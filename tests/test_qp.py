@@ -23,13 +23,29 @@ from helpers import (
 )
 
 
-def sparse_workspace(qp):
-    """A workspace that runs the sparse loop whatever its size."""
+def forced_workspace(qp, loop):
+    """A workspace that runs ``loop``: zeroing the size caps of the loops
+    tried before it rules them out, and a small ``qp`` fits any loop."""
+    caps = {"dense": [], "xspace": ["DENSE_MAX_ENTRIES"],
+            "sparse": ["DENSE_MAX_ENTRIES", "XSPACE_MAX_ENTRIES"]}[loop]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
+        for cap in caps:
+            mp.setattr(QpWorkspace, cap, 0)
         ws = QpWorkspace(qp)
-    assert ws._map is None
+    assert ws._loop == loop
     return ws
+
+
+def dense_workspace(qp):
+    return forced_workspace(qp, "dense")
+
+
+def xspace_workspace(qp):
+    return forced_workspace(qp, "xspace")
+
+
+def sparse_workspace(qp):
+    return forced_workspace(qp, "sparse")
 
 
 def keep_loop_output(ws):
@@ -150,16 +166,17 @@ def test_objective_certificate():
     assert tested > 0
 
 
-def test_infeasible_detected(monkeypatch):
+def test_infeasible_detected():
     qp = QuadraticProgram(
         d=np.ones(2), q=np.zeros(2),
         a_eq=sp.csr_matrix(np.array([[1.0, 1.0]])), b_eq=np.array([3.0]),
         lo=np.zeros(2), hi=np.ones(2),
     )
     assert solve_qp(qp, max_iters=20000).status == "infeasible-detected"
+    assert xspace_workspace(qp).solve(qp.q, max_iters=20000).status == \
+        "infeasible-detected"
     # the reference spells out the sparse loop, so compare bits there
-    monkeypatch.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
-    s = solve_qp(qp, max_iters=20000)
+    s = sparse_workspace(qp).solve(qp.q, max_iters=20000)
     assert s.status == "infeasible-detected"
     assert_same_solution(s, ReferenceQpWorkspace(qp).solve(qp.q, max_iters=20000))
 
@@ -217,12 +234,11 @@ def assert_same_solution(fast, ref):
         (ref.eq_residual, ref.in_violation, ref.stationarity)
 
 
-def test_max_iters_exit_is_bit_identical_to_reference(monkeypatch):
+def test_max_iters_exit_is_bit_identical_to_reference():
     # 37 is not a multiple of CHECK_EVERY, so the last check is the
     # it == max_iters one, and x and z leave the loop mid-way between checks
-    monkeypatch.setattr(QpWorkspace, "DENSE_MAX_ENTRIES", 0)
     qp, _ = random_feasible_qp(np.random.default_rng(21))
-    fast = QpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
+    fast = sparse_workspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
     ref = ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
     assert fast.status == "max-iters" and fast.iterations == 37
     assert_same_solution(fast, ref)
@@ -231,7 +247,7 @@ def test_max_iters_exit_is_bit_identical_to_reference(monkeypatch):
 @pytest.mark.parametrize("polish", ["kept", "rejected"])
 def test_returned_arrays_are_not_reused_by_later_solves(polish):
     # a rejected polish hands back the loop's own x and z
-    for make in (QpWorkspace, sparse_workspace):
+    for make in (dense_workspace, xspace_workspace, sparse_workspace):
         rng = np.random.default_rng(22)
         qp, _ = random_feasible_qp(rng)
         ws = make(qp)
@@ -336,35 +352,31 @@ def test_feasible_qp_does_not_stall():
     assert s.status == "solved"
 
 
-def assert_loops_agree(dense, sparse, tol):
-    assert dense.status == sparse.status
-    if dense.status == "solved":
-        assert dense.max_residual <= tol and sparse.max_residual <= tol
+def assert_loops_agree(fast, sparse, tol):
+    assert fast.status == sparse.status
+    if fast.status == "solved":
+        assert fast.max_residual <= tol and sparse.max_residual <= tol
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@example(seed=0)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_dense_loop_agrees_with_sparse_loop(seed):
-    # the dense map is the sparse iteration in other rounding: the same
-    # exits, cold and warm, across rho adaptation, with iterates that agree
-    # to rounding when both run out of iterations
+def assert_agrees_with_sparse_loop(make, seed):
+    # a loop that is the sparse iteration in other rounding: the same exits,
+    # cold and warm, across rho adaptation, with iterates that agree to
+    # rounding when both run out of iterations
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
-    dense, sparse = QpWorkspace(qp), sparse_workspace(qp)
-    assert dense._map is not None
+    fast, sparse = make(qp), sparse_workspace(qp)
     tol = 1e-8
-    cold = dense.solve(qp.q, tol=tol), sparse.solve(qp.q, tol=tol)
+    cold = fast.solve(qp.q, tol=tol), sparse.solve(qp.q, tol=tol)
     assert_loops_agree(*cold, tol)
     if seed == 0:
-        assert dense._rho_base != dense.RHO0
-    assert dense._rho_base == pytest.approx(sparse._rho_base, rel=1e-3)
+        assert fast._rho_base != fast.RHO0
+    assert fast._rho_base == pytest.approx(sparse._rho_base, rel=1e-3)
     q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
-    assert_loops_agree(dense.solve(q2, tol=tol, warm=cold[0]),
+    assert_loops_agree(fast.solve(q2, tol=tol, warm=cold[0]),
                        sparse.solve(q2, tol=tol, warm=cold[1]), tol)
 
     # 137 iterations cross the rho adaptation at the fourth check
-    pair = QpWorkspace(qp), sparse_workspace(qp)
+    pair = make(qp), sparse_workspace(qp)
     capped = [keep_loop_output(ws).solve(qp.q, tol=1e-15, max_iters=137)
               for ws in pair]
     assert [sol.status for sol in capped] == ["max-iters"] * 2
@@ -380,13 +392,28 @@ def test_dense_loop_agrees_with_sparse_loop(seed):
         a_in=sp.vstack([qp.a_in, qp.a_eq[0]]),
         b_in=np.concatenate([qp.b_in, qp.b_eq[:1] - 0.5]), lo=qp.lo, hi=qp.hi,
     )
-    assert_loops_agree(QpWorkspace(bad).solve(bad.q),
+    assert_loops_agree(make(bad).solve(bad.q),
                        sparse_workspace(bad).solve(bad.q), 1e-6)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dense_loop_agrees_with_sparse_loop(seed):
+    assert_agrees_with_sparse_loop(dense_workspace, seed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_xspace_loop_agrees_with_sparse_loop(seed):
+    assert_agrees_with_sparse_loop(xspace_workspace, seed)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("make", [QpWorkspace, sparse_workspace],
-                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("make",
+                         [dense_workspace, xspace_workspace, sparse_workspace],
+                         ids=["dense", "xspace", "sparse"])
 def test_non_finite_cost_is_rejected_and_leaves_the_workspace_intact(make, bad):
     qp, _ = random_feasible_qp(np.random.default_rng(23))
     q_bad = qp.q.copy()
@@ -403,21 +430,28 @@ def test_failed_refactor_keeps_the_old_penalty():
     # a factorization that raises must leave rho, the factor and the map
     # as they were, so later solves are those of an untouched workspace
     qp, _ = random_feasible_qp(np.random.default_rng(24))
-    ws = QpWorkspace(qp)
-    rho_base, rho, lu = ws._rho_base, ws.rho, ws._lu
-    with pytest.raises(RuntimeError):
-        ws._refactor(float("nan"))
-    assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
-    assert_same_solution(ws.solve(qp.q), QpWorkspace(qp).solve(qp.q))
+    for make in (dense_workspace, xspace_workspace):
+        ws = make(qp)
+        rho_base, rho, lu = ws._rho_base, ws.rho, ws._lu
+        # a refactor writes every column of the map but the last, the
+        # offset each solve writes
+        m_map = ws._map[:, :-1].copy()
+        with pytest.raises(RuntimeError):
+            ws._refactor(float("nan"))
+        assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
+        assert np.array_equal(ws._map[:, :-1], m_map)
+        assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
 
 
-@pytest.mark.parametrize("n, commodities, dense",
-                         [(8, None, True), (10, 2, False)],
-                         ids=["dist-n8", "sweep-n10"])
-def test_loop_is_chosen_by_structure_size(n, commodities, dense):
-    # the benchmark's distributed n=8 subproblems run the dense map; its
-    # central n=10 ones, with two commodities, keep the sparse loop
-    for seed in range(5):
+@pytest.mark.parametrize("n, commodities, seeds, loop",
+                         [(8, None, 5, "dense"), (10, 2, 5, "xspace"),
+                          (30, None, 1, "sparse")],
+                         ids=["dist-n8", "sweep-n10", "n30"])
+def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop):
+    # the benchmark's distributed n=8 subproblems run the dense map, its
+    # central n=10 ones, with two commodities, the x-space map, and n=30
+    # subproblems the sparse loop
+    for seed in range(seeds):
         inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
         ws = QpWorkspace(relaxed_qp(inst, 1.0, np.zeros(inst.dim_total)))
-        assert (ws._map is not None) == dense
+        assert ws._loop == loop
