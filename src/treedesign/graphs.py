@@ -70,9 +70,11 @@ class TreeIndicator:
 
     @classmethod
     def from_indices(cls, length, indices):
-        vec = np.zeros(length, dtype=np.int8)
-        vec[list(indices)] = 1
-        return cls(vec)
+        """The indicator selecting ``indices``; built 0/1, so not re-checked."""
+        tree = cls.__new__(cls)
+        tree.vector = np.zeros(length, dtype=np.int8)
+        tree.vector[list(indices)] = 1
+        return tree
 
     @property
     def selected(self):

@@ -170,44 +170,37 @@ def constraint_blocks(inst):
     if inst._blocks is not None:
         return inst._blocks
     n, m, nf = inst.n, inst.m, inst.n_commodities
-    arcs = inst.arcs
-    total = inst.dim_total
+    n_arcs, total = inst.n_arcs, inst.dim_total
+    commodity = np.arange(nf)[:, None]
+    # u[f, a]: the column of commodity f's flow on arc a
+    u = inst.u_index(commodity, np.arange(n_arcs))
+    tail, head = np.array(inst.arcs.arcs).T
 
-    rows, cols, vals = [], [], []
+    # conservation row f n + i: +1 on the arcs entering node i, -1 on those
+    # leaving it
+    rows = np.concatenate([n * commodity + head, n * commodity + tail], axis=1)
+    vals = np.ones((nf, 2 * n_arcs))
+    vals[:, n_arcs:] = -1.0
+    a_eq = sp.csr_matrix((vals.ravel(), (rows.ravel(), np.tile(u, 2).ravel())),
+                         shape=(n * nf, total))
     b_eq = np.zeros(n * nf)
-    for f in range(nf):
-        rhs = flow_rhs(inst, f)
-        for i in range(n):
-            r = f * n + i
-            b_eq[r] = rhs[i]
-            for a, _ in arcs.in_arcs(i):
-                rows.append(r)
-                cols.append(inst.u_index(f, a))
-                vals.append(1.0)
-            for a, _ in arcs.out_arcs(i):
-                rows.append(r)
-                cols.append(inst.u_index(f, a))
-                vals.append(-1.0)
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n * nf, total))
+    b_eq[n * commodity.ravel() + [c.origin for c in inst.commodities]] = -1.0
+    b_eq[n * commodity.ravel() + [c.dest for c in inst.commodities]] = 1.0
 
-    rows, cols, vals = [], [], []
+    # coupling row f m + e: u_f on both arcs of edge e (e and e + m) minus
+    # w_e; then hop row m nf + f: u_f on every arc
     n_coupling = m * nf
+    coupling = np.empty((nf, m, 3), dtype=u.dtype)
+    coupling[:, :, 0], coupling[:, :, 1] = u[:, :m], u[:, m:]
+    coupling[:, :, 2] = np.arange(m)
+    rows = np.concatenate([np.arange(n_coupling).repeat(3),
+                           np.arange(n_coupling, n_coupling + nf).repeat(n_arcs)])
+    vals = np.ones(len(rows))
+    vals[2:3 * n_coupling:3] = -1.0
+    a_in = sp.csr_matrix((vals, (rows, np.concatenate([coupling.ravel(), u.ravel()]))),
+                         shape=(n_coupling + nf, total))
     b_in = np.zeros(n_coupling + nf)
-    r = 0
-    for f in range(nf):
-        for e in range(m):
-            rows += [r, r, r]
-            cols += [inst.u_index(f, e), inst.u_index(f, e + m), e]
-            vals += [1.0, 1.0, -1.0]
-            r += 1
-    for f in range(nf):
-        for a in range(inst.n_arcs):
-            rows.append(r)
-            cols.append(inst.u_index(f, a))
-            vals.append(1.0)
-        b_in[r] = float(inst.hop_bound)
-        r += 1
-    a_in = sp.csr_matrix((vals, (rows, cols)), shape=(n_coupling + nf, total))
+    b_in[n_coupling:] = float(inst.hop_bound)
 
     inst._blocks = (a_eq, b_eq, a_in, b_in)
     logger.debug(

@@ -183,13 +183,15 @@ class QpWorkspace:
     new linear cost. The penalty adapted by one solve carries over to the
     next, so a refactorization happens only when rho adaptation moves it.
 
-    ``__init__`` pays every structural cost once: it scales the rows, builds
-    the CSR transpose ``a_t`` the gradients use, and assembles one CSC
-    template ``[[diag(d) + delta I, A'], [A, -delta I]]`` over all scaled
-    rows. The iteration's KKT matrix is the template with its diagonal
-    overwritten (``d + sigma`` and ``-1/rho``); the polish matrix is the
-    template restricted to the variables and the active rows. Both are
-    entry for entry what assembling them with ``sp.bmat`` gives.
+    ``__init__`` pays every structural cost once: it reads the constraint
+    rows once as sorted triplets and scales them, and from those builds the
+    scaled rows ``a_csr``, the CSR transpose ``a_t`` the gradients use, and
+    one CSC template ``[[diag(d) + delta I, A'], [A, -delta I]]`` over all
+    scaled rows, by index arithmetic alone. The iteration's KKT matrix is
+    the template with its diagonal overwritten (``d + sigma`` and
+    ``-1/rho``); the polish matrix is the template restricted to the
+    variables and the active rows. Every structure is entry for entry what
+    assembling it with ``sp.vstack`` and ``sp.bmat`` gives.
 
     Both matrices are factored by :func:`factor_kkt` without pivoting. That
     is safe because both are quasi-definite: the iteration matrix has
@@ -236,44 +238,42 @@ class QpWorkspace:
         n = qp.n
         m_eq = qp.a_eq.shape[0]
         m_in = qp.a_in.shape[0]
-        scale_eq = _row_scales(qp.a_eq)
-        scale_in = _row_scales(qp.a_in)
-        a_rows = sp.vstack(
-            [
-                sp.diags(1.0 / scale_eq) @ qp.a_eq if m_eq else qp.a_eq,
-                sp.diags(1.0 / scale_in) @ qp.a_in if m_in else qp.a_in,
-                sp.identity(n, format="csr"),
-            ],
-            format="csc",
-        )
-        self.a_csr = a_rows.tocsr()
-        # each row of a_t lists its constraints in ascending order, so a_t @ lam
-        # adds the terms in the order a_csr.T @ lam does
-        self.a_t = self.a_csr.T.tocsr()
-        self.row_scale = np.concatenate([scale_eq, scale_in, np.ones(n)])
+        self.m_eq, self.m_in, self.n = m_eq, m_in, n
+        self.m_total = m_total = m_eq + m_in + n
+        rows, cols, vals, scale = _scaled_rows(qp.a_eq, qp.a_in)
+        scale_eq, scale_in = scale[:m_eq], scale[m_eq:]
+        # A = [A_eq; A_in; I] with scaled constraint rows, row-major; its
+        # transpose a_t is the same entries column-major, so each row of a_t
+        # lists its constraints in ascending order and a_t @ lam adds the
+        # terms in the order a_csr.T @ lam does
+        rows = np.concatenate([rows, m_eq + m_in + np.arange(n)])
+        cols = np.concatenate([cols, np.arange(n)])
+        vals = np.concatenate([vals, np.ones(n)])
+        self.a_csr = sp.csr_matrix((vals, cols, _indptr(rows, m_total)),
+                                   shape=(m_total, n))
+        by_col = np.argsort(cols, kind="stable")
+        self.a_t = sp.csr_matrix((vals[by_col], rows[by_col], _indptr(cols, n)),
+                                 shape=(n, m_total))
+        self.row_scale = np.concatenate([scale, np.ones(n)])
         self.l = np.concatenate([qp.b_eq / scale_eq, np.full(m_in, -np.inf), qp.lo])
         self.u = np.concatenate([qp.b_eq / scale_eq, qp.b_in / scale_in, qp.hi])
-        self.m_eq, self.m_in, self.n = m_eq, m_in, n
-        self.m_total = m_eq + m_in + n
-        self._is_eq = np.zeros(self.m_total, dtype=bool)
+        self._is_eq = np.zeros(m_total, dtype=bool)
         self._is_eq[:m_eq] = True
-        delta = self.POLISH_DELTA
-        self._template = sp.bmat(
-            [
-                [sp.diags(qp.d + delta), a_rows.T],
-                [a_rows, sp.diags(np.full(self.m_total, -delta))],
-            ],
-            format="csc",
-        )
-        self._template_cols = np.repeat(np.arange(n + self.m_total),
+        self._template, self._template_diag = self._assemble_template()
+        self._template_cols = np.repeat(np.arange(n + m_total),
                                         np.diff(self._template.indptr))
-        # every column holds exactly one diagonal entry, from the diagonal blocks
-        self._template_diag = np.flatnonzero(
-            self._template.indices == self._template_cols)
         # the reported residuals' rows in original units: one product with
-        # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack
-        eye = sp.identity(n, format="csr")
-        self._report_rows = sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr")
+        # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack.
+        # The caller's rows are stacked as stored (stored zeros too), as
+        # sp.vstack does
+        a_eq, a_in = qp.a_eq, qp.a_in
+        nnz = a_eq.indptr[-1] + a_in.indptr[-1]
+        self._report_rows = sp.csr_matrix(
+            (np.concatenate([a_eq.data, a_in.data, np.ones(n), np.full(n, -1.0)]),
+             np.concatenate([a_eq.indices, a_in.indices, np.arange(n), np.arange(n)]),
+             np.concatenate([a_eq.indptr, a_eq.indptr[-1] + a_in.indptr[1:],
+                             nnz + np.arange(1, 2 * n + 1)])),
+            shape=(m_eq + m_in + 2 * n, n))
         self._report_rhs = np.concatenate([qp.b_eq, qp.b_in, qp.hi, -qp.lo])
         self._c = np.concatenate([np.full(n, self.SIGMA), np.ones(self.m_total)])
         self._alpha = np.full(len(self._c), self.ALPHA)
@@ -293,6 +293,32 @@ class QpWorkspace:
             # the constraint rows of A; its box rows are the identity
             self._a_con = self.a_csr[:m_eq + m_in].toarray()
         self._refactor(self.RHO0)
+
+    def _assemble_template(self):
+        """The CSC template ``[[diag(d) + delta I, A'], [A, -delta I]]`` and
+        the positions of its diagonal entries.
+
+        Column j < n is row j of ``a_t`` (shifted by n) with the diagonal
+        put first, and column n + i is row i of ``a_csr`` with the diagonal
+        put last, so every column's rows ascend as in the canonical matrix
+        ``sp.bmat`` assembles.
+        """
+        n, m_total, a_t, a_csr = self.n, self.m_total, self.a_t, self.a_csr
+        nnz, delta = a_csr.nnz, self.POLISH_DELTA
+        diag = np.concatenate([a_t.indptr[:-1] + np.arange(n),
+                               n + nnz + a_csr.indptr[1:] + np.arange(m_total)])
+        off = np.ones(n + m_total + 2 * nnz, dtype=bool)
+        off[diag] = False
+        indices = np.empty(len(off), dtype=np.int64)
+        indices[diag] = np.arange(n + m_total)
+        indices[off] = np.concatenate([n + a_t.indices, a_csr.indices])
+        data = np.empty(len(off))
+        data[diag] = np.concatenate([self.qp.d + delta, np.full(m_total, -delta)])
+        data[off] = np.concatenate([a_t.data, a_csr.data])
+        indptr = np.concatenate([a_t.indptr + np.arange(n + 1),
+                                 n + nnz + a_csr.indptr[1:] + np.arange(1, m_total + 1)])
+        size = n + m_total
+        return sp.csc_matrix((data, indices, indptr), shape=(size, size)), diag
 
     def _refactor(self, rho_base):
         """Factor (and map) the iteration at ``rho_base``; the workspace
@@ -671,14 +697,35 @@ class QpWorkspace:
         return x_p, z_p, lam_p, new
 
 
-def _row_scales(mat):
-    """Per-row infinity norms (1.0 for empty rows)."""
-    if mat.shape[0] == 0:
-        return np.ones(0)
-    absmat = abs(mat)
-    scales = absmat.max(axis=1).toarray().ravel()
-    scales[scales == 0.0] = 1.0
-    return scales
+def _indptr(major, size):
+    """Row (or column) pointers of entries sorted by ``major``."""
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
+    return indptr
+
+
+def _scaled_rows(a_eq, a_in):
+    """The rows of [A_eq; A_in] divided by their infinity norms, as
+    canonical triplets (rows, cols, vals) sorted row-major, and the norms
+    (1.0 for an empty row).
+
+    Bit for bit what ``sp.diags(1 / s) @ A`` gives with ``s`` from
+    ``abs(A).max(axis=1)``. Like ``abs(A)``, ``sum_duplicates`` first puts
+    each matrix in canonical form in place; every entry is then multiplied
+    by 1 / s, and one whose product is zero is dropped.
+    """
+    for a in (a_eq, a_in):
+        a.sum_duplicates()
+    counts = np.concatenate([np.diff(a_eq.indptr), np.diff(a_in.indptr)])
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.concatenate([a_eq.indices, a_in.indices])
+    vals = np.concatenate([a_eq.data, a_in.data]).astype(float, copy=False)
+    scale = np.zeros(len(counts))
+    np.maximum.at(scale, rows, np.abs(vals))
+    scale[scale == 0.0] = 1.0
+    vals = (1.0 / scale)[rows] * vals
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep], scale
 
 
 def solve_qp(qp, tol=1e-6, max_iters=20000, warm=None):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from treedesign.central import SubproblemRuntime
 from treedesign.distributed import init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
-from treedesign.mcf import Commodity, Instance, half_incident_costs
+from treedesign.mcf import Commodity, Instance, flow_rhs, half_incident_costs
 from treedesign.projection import project_binary, project_tree
 from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
 
@@ -106,6 +106,103 @@ def projected_gradient_qp(qp, steps=10**6, stop_change=1e-15):
         if moved < stop_change:
             break
     return primal(lam_eq, lam_in)
+
+
+def assert_same_csc(a, b):
+    """``a`` and ``b`` store the same arrays, index dtype included."""
+    assert a.format == b.format and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def row_scales_reference(mat):
+    """Per-row infinity norms (1.0 for empty rows)."""
+    if mat.shape[0] == 0:
+        return np.ones(0)
+    scales = abs(mat).max(axis=1).toarray().ravel()
+    scales[scales == 0.0] = 1.0
+    return scales
+
+
+def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
+    """QpWorkspace's structural arrays assembled with ``sp.bmat`` and
+    ``sp.vstack``, keyed by attribute name."""
+    n, m_eq, m_in = qp.n, qp.a_eq.shape[0], qp.a_in.shape[0]
+    scale_eq = row_scales_reference(qp.a_eq)
+    scale_in = row_scales_reference(qp.a_in)
+    a_rows = sp.vstack(
+        [
+            sp.diags(1.0 / scale_eq) @ qp.a_eq if m_eq else qp.a_eq,
+            sp.diags(1.0 / scale_in) @ qp.a_in if m_in else qp.a_in,
+            sp.identity(n, format="csr"),
+        ],
+        format="csc",
+    )
+    m_total = m_eq + m_in + n
+    template = sp.bmat(
+        [
+            [sp.diags(qp.d + delta), a_rows.T],
+            [a_rows, sp.diags(np.full(m_total, -delta))],
+        ],
+        format="csc",
+    )
+    template_cols = np.repeat(np.arange(n + m_total), np.diff(template.indptr))
+    eye = sp.identity(n, format="csr")
+    a_csr = a_rows.tocsr()
+    return {
+        "a_csr": a_csr,
+        "a_t": a_csr.T.tocsr(),
+        "row_scale": np.concatenate([scale_eq, scale_in, np.ones(n)]),
+        "_template": template,
+        "_template_cols": template_cols,
+        "_template_diag": np.flatnonzero(template.indices == template_cols),
+        "_report_rows": sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr"),
+    }
+
+
+def constraint_blocks_reference(inst):
+    """The relaxed set's (a_eq, b_eq, a_in, b_in), built row by row."""
+    n, m, nf = inst.n, inst.m, inst.n_commodities
+    arcs = inst.arcs
+    total = inst.dim_total
+
+    rows, cols, vals = [], [], []
+    b_eq = np.zeros(n * nf)
+    for f in range(nf):
+        rhs = flow_rhs(inst, f)
+        for i in range(n):
+            r = f * n + i
+            b_eq[r] = rhs[i]
+            for a, _ in arcs.in_arcs(i):
+                rows.append(r)
+                cols.append(inst.u_index(f, a))
+                vals.append(1.0)
+            for a, _ in arcs.out_arcs(i):
+                rows.append(r)
+                cols.append(inst.u_index(f, a))
+                vals.append(-1.0)
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(n * nf, total))
+
+    rows, cols, vals = [], [], []
+    n_coupling = m * nf
+    b_in = np.zeros(n_coupling + nf)
+    r = 0
+    for f in range(nf):
+        for e in range(m):
+            rows += [r, r, r]
+            cols += [inst.u_index(f, e), inst.u_index(f, e + m), e]
+            vals += [1.0, 1.0, -1.0]
+            r += 1
+    for f in range(nf):
+        for a in range(inst.n_arcs):
+            rows.append(r)
+            cols.append(inst.u_index(f, a))
+            vals.append(1.0)
+        b_in[r] = float(inst.hop_bound)
+        r += 1
+    a_in = sp.csr_matrix((vals, (rows, cols)), shape=(n_coupling + nf, total))
+    return a_eq, b_eq, a_in, b_in
 
 
 def iteration_kkt_reference(ws, rho):

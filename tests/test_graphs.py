@@ -90,11 +90,15 @@ def test_single_edge_bidirect():
 
 
 def test_tree_indicator_validation():
-    with pytest.raises(ValueError):
-        TreeIndicator([0, 2, 1])
+    # outside input is checked; from_indices builds its own 0/1 vector
+    for bad in ([0, 2], [0, 2, 1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            TreeIndicator(bad)
     t = TreeIndicator.from_indices(4, [1, 3])
     assert t.selected == (1, 3)
     assert len(t) == 4
+    assert t.vector.dtype == np.int8
+    assert t == TreeIndicator([0, 1, 0, 1])
 
 
 def test_is_spanning_tree_k3():

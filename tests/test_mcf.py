@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treedesign.graphs import UndirectedGraph
 from treedesign.mcf import (
@@ -21,7 +23,7 @@ from treedesign.mcf import (
 )
 from treedesign.qp import solve_qp
 
-from helpers import k3_instance
+from helpers import assert_same_csc, constraint_blocks_reference, k3_instance
 
 
 class _Snapshot:
@@ -195,6 +197,21 @@ def test_binary_feasible_point_satisfies_relaxed_rows():
     a_eq, b_eq, a_in, b_in = constraint_blocks(inst)
     assert float(np.max(np.abs(a_eq @ v - b_eq))) == 0.0
     assert float(np.max(a_in @ v - b_in)) <= 0.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0, n=8, commodities=1)
+@example(seed=0, n=3, commodities=2)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10),
+       commodities=st.integers(1, 3))
+def test_constraint_blocks_equal_the_row_by_row_build(seed, n, commodities):
+    inst = random_instance(n, 0.5, seed, n_commodities=commodities)
+    got = constraint_blocks(inst)
+    ref = constraint_blocks_reference(inst)
+    for mat, expected in zip(got[::2], ref[::2]):
+        assert_same_csc(mat, expected)
+    for rhs, expected in zip(got[1::2], ref[1::2]):
+        assert rhs.dtype == expected.dtype and np.array_equal(rhs, expected)
 
 
 def test_agent_subproblem_shapes_and_isolated_case():

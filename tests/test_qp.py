@@ -16,10 +16,12 @@ from treedesign.qp import (
 
 from helpers import (
     ReferenceQpWorkspace,
+    assert_same_csc,
     iteration_kkt_reference,
     polish_kkt_reference,
     projected_gradient_qp,
     random_feasible_qp,
+    workspace_structures_reference,
 )
 
 
@@ -280,12 +282,6 @@ def test_nan_residual_after_polish_is_not_solved(position, monkeypatch):
     assert s.iterations < ws.CHECK_EVERY * 4
 
 
-def assert_same_csc(a, b):
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -312,6 +308,77 @@ def test_fast_path_is_bit_identical_to_reference(seed):
     for _ in range(3):
         active = ws._is_eq | (rng.random(ws.m_total) < 0.3)
         assert_same_csc(ws._polish_kkt(active), polish_kkt_reference(ws, active))
+
+
+def assert_same_structures(make_qp):
+    """QpWorkspace's structures equal, entry for entry, the ``sp.bmat`` and
+    ``sp.vstack`` assembly of an identical copy of the problem."""
+    ws = QpWorkspace(make_qp())
+    for name, expected in workspace_structures_reference(make_qp()).items():
+        got = getattr(ws, name)
+        if sp.issparse(expected):
+            assert_same_csc(got, expected)
+        else:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    return ws
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0, n=8)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([6, 8, 10]))
+def test_workspace_structures_equal_the_sparse_assembly(seed, n):
+    assert_same_structures(lambda: random_feasible_qp(np.random.default_rng(seed))[0])
+    inst = random_instance(n, 0.5, seed)
+    diag = float(np.random.default_rng(seed).uniform(0.0, 3.0))
+    assert_same_structures(lambda: relaxed_qp(inst, diag, np.zeros(inst.dim_total)))
+
+
+def csr(data, indices, indptr, n):
+    """A CSR matrix stored exactly as given, duplicates and zeros included."""
+    return sp.csr_matrix((np.array(data, float), indices, indptr),
+                         shape=(len(indptr) - 1, n))
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param({"a_in": csr([1.0, -2.0], [0, 2], [0, 2], 3)}, id="empty-a_eq"),
+    pytest.param({"a_eq": csr([1.0, -2.0], [0, 2], [0, 2], 3)}, id="empty-a_in"),
+    pytest.param({}, id="box-only"),
+    pytest.param({"a_eq": csr([1.0, 4.0], [0, 2], [0, 1, 1, 2], 3)},
+                 id="all-zero-row"),
+    pytest.param({"a_in": csr([2.0, 0.5, -1.0, 3.0], [1, 0, 1, 2], [0, 3, 4], 3)},
+                 id="duplicate-entry"),
+    pytest.param({"a_eq": csr([1.0, 2.0, -1.0], [1, 0, 1], [0, 3], 3)},
+                 id="cancelling-duplicate"),
+    pytest.param({"a_in": csr([1.0, 0.0, 3.0], [0, 1, 2], [0, 2, 3], 3)},
+                 id="stored-zero"),
+    pytest.param({"a_in": csr([0.0], [1], [0, 1, 1], 3)}, id="stored-zero-row"),
+])
+def test_workspace_structures_of_edge_case_rows(rows):
+    def make():
+        blocks = {}
+        for name, rhs in (("a_eq", "b_eq"), ("a_in", "b_in")):
+            if name in rows:
+                blocks[name] = rows[name].copy()
+                blocks[rhs] = np.ones(rows[name].shape[0])
+        return QuadraticProgram(d=np.ones(3), q=np.zeros(3), lo=np.zeros(3),
+                                hi=np.ones(3), **blocks)
+
+    ws = assert_same_structures(make)
+    # a row with no nonzero entry keeps scale 1.0; stored zeros are dropped
+    # from the scaled rows but kept in the reported ones
+    empty = np.diff(ws.a_csr.indptr)[:ws.m_eq + ws.m_in] == 0
+    assert np.all(ws.row_scale[:ws.m_eq + ws.m_in][empty] == 1.0)
+    assert np.all(ws.a_csr.data != 0.0)
+    assert ws.solve(np.zeros(3)).status in ("solved", "infeasible-detected")
+
+
+def test_stored_zero_is_dropped_from_the_scaled_rows():
+    a_in = csr([1.0, 0.0, 3.0], [0, 1, 1], [0, 2, 3], 2)
+    qp = QuadraticProgram(d=[1.0, 1.0], q=[0.0, 0.0], a_in=a_in, b_in=[1.0, 1.0],
+                          lo=[0.0, 0.0], hi=[1.0, 1.0])
+    ws = QpWorkspace(qp)
+    assert ws.a_csr.nnz == 4
+    assert ws._report_rows.nnz == 7
 
 
 def assert_solves_agree(kkt, rhs, rtol):
