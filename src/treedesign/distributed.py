@@ -23,6 +23,8 @@ explicit per-arc averages and duals, kept in the tests (``tests/helpers.py``).
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +142,23 @@ def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
 
 def agent_dual_step(own, staged, staged_partners):
     """Phase 2 for one agent: consensus duals from fresh neighbor primals,
-    then the local tree/flow duals."""
+    then the local tree/flow duals.
+
+    In place, with the operands and order of nu += 0.5 (u - u_other),
+    xi += 0.5 (w - w_other), mu = mu + (z - w) and eta = eta + (y - u).
+    """
     nu = own.nu.copy()
     xi = own.xi.copy()
+    d_u, d_w = np.empty_like(nu), np.empty_like(xi)
     for other in staged_partners:
-        nu += 0.5 * (staged.u - other.u)
-        xi += 0.5 * (staged.w - other.w)
-    mu = own.mu + (staged.z.vector - staged.w)
-    eta = own.eta + (staged.y - staged.u)
+        np.subtract(staged.u, other.u, out=d_u)
+        np.add(nu, np.multiply(0.5, d_u, out=d_u), out=nu)
+        np.subtract(staged.w, other.w, out=d_w)
+        np.add(xi, np.multiply(0.5, d_w, out=d_w), out=xi)
+    mu = np.subtract(staged.z.vector, staged.w)
+    np.add(own.mu, mu, out=mu)
+    eta = np.subtract(staged.y, staged.u)
+    np.add(own.eta, eta, out=eta)
     return AgentState(
         u=staged.u, w=staged.w, z=staged.z, y=staged.y,
         mu=mu, eta=eta, nu=nu, xi=xi,
@@ -172,7 +183,10 @@ def sync_round(world, cfg, _runtime=None, order=None):
     for i in order:
         staged_partners = [staged[j] for j in world.partners[i]]
         new_agents[i] = agent_dual_step(agents[i], staged[i], staged_partners)
-    return World(inst, new_agents, k=world.k + 1, comm=world.comm)
+    # the next world shares this one's instance, pattern and partner lists
+    nxt = copy.copy(world)
+    nxt.agents, nxt.k = new_agents, world.k + 1
+    return nxt
 
 
 def _agent_changes(prev, curr):
@@ -205,11 +219,10 @@ def consensus_gap(world):
     gap = 0.0
     for i in range(len(agents)):
         for j in range(i + 1, len(agents)):
-            gap = max(
-                gap,
-                float(np.linalg.norm(agents[i].w - agents[j].w))
-                + float(np.linalg.norm(agents[i].u - agents[j].u)),
-            )
+            # sqrt(d . d) is what np.linalg.norm computes for a real vector d
+            d_w = agents[i].w - agents[j].w
+            d_u = agents[i].u - agents[j].u
+            gap = max(gap, math.sqrt(d_w.dot(d_w)) + math.sqrt(d_u.dot(d_u)))
     return gap
 
 

@@ -175,30 +175,38 @@ def constraint_blocks(inst):
     # u[f, a]: the column of commodity f's flow on arc a
     u = inst.u_index(commodity, np.arange(n_arcs))
     tail, head = np.array(inst.arcs.arcs).T
+    # both blocks are written in canonical CSR form: each row's columns
+    # ascend, and no (row, column) pair repeats
 
     # conservation row f n + i: +1 on the arcs entering node i, -1 on those
-    # leaving it
-    rows = np.concatenate([n * commodity + head, n * commodity + tail], axis=1)
-    vals = np.ones((nf, 2 * n_arcs))
-    vals[:, n_arcs:] = -1.0
-    a_eq = sp.csr_matrix((vals.ravel(), (rows.ravel(), np.tile(u, 2).ravel())),
-                         shape=(n * nf, total))
+    # leaving it. An arc enters one node and leaves another, so each row
+    # lists distinct arcs; sorting one commodity's entries by (node, arc)
+    # orders every commodity's rows, whose columns are u[f, arc]
+    node = np.concatenate([head, tail])
+    arc = np.tile(np.arange(n_arcs), 2)
+    by_row = np.lexsort((arc, node))
+    sign = np.where(by_row < n_arcs, 1.0, -1.0)
+    a_eq = sp.csr_matrix(
+        (np.tile(sign, nf), u[:, arc[by_row]].ravel(),
+         np.concatenate([[0], np.cumsum(np.tile(np.bincount(node, minlength=n), nf))])),
+        shape=(n * nf, total))
     b_eq = np.zeros(n * nf)
     b_eq[n * commodity.ravel() + [c.origin for c in inst.commodities]] = -1.0
     b_eq[n * commodity.ravel() + [c.dest for c in inst.commodities]] = 1.0
 
-    # coupling row f m + e: u_f on both arcs of edge e (e and e + m) minus
-    # w_e; then hop row m nf + f: u_f on every arc
+    # coupling row f m + e: -w_e, then u_f on both arcs of edge e (e and
+    # e + m); then hop row m nf + f: u_f on every arc. The w columns come
+    # before every u column
     n_coupling = m * nf
     coupling = np.empty((nf, m, 3), dtype=u.dtype)
-    coupling[:, :, 0], coupling[:, :, 1] = u[:, :m], u[:, m:]
-    coupling[:, :, 2] = np.arange(m)
-    rows = np.concatenate([np.arange(n_coupling).repeat(3),
-                           np.arange(n_coupling, n_coupling + nf).repeat(n_arcs)])
-    vals = np.ones(len(rows))
-    vals[2:3 * n_coupling:3] = -1.0
-    a_in = sp.csr_matrix((vals, (rows, np.concatenate([coupling.ravel(), u.ravel()]))),
-                         shape=(n_coupling + nf, total))
+    coupling[:, :, 0] = np.arange(m)
+    coupling[:, :, 1], coupling[:, :, 2] = u[:, :m], u[:, m:]
+    vals = np.ones(3 * n_coupling + nf * n_arcs)
+    vals[:3 * n_coupling:3] = -1.0
+    a_in = sp.csr_matrix(
+        (vals, np.concatenate([coupling.ravel(), u.ravel()]),
+         np.concatenate([[0], np.cumsum(np.repeat([3, n_arcs], [n_coupling, nf]))])),
+        shape=(n_coupling + nf, total))
     b_in = np.zeros(n_coupling + nf)
     b_in[n_coupling:] = float(inst.hop_bound)
 
@@ -282,19 +290,28 @@ def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
     dividing the unscaled duals by rho leaves this factor on the linear
     terms, exactly as it leaves the quadratic penalty on the mu term.
     """
-    z = indicator_vector(local.z, inst.dim_w).astype(float)
-    q_w = (half_incident_costs(inst, agent)
-           - rho * (z + np.asarray(local.mu, dtype=float))
-           + rho * np.asarray(local.xi, dtype=float))
-    q_u = (-rho * (np.asarray(local.y, dtype=float)
-                   + np.asarray(local.eta, dtype=float))
-           + rho * np.asarray(local.nu, dtype=float))
-    w_own = np.asarray(local.w, dtype=float)
-    u_own = np.asarray(local.u, dtype=float)
+    dim_w = inst.dim_w
+    z = indicator_vector(local.z, dim_w)
+    # q = [q_w; q_u] is built in place, with one scratch vector t = [t_w;
+    # t_u], from the expressions
+    #   q_w = c/2 - rho (z + mu) + rho xi - sum kappa (w + w_snap)
+    #   q_u = -rho (y + eta) + rho nu     - sum kappa (u + u_snap)
+    # each term with its operands and order; an integer 0/1 entry meets a
+    # float one as the float it converts to exactly
+    q, t = np.empty(inst.dim_total), np.empty(inst.dim_total)
+    q_w, q_u, t_w, t_u = q[:dim_w], q[dim_w:], t[:dim_w], t[dim_w:]
+    np.add(z, local.mu, out=q_w)
+    np.multiply(rho, q_w, out=q_w)
+    np.subtract(half_incident_costs(inst, agent), q_w, out=q_w)
+    np.add(q_w, np.multiply(rho, local.xi, out=t_w), out=q_w)
+    np.add(local.y, local.eta, out=q_u)
+    np.multiply(-rho, q_u, out=q_u)
+    np.add(q_u, np.multiply(rho, local.nu, out=t_u), out=q_u)
     for snap in neighbor_snapshots:
-        q_w = q_w - consensus_coeff * (w_own + np.asarray(snap.w, dtype=float))
-        q_u = q_u - consensus_coeff * (u_own + np.asarray(snap.u, dtype=float))
-    return np.concatenate([q_w, q_u])
+        np.add(local.w, snap.w, out=t_w)
+        np.add(local.u, snap.u, out=t_u)
+        np.subtract(q, np.multiply(consensus_coeff, t, out=t), out=q)
+    return q
 
 
 def agent_diagonal(rho, consensus_coeff, n_partners):

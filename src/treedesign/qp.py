@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "QuadraticProgram",
@@ -80,6 +81,22 @@ class InfeasibleSubproblemError(RuntimeError):
 
 def _empty_system(n):
     return sp.csr_matrix((0, n)), np.zeros(0)
+
+
+def _matvec(a, x, out):
+    """``a @ x`` for a CSR matrix ``a``, written into ``out`` and returned.
+
+    Calls the kernel that scipy's own ``a @ x`` runs, on a zeroed output, so
+    the bits are those of ``a @ x`` without scipy's Python dispatch around
+    it: each row's terms are added in stored order onto +0. The kernel
+    checks no length, so this does.
+    """
+    if x.shape != (a.shape[1],) or out.shape != (a.shape[0],):
+        raise ValueError("matvec operands do not match the matrix shape")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices,
+                            a.data, x, out)
+    return out
 
 
 _KKT_ORDERING = "MMD_AT_PLUS_A"
@@ -240,7 +257,8 @@ class QpWorkspace:
         m_in = qp.a_in.shape[0]
         self.m_eq, self.m_in, self.n = m_eq, m_in, n
         self.m_total = m_total = m_eq + m_in + n
-        rows, cols, vals, scale = _scaled_rows(qp.a_eq, qp.a_in)
+        a_eq, a_in = _canonical(qp.a_eq), _canonical(qp.a_in)
+        rows, cols, vals, scale = _scaled_rows(a_eq, a_in)
         scale_eq, scale_in = scale[:m_eq], scale[m_eq:]
         # A = [A_eq; A_in; I] with scaled constraint rows, row-major; its
         # transpose a_t is the same entries column-major, so each row of a_t
@@ -260,13 +278,19 @@ class QpWorkspace:
         self._is_eq = np.zeros(m_total, dtype=bool)
         self._is_eq[:m_eq] = True
         self._template, self._template_diag = self._assemble_template()
-        self._template_cols = np.repeat(np.arange(n + m_total),
-                                        np.diff(self._template.indptr))
+        # every template entry off the diagonal has its row or its column
+        # among the variables, which the polish always keeps, so the entry
+        # survives exactly when its larger index does
+        t = self._template
+        self._template_key = np.maximum(
+            t.indices, np.repeat(np.arange(n + m_total), np.diff(t.indptr)))
+        # which template columns a polish keeps, then the end of the last
+        # one; the variables' entries stay True
+        self._keep = np.ones(n + m_total + 1, dtype=bool)
         # the reported residuals' rows in original units: one product with
         # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack.
-        # The caller's rows are stacked as stored (stored zeros too), as
-        # sp.vstack does
-        a_eq, a_in = qp.a_eq, qp.a_in
+        # The caller's rows are stacked in canonical form with stored zeros
+        # kept, as sp.vstack does
         nnz = a_eq.indptr[-1] + a_in.indptr[-1]
         self._report_rows = sp.csr_matrix(
             (np.concatenate([a_eq.data, a_in.data, np.ones(n), np.full(n, -1.0)]),
@@ -275,6 +299,12 @@ class QpWorkspace:
                              nnz + np.arange(1, 2 * n + 1)])),
             shape=(m_eq + m_in + 2 * n, n))
         self._report_rhs = np.concatenate([qp.b_eq, qp.b_in, qp.hi, -qp.lo])
+        # buffers of the residual checks: A x, A' lam, the gradient, the
+        # reported slacks and the inequality multipliers' sign violation
+        self._ax = np.empty(m_total)
+        self._atl, self._grad = np.empty((2, n))
+        self._slack = np.empty(len(self._report_rhs))
+        self._sign = np.empty(m_in)
         self._c = np.concatenate([np.full(n, self.SIGMA), np.ones(self.m_total)])
         self._alpha = np.full(len(self._c), self.ALPHA)
         self._beta = np.full(len(self._c), 1.0 - self.ALPHA)
@@ -392,7 +422,7 @@ class QpWorkspace:
             x, z, lam = warm.v, warm.z, warm.lam
         else:
             x = np.zeros(n)
-            z = np.clip(self.a_csr @ x, self.l, self.u)
+            z = np.clip(_matvec(self.a_csr, x, self._ax), self.l, self.u)
             lam = np.zeros(m_total)
         loop = getattr(self, f"_{self._loop}_loop")
         # the loops return fresh arrays, never views into their state
@@ -555,9 +585,12 @@ class QpWorkspace:
         """The periodic test of every loop: a status to stop with, or None.
 
         ``window`` keeps the last 12 primal residuals and ``lam_snapshot``
-        is lam at the previous check. Every fourth check may adapt rho.
+        is lam at the previous check. Every fourth check may adapt rho. The
+        dual residual decides only those two, so it is computed only then.
         """
-        r_prim, r_dual = self._residuals(x, z, lam, q)
+        r_prim = self._primal_residual(x, z)
+        adapt = it % (self.CHECK_EVERY * 4) == 0
+        r_dual = self._dual_residual(x, lam, q) if r_prim <= tol or adapt else None
         if r_prim <= tol and r_dual <= tol:
             return "solved"
         window.append(r_prim)
@@ -566,24 +599,45 @@ class QpWorkspace:
         if self._primal_stalled(window, tol) and \
                 self._certify_infeasible(lam - lam_snapshot):
             return "infeasible-detected"
-        if it % (self.CHECK_EVERY * 4) == 0:
+        if adapt:
             self._adapt_rho(r_prim, r_dual)
         return None
 
     # -- diagnostics ---------------------------------------------------------
+    #
+    # Each residual is the plain expression computed in place: the same
+    # operands in the same order, a kernel call for each sparse product and
+    # np.maximum.reduce (what np.max runs) for each norm.
 
-    def _residuals(self, x, z, lam, q):
-        """(primal, dual) infinity-norm residuals on the original data.
+    def _primal_residual(self, x, z):
+        """Infinity norm of A x - z on the original data: rows were divided
+        by their scale, so the residual multiplies it back."""
+        r = _matvec(self.a_csr, x, self._ax)
+        np.subtract(r, z, out=r)
+        np.abs(r, out=r)
+        np.multiply(r, self.row_scale, out=r)
+        return float(np.maximum.reduce(r)) if self.m_total else 0.0
 
-        Rows were divided by their scale, so the original-units primal
-        residual multiplies it back; A_scaled' lam_scaled already equals
-        A' lam_original, so the gradient needs no adjustment.
-        """
-        ax = self.a_csr @ x
-        r_prim = np.max(np.abs(ax - z) * self.row_scale) if self.m_total else 0.0
-        grad = self.qp.d * x + q + self.a_t @ lam
-        r_dual = float(np.max(np.abs(grad))) if len(grad) else 0.0
-        return float(r_prim), r_dual
+    def _dual_residual(self, x, lam, q):
+        """Infinity norm of the gradient d x + q + A' lam; A_scaled'
+        lam_scaled already equals A' lam_original."""
+        atl = _matvec(self.a_t, lam, self._atl)
+        grad = self._grad
+        np.multiply(self.qp.d, x, out=grad)
+        np.add(grad, q, out=grad)
+        np.add(grad, atl, out=grad)
+        np.abs(grad, out=grad)
+        return float(np.maximum.reduce(grad)) if self.n else 0.0
+
+    def _sign_violation(self, lam):
+        """The largest of -lam / scale over the inequality rows, in original
+        units: positive when a multiplier has the wrong sign, for these rows
+        only bound from above."""
+        sl = slice(self.m_eq, self.m_eq + self.m_in)
+        out = self._sign
+        np.negative(lam[sl], out=out)
+        np.divide(out, self.row_scale[sl], out=out)
+        return float(np.maximum.reduce(out))
 
     def _primal_stalled(self, window, tol):
         if len(window) < 12:
@@ -596,7 +650,7 @@ class QpWorkspace:
         norm = float(np.max(np.abs(dlam))) if len(dlam) else 0.0
         if norm <= 1e-14:
             return False
-        if float(np.max(np.abs(self.a_t @ dlam))) > 1e-8 * norm:
+        if float(np.max(np.abs(_matvec(self.a_t, dlam, self._atl)))) > 1e-8 * norm:
             return False
         pos = np.maximum(dlam, 0.0)
         neg = np.minimum(dlam, 0.0)
@@ -624,17 +678,16 @@ class QpWorkspace:
         """(equality residual, inequality and box violation, stationarity)
         of ``(x, lam)`` on the original data."""
         m_eq = self.m_eq
-        r = self._report_rows @ x
-        r -= self._report_rhs
-        eq_res = float(np.abs(r[:m_eq]).max()) if m_eq else 0.0
-        in_vio = max(float(r[m_eq:].max()), 0.0)  # a NaN slack stays NaN
-        grad = self.qp.d * x + q + self.a_t @ lam
-        stat = float(np.abs(grad).max()) if len(grad) else 0.0
-        # inequality rows only bound from above; a negative multiplier there
-        # is a dual-feasibility violation and is folded into stationarity
+        r = _matvec(self._report_rows, x, self._slack)
+        np.subtract(r, self._report_rhs, out=r)
+        eq, rest = r[:m_eq], r[m_eq:]
+        eq_res = float(np.maximum.reduce(np.abs(eq, out=eq))) if m_eq else 0.0
+        in_vio = max(float(np.maximum.reduce(rest)), 0.0)  # a NaN slack stays NaN
+        stat = self._dual_residual(x, lam, q)
+        # a negative inequality multiplier is a dual-feasibility violation
+        # and is folded into stationarity
         if self.m_in:
-            sl = slice(m_eq, m_eq + self.m_in)
-            stat = max(stat, float((-lam[sl] / self.row_scale[sl]).max()))
+            stat = max(stat, self._sign_violation(lam))
         return eq_res, in_vio, stat
 
     # -- polish --------------------------------------------------------------
@@ -644,16 +697,16 @@ class QpWorkspace:
 
         The template's entries whose row and column both survive, renumbered;
         the template's columns are sorted, so the result is the canonical
-        matrix ``sp.bmat`` would assemble from the active rows.
+        matrix ``sp.bmat`` would assemble from the active rows. A kept
+        column's pointer counts the kept entries before its first one.
         """
-        t = self._template
-        keep = np.concatenate([np.ones(self.n, dtype=bool), active])
-        entries = keep[t.indices] & keep[self._template_cols]
-        size = self.n + int(np.count_nonzero(active))
-        indptr = np.zeros(size + 1, dtype=t.indptr.dtype)
-        counts = np.bincount(self._template_cols[entries], minlength=len(keep))
-        np.cumsum(counts[keep], out=indptr[1:])
-        renumber = (np.cumsum(keep) - 1).astype(t.indices.dtype)
+        t, n, keep = self._template, self.n, self._keep
+        keep[n:-1] = active
+        entries = np.flatnonzero(keep[self._template_key])
+        size = n + int(np.count_nonzero(active))
+        indptr = np.searchsorted(entries, t.indptr[keep]).astype(t.indptr.dtype)
+        renumber = np.empty(len(keep) - 1, dtype=t.indices.dtype)
+        renumber[keep[:-1]] = np.arange(size, dtype=t.indices.dtype)
         return sp.csc_matrix((t.data[entries], renumber[t.indices[entries]], indptr),
                              shape=(size, size))
 
@@ -664,36 +717,47 @@ class QpWorkspace:
         Returns the kept ``(x, z, lam)`` and its reported residuals.
         """
         old = self._report_residuals(x, lam, q)
-        act_low = (lam < -1e-12) & ~self._is_eq
-        act_up = (lam > 1e-12) & ~self._is_eq
-        active = self._is_eq | act_low | act_up
+        # a row is active at its upper bound when its multiplier is positive
+        # and at its lower one when it is negative; an equality row is
+        # always active, and its bounds are equal
+        active = self._is_eq | (np.abs(lam) > 1e-12)
         if not active.any():
             return x, z, lam, old
-        b_act = np.where(act_up[active], self.u[active], self.l[active])
-        b_act = np.where(self._is_eq[active], self.u[active], b_act)
+        b_act = np.where(lam > 1e-12, self.u, self.l)[active]
         try:
             lu = factor_kkt(self._polish_kkt(active))
         except RuntimeError:
             return x, z, lam, old
         n = self.n
-        sol = lu.solve(np.concatenate([-q, b_act]))
+        rhs = np.empty(n + len(b_act))
+        np.negative(q, out=rhs[:n])
+        rhs[n:] = b_act
+        sol = lu.solve(rhs)
         x_p = sol[:n]
         lam_p = np.zeros(self.m_total)
         lam_p[active] = sol[n:]
-        # one round of iterative refinement against the unregularized system;
-        # off the active set lam_p is +0, and adding a signed zero to a sum
-        # that starts at +0 changes no bit, so A' lam_p equals A_act' nu
-        res_top = -q - self.qp.d * x_p - self.a_t @ lam_p
-        res_bot = b_act - (self.a_csr @ x_p)[active]
-        corr = lu.solve(np.concatenate([res_top, res_bot]))
+        # one round of iterative refinement against the unregularized system,
+        # with the residual [-q - d x_p - A' lam_p; b_act - A_act x_p]; off
+        # the active set lam_p is +0, and adding a signed zero to a sum that
+        # starts at +0 changes no bit, so A' lam_p equals A_act' nu
+        res_top = rhs[:n]
+        np.subtract(res_top, np.multiply(self.qp.d, x_p, out=self._grad), out=res_top)
+        np.subtract(res_top, _matvec(self.a_t, lam_p, self._atl), out=res_top)
+        np.subtract(b_act, _matvec(self.a_csr, x_p, self._ax)[active], out=rhs[n:])
+        corr = lu.solve(rhs)
         x_p = x_p + corr[:n]
         lam_p[active] = sol[n:] + corr[n:]
-        new = self._report_residuals(x_p, lam_p, q)
         # np.max, unlike Python's max, keeps a NaN in any position
-        worst = np.max(new)
-        if not np.isfinite(worst) or worst >= np.max(old):
+        old_worst = np.max(old)
+        # the sign violation is a term of the new stationarity, so once it
+        # reaches the old worst residual the polished point cannot improve
+        if self.m_in and self._sign_violation(lam_p) >= old_worst:
             return x, z, lam, old
-        z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
+        new = self._report_residuals(x_p, lam_p, q)
+        worst = np.max(new)
+        if not np.isfinite(worst) or worst >= old_worst:
+            return x, z, lam, old
+        z_p = np.clip(_matvec(self.a_csr, x_p, self._ax), self.l, self.u)
         return x_p, z_p, lam_p, new
 
 
@@ -704,18 +768,26 @@ def _indptr(major, size):
     return indptr
 
 
+def _canonical(a):
+    """``a`` itself when its column indices are sorted and unique in every
+    row, otherwise a copy with duplicates summed: the caller's matrix is
+    never rewritten."""
+    if a.has_canonical_format:
+        return a
+    a = a.copy()
+    a.sum_duplicates()
+    return a
+
+
 def _scaled_rows(a_eq, a_in):
-    """The rows of [A_eq; A_in] divided by their infinity norms, as
-    canonical triplets (rows, cols, vals) sorted row-major, and the norms
-    (1.0 for an empty row).
+    """The rows of the canonical matrices [A_eq; A_in] divided by their
+    infinity norms, as triplets (rows, cols, vals) sorted row-major, and
+    the norms (1.0 for an empty row).
 
     Bit for bit what ``sp.diags(1 / s) @ A`` gives with ``s`` from
-    ``abs(A).max(axis=1)``. Like ``abs(A)``, ``sum_duplicates`` first puts
-    each matrix in canonical form in place; every entry is then multiplied
-    by 1 / s, and one whose product is zero is dropped.
+    ``abs(A).max(axis=1)``: every entry is multiplied by 1 / s, and one
+    whose product is zero is dropped.
     """
-    for a in (a_eq, a_in):
-        a.sum_duplicates()
     counts = np.concatenate([np.diff(a_eq.indptr), np.diff(a_in.indptr)])
     rows = np.repeat(np.arange(len(counts)), counts)
     cols = np.concatenate([a_eq.indices, a_in.indices])

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from treedesign.central import SubproblemRuntime
-from treedesign.distributed import init_world
+from treedesign.distributed import AgentState, init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
 from treedesign.mcf import Commodity, Instance, flow_rhs, half_incident_costs
 from treedesign.projection import project_binary, project_tree
@@ -155,7 +155,8 @@ def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
         "a_t": a_csr.T.tocsr(),
         "row_scale": np.concatenate([scale_eq, scale_in, np.ones(n)]),
         "_template": template,
-        "_template_cols": template_cols,
+        # an entry survives a polish cut when its row and its column do
+        "_template_key": np.maximum(template.indices, template_cols),
         "_template_diag": np.flatnonzero(template.indices == template_cols),
         "_report_rows": sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr"),
     }
@@ -230,13 +231,108 @@ def polish_kkt_reference(ws, active):
     )
 
 
-class ReferenceQpWorkspace(QpWorkspace):
+class PlainResidualsMixin:
+    """QpWorkspace's periodic check, residuals, infeasibility test and polish
+    as plain expressions, kept as a reference.
+
+    Every sparse product is an ``@``, every norm an ``np.max``, each check
+    computes both residuals, and the polish cuts its KKT matrix with
+    ``sp.bmat`` and computes every residual of the polished point before it
+    decides. Mixed in ahead of QpWorkspace, it must change no bit of any
+    solve of any loop.
+    """
+
+    def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):
+        r_prim, r_dual = self._residuals(x, z, lam, q)
+        if r_prim <= tol and r_dual <= tol:
+            return "solved"
+        window.append(r_prim)
+        if len(window) > 12:
+            window.pop(0)
+        if self._primal_stalled(window, tol) and \
+                self._certify_infeasible(lam - lam_snapshot):
+            return "infeasible-detected"
+        if it % (self.CHECK_EVERY * 4) == 0:
+            self._adapt_rho(r_prim, r_dual)
+        return None
+
+    def _residuals(self, x, z, lam, q):
+        ax = self.a_csr @ x
+        r_prim = np.max(np.abs(ax - z) * self.row_scale) if self.m_total else 0.0
+        grad = self.qp.d * x + q + self.a_t @ lam
+        r_dual = float(np.max(np.abs(grad))) if len(grad) else 0.0
+        return float(r_prim), r_dual
+
+    def _certify_infeasible(self, dlam):
+        norm = float(np.max(np.abs(dlam))) if len(dlam) else 0.0
+        if norm <= 1e-14:
+            return False
+        if float(np.max(np.abs(self.a_t @ dlam))) > 1e-8 * norm:
+            return False
+        pos = np.maximum(dlam, 0.0)
+        neg = np.minimum(dlam, 0.0)
+        lo_inf = np.isinf(self.l)
+        hi_inf = np.isinf(self.u)
+        if np.any(neg[lo_inf] < -1e-12 * norm) or np.any(pos[hi_inf] > 1e-12 * norm):
+            return False
+        support = float(
+            np.sum(np.where(hi_inf, 0.0, self.u) * pos)
+            + np.sum(np.where(lo_inf, 0.0, self.l) * neg)
+        )
+        return support < -1e-10 * norm
+
+    def _report_residuals(self, x, lam, q):
+        m_eq = self.m_eq
+        r = self._report_rows @ x
+        r -= self._report_rhs
+        eq_res = float(np.abs(r[:m_eq]).max()) if m_eq else 0.0
+        in_vio = max(float(r[m_eq:].max()), 0.0)
+        grad = self.qp.d * x + q + self.a_t @ lam
+        stat = float(np.abs(grad).max()) if len(grad) else 0.0
+        if self.m_in:
+            sl = slice(m_eq, m_eq + self.m_in)
+            stat = max(stat, float((-lam[sl] / self.row_scale[sl]).max()))
+        return eq_res, in_vio, stat
+
+    def _polish(self, x, z, lam, q):
+        old = self._report_residuals(x, lam, q)
+        act_low = (lam < -1e-12) & ~self._is_eq
+        act_up = (lam > 1e-12) & ~self._is_eq
+        active = self._is_eq | act_low | act_up
+        if not active.any():
+            return x, z, lam, old
+        b_act = np.where(act_up[active], self.u[active], self.l[active])
+        b_act = np.where(self._is_eq[active], self.u[active], b_act)
+        try:
+            lu = factor_kkt(polish_kkt_reference(self, active))
+        except RuntimeError:
+            return x, z, lam, old
+        n = self.n
+        sol = lu.solve(np.concatenate([-q, b_act]))
+        x_p = sol[:n]
+        lam_p = np.zeros(self.m_total)
+        lam_p[active] = sol[n:]
+        res_top = -q - self.qp.d * x_p - self.a_t @ lam_p
+        res_bot = b_act - (self.a_csr @ x_p)[active]
+        corr = lu.solve(np.concatenate([res_top, res_bot]))
+        x_p = x_p + corr[:n]
+        lam_p[active] = sol[n:] + corr[n:]
+        new = self._report_residuals(x_p, lam_p, q)
+        worst = np.max(new)
+        if not np.isfinite(worst) or worst >= np.max(old):
+            return x, z, lam, old
+        z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
+        return x_p, z_p, lam_p, new
+
+
+class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
     """The straightforward form of QpWorkspace's solve, kept as a reference.
 
     Assembles every KKT matrix with ``sp.bmat``, allocates fresh arrays on
     every iteration, transposes the constraint matrix on every product and
-    recomputes the final residuals after polish. The fast path must produce
-    the same bits.
+    recomputes the final residuals after polish. Its infeasibility test is
+    the plain one of PlainResidualsMixin. The fast path must produce the
+    same bits.
     """
 
     def _refactor(self, rho_base):
@@ -491,3 +587,54 @@ def consensus_dual_aggregates(world):
             nu[i] += world.beta[a]
             xi[i] += world.delta[a]
     return nu, xi
+
+
+# -- the distributed driver's per-round arithmetic as whole-vector expressions;
+# the in-place driver must give the same bits
+
+
+def agent_linear_cost_reference(inst, agent, local, neighbor_snapshots, rho,
+                                consensus_coeff):
+    """mcf.agent_linear_cost with a fresh array per term."""
+    z = indicator_vector(local.z, inst.dim_w).astype(float)
+    q_w = (half_incident_costs(inst, agent)
+           - rho * (z + np.asarray(local.mu, dtype=float))
+           + rho * np.asarray(local.xi, dtype=float))
+    q_u = (-rho * (np.asarray(local.y, dtype=float)
+                   + np.asarray(local.eta, dtype=float))
+           + rho * np.asarray(local.nu, dtype=float))
+    w_own = np.asarray(local.w, dtype=float)
+    u_own = np.asarray(local.u, dtype=float)
+    for snap in neighbor_snapshots:
+        q_w = q_w - consensus_coeff * (w_own + np.asarray(snap.w, dtype=float))
+        q_u = q_u - consensus_coeff * (u_own + np.asarray(snap.u, dtype=float))
+    return np.concatenate([q_w, q_u])
+
+
+def agent_dual_step_reference(own, staged, staged_partners):
+    """distributed.agent_dual_step with a fresh array per term."""
+    nu = own.nu.copy()
+    xi = own.xi.copy()
+    for other in staged_partners:
+        nu += 0.5 * (staged.u - other.u)
+        xi += 0.5 * (staged.w - other.w)
+    mu = own.mu + (staged.z.vector - staged.w)
+    eta = own.eta + (staged.y - staged.u)
+    return AgentState(
+        u=staged.u, w=staged.w, z=staged.z, y=staged.y,
+        mu=mu, eta=eta, nu=nu, xi=xi,
+    )
+
+
+def consensus_gap_reference(world):
+    """distributed.consensus_gap with np.linalg.norm."""
+    agents = world.agents
+    gap = 0.0
+    for i in range(len(agents)):
+        for j in range(i + 1, len(agents)):
+            gap = max(
+                gap,
+                float(np.linalg.norm(agents[i].w - agents[j].w))
+                + float(np.linalg.norm(agents[i].u - agents[j].u)),
+            )
+    return gap

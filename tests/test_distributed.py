@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedesign.central import SolverConfig, SubproblemRuntime, solve_central
 from treedesign.distributed import (
@@ -14,10 +16,14 @@ from treedesign.distributed import (
     sync_round,
 )
 from treedesign.graphs import DirectedArcSet, UndirectedGraph, is_spanning_tree
-from treedesign.mcf import Commodity, Instance, random_instance
+from treedesign.mcf import Commodity, Instance, agent_linear_cost, random_instance
+from treedesign.projection import project_tree
 
 from helpers import (
+    agent_dual_step_reference,
+    agent_linear_cost_reference,
     consensus_dual_aggregates,
+    consensus_gap_reference,
     full_dual_step,
     init_full_dual_world,
     k3_instance,
@@ -272,3 +278,53 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     twin = random_instance(5, 0.6, seed=4)
     with pytest.raises(ValueError, match="bound to another"):
         sync_round(init_world(twin, cfg), cfg, _runtime=rt)
+
+
+def random_agent(inst, rng, tree):
+    """An agent state with awkward floats: signed zeros, wide magnitudes,
+    an int8 flow rounding and a tree or relaxed-vector z."""
+    def floats(size):
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        v[rng.random(size) < 0.2] = -0.0
+        v[rng.random(size) < 0.2] = 0.0
+        return v
+    z = project_tree(floats(inst.dim_w), np.zeros(inst.dim_w), inst.graph) \
+        if tree else rng.random(inst.dim_w)
+    return AgentState(
+        u=floats(inst.dim_u), w=floats(inst.dim_w), z=z,
+        y=rng.integers(0, 2, size=inst.dim_u).astype(np.int8),
+        mu=floats(inst.dim_w), eta=floats(inst.dim_u),
+        nu=floats(inst.dim_u), xi=floats(inst.dim_w),
+    )
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
+    # the linear cost, the dual step and the consensus gap built in place
+    # give the bits of the whole-vector expressions they replace
+    rng = np.random.default_rng(seed)
+    inst = random_instance(int(rng.integers(3, 8)), 0.6, int(rng.integers(2**31)),
+                           n_commodities=int(rng.integers(1, 3)))
+    agents = [random_agent(inst, rng, tree) for _ in range(inst.n)]
+    rho = float(rng.uniform(0.01, 10.0))
+    kappa = rho / 2.0
+    for i in range(inst.n):
+        partners = [agents[j] for j in rng.integers(0, inst.n, size=rng.integers(0, 6))]
+        assert_same_bits(
+            agent_linear_cost(inst, i, agents[i], partners, rho, kappa),
+            agent_linear_cost_reference(inst, i, agents[i], partners, rho, kappa))
+        staged = random_agent(inst, rng, True)
+        got = agent_dual_step(agents[i], staged, partners)
+        expected = agent_dual_step_reference(agents[i], staged, partners)
+        for name in ("u", "w", "y", "mu", "eta", "nu", "xi"):
+            assert_same_bits(getattr(got, name), getattr(expected, name))
+        assert got.z is expected.z
+    world = World(inst, agents)
+    assert consensus_gap(world) == consensus_gap_reference(world)

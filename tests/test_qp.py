@@ -10,11 +10,14 @@ from treedesign.qp import (
     QpSolution,
     QpWorkspace,
     QuadraticProgram,
+    _canonical,
+    _matvec,
     factor_kkt,
     solve_qp,
 )
 
 from helpers import (
+    PlainResidualsMixin,
     ReferenceQpWorkspace,
     assert_same_csc,
     iteration_kkt_reference,
@@ -25,15 +28,15 @@ from helpers import (
 )
 
 
-def forced_workspace(qp, loop):
-    """A workspace that runs ``loop``: zeroing the size caps of the loops
-    tried before it rules them out, and a small ``qp`` fits any loop."""
+def forced_workspace(qp, loop, cls=QpWorkspace):
+    """A ``cls`` workspace that runs ``loop``: zeroing the size caps of the
+    loops tried before it rules them out, and a small ``qp`` fits any loop."""
     caps = {"dense": [], "xspace": ["DENSE_MAX_ENTRIES"],
             "sparse": ["DENSE_MAX_ENTRIES", "XSPACE_MAX_ENTRIES"]}[loop]
     with pytest.MonkeyPatch.context() as mp:
         for cap in caps:
             mp.setattr(QpWorkspace, cap, 0)
-        ws = QpWorkspace(qp)
+        ws = cls(qp)
     assert ws._loop == loop
     return ws
 
@@ -308,6 +311,125 @@ def test_fast_path_is_bit_identical_to_reference(seed):
     for _ in range(3):
         active = ws._is_eq | (rng.random(ws.m_total) < 0.3)
         assert_same_csc(ws._polish_kkt(active), polish_kkt_reference(ws, active))
+
+
+class PlainQpWorkspace(PlainResidualsMixin, QpWorkspace):
+    """QpWorkspace with its checks, residuals and polish in plain form."""
+
+
+def relaxed_subproblem(seed):
+    """A small relaxed flow subproblem with a random cost and diagonal, and
+    the generator that drew it. Its polishes are often rejected."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(int(rng.integers(3, 7)), 0.6, int(rng.integers(2**31)),
+                           n_commodities=int(rng.integers(1, 3)))
+    return relaxed_qp(inst, float(rng.uniform(0.1, 2.0)),
+                      rng.normal(size=inst.dim_total)), rng
+
+
+def polish_outcome(ws, q, **kwargs):
+    """Solve, and say how the polish ended: "accepted", "rejected early" (on
+    the sign of its multipliers alone) or "rejected"."""
+    points = []
+    report = ws._report_residuals
+
+    def spy(x, lam, q):
+        points.append(x)
+        return report(x, lam, q)
+
+    ws._report_residuals = spy
+    try:
+        sol = ws.solve(q, **kwargs)
+    finally:
+        del ws._report_residuals
+    if len(points) == 1:
+        return sol, "rejected early"
+    return sol, "accepted" if sol.v is points[1] else "rejected"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=2, relaxed=True)  # rho adapts, the polish is accepted
+@example(seed=0, relaxed=True)  # rho adapts, the polish is rejected early
+@example(seed=20, relaxed=True)  # rho stays, the polish is rejected early
+@given(seed=st.integers(0, 2**32 - 1), relaxed=st.booleans())
+def test_loops_are_bit_identical_with_plain_residuals(seed, relaxed):
+    # the in-place residuals, the kernel products, the check that skips the
+    # dual residual and the polish's early rejection change no bit of any
+    # loop's solution, cold or warm
+    if relaxed:
+        qp, rng = relaxed_subproblem(seed)
+        tol = 1e-6
+    else:
+        rng = np.random.default_rng(seed)
+        qp, _ = random_feasible_qp(rng)
+        tol = 1e-8
+    q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
+    pinned = {2: (True, "accepted"), 0: (True, "rejected early"),
+              20: (False, "rejected early")}.get(seed) if relaxed else None
+    for loop in ("dense", "xspace", "sparse"):
+        ws = forced_workspace(qp, loop)
+        plain = forced_workspace(qp, loop, PlainQpWorkspace)
+        cold, outcome = polish_outcome(ws, qp.q, tol=tol)
+        cold_plain = plain.solve(qp.q, tol=tol)
+        assert_same_solution(cold, cold_plain)
+        assert ws._rho_base == plain._rho_base
+        if pinned is not None:
+            assert (ws._rho_base != ws.RHO0, outcome) == pinned
+        assert_same_solution(ws.solve(q2, tol=tol, warm=cold),
+                             plain.solve(q2, tol=tol, warm=cold_plain))
+        assert ws._rho_base == plain._rho_base
+
+
+def with_index_dtype(a, dtype):
+    a.indices, a.indptr = a.indices.astype(dtype), a.indptr.astype(dtype)
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: csr([1.5, -2.0, 3.0, 0.0, 1e-300], [0, 2, 1, 2, 0],
+                             [0, 2, 2, 3, 3, 5], 3), id="empty-rows"),
+    pytest.param(lambda: csr([], [], [0, 0, 0], 4), id="no-entries"),
+    pytest.param(lambda: csr([], [], [0], 4), id="no-rows"),
+    pytest.param(lambda: csr([], [], [0, 0], 0), id="no-columns"),
+    pytest.param(lambda: sp.random(40, 30, density=0.2, format="csr",
+                                   random_state=3), id="random"),
+])
+def test_matvec_equals_the_sparse_product(make, dtype):
+    # the kernel called directly gives the bits of scipy's own product; if
+    # scipy stops shipping that kernel, the import of treedesign.qp fails
+    a = with_index_dtype(make(), dtype)
+    assert a.indices.dtype == dtype and a.indptr.dtype == dtype
+    x = np.random.default_rng(4).normal(size=a.shape[1])
+    x[:1] = -0.0
+    out = np.full(a.shape[0], np.nan)  # a stale buffer
+    got = _matvec(a, x, out)
+    assert got is out
+    expected = a @ x
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    # the kernel reads x and writes out unchecked, so the helper checks both
+    with pytest.raises(ValueError):
+        _matvec(a, np.zeros(a.shape[1] + 1), out)
+    with pytest.raises(ValueError):
+        _matvec(a, x, np.zeros(a.shape[0] + 1))
+
+
+def test_caller_constraint_matrices_are_not_rewritten():
+    # a non-canonical matrix (a repeated column) is canonicalized in a copy
+    a_in = csr([1.0, 2.0, 3.0], [0, 0, 1], [0, 3, 3, 3], 2)
+    arrays = [arr.copy() for arr in (a_in.indptr, a_in.indices, a_in.data)]
+    qp = QuadraticProgram(d=np.ones(2), q=np.zeros(2), a_in=a_in,
+                          b_in=np.ones(3), lo=np.zeros(2), hi=np.ones(2))
+    ws = QpWorkspace(qp)
+    for before, after in zip(arrays, (a_in.indptr, a_in.indices, a_in.data)):
+        assert np.array_equal(before, after)
+    assert np.array_equal(ws.a_csr[:3].toarray(), [[1.0, 1.0], [0, 0], [0, 0]])
+    assert ws.solve(np.zeros(2)).status == "solved"
+    # the library's own constraint blocks are canonical, so not copied
+    inst = random_instance(5, 0.6, seed=1)
+    qp = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
+    assert _canonical(qp.a_eq) is qp.a_eq and _canonical(qp.a_in) is qp.a_in
 
 
 def assert_same_structures(make_qp):
