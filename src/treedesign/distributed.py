@@ -11,11 +11,9 @@ processing order, which is tested.
 Message passing is simulated in-process (snapshot arrays), not a network
 stack; determinism outranks realism at desk scale.
 
-Communication follows the instance graph. For an undirected topology each
-neighbor pair exchanges in both directions, giving consensus quadratics with
-coefficient rho and unit dual increments; a one-directional partner (directed
-topologies) contributes rho/2 and a half increment. The same code path
-covers both: a partner list entry is one direction of exchange.
+Communication follows the instance graph: each neighbor pair is one
+consensus constraint, with a quadratic of coefficient rho and a unit dual
+step (the consensus form of Boyd et al. 2011, section 7).
 
 The condensed updates are validated against an un-condensed reference with
 explicit per-arc averages and duals, kept in the tests (``tests/helpers.py``).
@@ -81,25 +79,15 @@ class _Staged:
 
 
 class World:
-    """All agent states plus the communication pattern for one round counter.
+    """All agent states for one round counter; ``partners[i]`` lists agent
+    i's neighbors in the instance graph, once each, in ascending id."""
 
-    ``partners[i]`` lists one entry per direction of exchange agent i
-    participates in; for the undirected application every graph neighbor
-    appears twice (once per arc orientation), ``consensus_coeff`` is rho/2
-    per entry and the dual increment is half the per-entry disagreement,
-    which reproduces the undirected form exactly.
-    """
-
-    def __init__(self, inst, agents, k=0, comm=None):
+    def __init__(self, inst, agents, k=0):
         self.inst = inst
         self.agents = list(agents)
         self.k = k
-        self.comm = comm if comm is not None else inst.arcs
-        partners = [[] for _ in range(inst.n)]
-        for (i, j) in self.comm.arcs:
-            partners[i].append(j)
-            partners[j].append(i)
-        self.partners = tuple(tuple(sorted(p)) for p in partners)
+        self.partners = tuple(
+            tuple(j for _, j in inst.graph.incident(i)) for i in range(inst.n))
 
 
 def _initial_agent(inst, cfg):
@@ -124,14 +112,11 @@ def init_world(inst, cfg):
 def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
     """Phase 1 for one agent: subproblem solve plus both projections.
 
-    ``neighbor_snapshots`` holds one round-k state per direction of exchange
-    (graph neighbors twice for undirected topologies).
+    ``neighbor_snapshots`` holds the round-k state of each graph neighbor.
     """
     runtime = _runtime if _runtime is not None else SubproblemRuntime()
-    # rho/2 per direction of exchange; doubled pairs give the undirected form
-    kappa = cfg.rho / 2.0
-    diag = agent_diagonal(cfg.rho, kappa, len(neighbor_snapshots))
-    q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho, kappa)
+    diag = agent_diagonal(cfg.rho, len(neighbor_snapshots))
+    q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho)
     sol = runtime.solve(agent, inst, diag, q, cfg)
     w_next, u_next = inst.split(sol.v)
     w_next, u_next = w_next.copy(), u_next.copy()
@@ -144,17 +129,15 @@ def agent_dual_step(own, staged, staged_partners):
     """Phase 2 for one agent: consensus duals from fresh neighbor primals,
     then the local tree/flow duals.
 
-    In place, with the operands and order of nu += 0.5 (u - u_other),
-    xi += 0.5 (w - w_other), mu = mu + (z - w) and eta = eta + (y - u).
+    In place, with the operands and order of nu += u - u_other,
+    xi += w - w_other, mu = mu + (z - w) and eta = eta + (y - u).
     """
     nu = own.nu.copy()
     xi = own.xi.copy()
     d_u, d_w = np.empty_like(nu), np.empty_like(xi)
     for other in staged_partners:
-        np.subtract(staged.u, other.u, out=d_u)
-        np.add(nu, np.multiply(0.5, d_u, out=d_u), out=nu)
-        np.subtract(staged.w, other.w, out=d_w)
-        np.add(xi, np.multiply(0.5, d_w, out=d_w), out=xi)
+        np.add(nu, np.subtract(staged.u, other.u, out=d_u), out=nu)
+        np.add(xi, np.subtract(staged.w, other.w, out=d_w), out=xi)
     mu = np.subtract(staged.z.vector, staged.w)
     np.add(own.mu, mu, out=mu)
     eta = np.subtract(staged.y, staged.u)
@@ -168,8 +151,9 @@ def agent_dual_step(own, staged, staged_partners):
 def sync_round(world, cfg, _runtime=None, order=None):
     """One synchronous round over all agents.
 
-    Phase 1 reads only round-k snapshots, phase 2 reads only phase-1 output,
-    so any processing order gives bit-identical results.
+    Phase 1 reads only the round-k states of each agent and its graph
+    neighbors, phase 2 only phase-1 output, so any processing order gives
+    bit-identical results.
     """
     inst = world.inst
     agents = world.agents
@@ -183,7 +167,7 @@ def sync_round(world, cfg, _runtime=None, order=None):
     for i in order:
         staged_partners = [staged[j] for j in world.partners[i]]
         new_agents[i] = agent_dual_step(agents[i], staged[i], staged_partners)
-    # the next world shares this one's instance, pattern and partner lists
+    # the next world shares this one's instance and partner lists
     nxt = copy.copy(world)
     nxt.agents, nxt.k = new_agents, world.k + 1
     return nxt

@@ -275,15 +275,12 @@ def half_incident_costs(inst, agent):
     return q
 
 
-def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
-                      consensus_coeff):
+def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho):
     """Linear term of one agent's subproblem.
 
     ``local`` and each snapshot provide the attributes u, w, z, y, mu, eta,
-    nu, xi. ``consensus_coeff`` is the weight kappa on each listed consensus
-    quadratic ||. - midpoint||^2. The solvers list every neighbor once per
-    direction of exchange with kappa = rho/2, which for an undirected graph
-    equals one entry per neighbor with kappa = rho.
+    nu, xi; ``neighbor_snapshots`` holds one snapshot per graph neighbor,
+    each adding a consensus quadratic rho ||. - midpoint||^2.
 
     The consensus duals nu/xi are scaled (their ascent steps carry no rho),
     so their contribution to the objective is rho * nu' u + rho * xi' w --
@@ -294,8 +291,8 @@ def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
     z = indicator_vector(local.z, dim_w)
     # q = [q_w; q_u] is built in place, with one scratch vector t = [t_w;
     # t_u], from the expressions
-    #   q_w = c/2 - rho (z + mu) + rho xi - sum kappa (w + w_snap)
-    #   q_u = -rho (y + eta) + rho nu     - sum kappa (u + u_snap)
+    #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_snap)
+    #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_snap)
     # each term with its operands and order; an integer 0/1 entry meets a
     # float one as the float it converts to exactly
     q, t = np.empty(inst.dim_total), np.empty(inst.dim_total)
@@ -310,27 +307,24 @@ def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
     for snap in neighbor_snapshots:
         np.add(local.w, snap.w, out=t_w)
         np.add(local.u, snap.u, out=t_u)
-        np.subtract(q, np.multiply(consensus_coeff, t, out=t), out=q)
+        np.subtract(q, np.multiply(rho, t, out=t), out=q)
     return q
 
 
-def agent_diagonal(rho, consensus_coeff, n_partners):
-    """Diagonal of an agent's subproblem: rho plus 2*kappa per consensus
-    block."""
-    return float(rho) + 2.0 * consensus_coeff * n_partners
+def agent_diagonal(rho, n_neighbors):
+    """Diagonal of an agent's subproblem: rho plus 2 rho per neighbor."""
+    return float(rho) + 2.0 * rho * n_neighbors
 
 
-def build_agent_subproblem(inst, agent, local, neighbor_snapshots, rho,
-                           consensus_coeff):
+def build_agent_subproblem(inst, agent, local, neighbor_snapshots, rho):
     """Quadratic subproblem of one agent given its neighbors' snapshots:
     :func:`relaxed_qp` (the agent-local replicas of the centralized rows)
     with :func:`agent_diagonal` and :func:`agent_linear_cost`."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     return relaxed_qp(
-        inst, agent_diagonal(rho, consensus_coeff, len(neighbor_snapshots)),
-        agent_linear_cost(inst, agent, local, neighbor_snapshots, rho,
-                          consensus_coeff),
+        inst, agent_diagonal(rho, len(neighbor_snapshots)),
+        agent_linear_cost(inst, agent, local, neighbor_snapshots, rho),
     )
 
 
@@ -450,9 +444,11 @@ def random_instance(n, p, seed, n_commodities=None, hop_slack=2):
 
     Connected G(n, p) topology, uniform costs on ``COST_RANGE``,
     floor(n/5) commodities by default (at least one) with endpoints drawn
-    without replacement, and hop bound max shortest-path hops + slack, capped
-    at n-1 and verified nonempty by one feasibility solve (incrementing the
-    bound on failure).
+    without replacement, and hop bound max shortest-path hops plus
+    max(slack, 0), capped at n-1. The relaxed set is nonempty exactly when
+    the bound is at least the longest shortest path (each commodity routed
+    on a shortest path with w = 1 is feasible, and no unit flow uses fewer
+    arcs), so the bound needs no search; one feasibility solve checks it.
     """
     graph = generate_erdos_renyi(n, p, seed)
     rng = np.random.default_rng([seed, 0x7EE5])
@@ -465,16 +461,12 @@ def random_instance(n, p, seed, n_commodities=None, hop_slack=2):
         o, d = rng.choice(n, size=2, replace=False)
         commodities.append(Commodity(int(o), int(d)))
     longest = max(graph.shortest_path_hops(c.origin, c.dest) for c in commodities)
-    hop = min(max(1, longest + hop_slack), n - 1)
-    while True:
-        inst = Instance(graph, costs, commodities, hop)
-        if relaxed_set_nonempty(inst):
-            return inst
-        if hop >= n - 1:
-            raise ValueError(
-                f"relaxed set empty even at hop bound {hop} (n={n}, seed={seed})"
-            )
-        hop += 1
+    hop = min(longest + max(hop_slack, 0), n - 1)
+    inst = Instance(graph, costs, commodities, hop)
+    if not relaxed_set_nonempty(inst):
+        raise ValueError(
+            f"relaxed set empty at hop bound {hop} (n={n}, seed={seed})")
+    return inst
 
 
 # -- plain-text instance format ---------------------------------------------
@@ -497,7 +489,8 @@ def parse_instance(text):
     """Instance from :func:`format_instance` text; malformed input raises
     ValueError naming its line."""
     n = None
-    edges, costs, commodities, hop = [], [], [], None
+    edge_line, costs, commodities, hop = {}, [], [], None
+    node_ids = []  # (line, ids), checked once the node count is known
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0] == "tree":
@@ -514,20 +507,40 @@ def parse_instance(text):
         try:
             if kind == "nodes":
                 n = int(fields[0])
+                if n < 2:
+                    raise ValueError("graph needs at least 2 nodes")
             elif kind == "edge":
-                edges.append((int(fields[0]), int(fields[1])))
-                costs.append(float(fields[2]))
+                u, v, cost = int(fields[0]), int(fields[1]), float(fields[2])
+                if u == v:
+                    raise ValueError(f"self-loop at node {u}")
+                if not 0.0 <= cost < np.inf:
+                    raise ValueError(f"edge cost {cost!r} is not finite "
+                                     "and nonnegative")
+                key = (min(u, v), max(u, v))
+                if key in edge_line:
+                    raise ValueError(f"duplicate edge {key}, first on line "
+                                     f"{edge_line[key]}")
+                edge_line[key] = lineno
+                costs.append(cost)
+                node_ids.append((lineno, key))
             elif kind == "commodity":
                 commodities.append(Commodity(int(fields[0]), int(fields[1])))
+                node_ids.append((lineno, (int(fields[0]), int(fields[1]))))
             else:
                 hop = int(fields[0])
+                if hop < 1:
+                    raise ValueError("hop bound must be at least 1")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if n is None or hop is None:
         raise ValueError("instance text is missing nodes or hopbound")
-    graph = UndirectedGraph(n, edges)
+    for lineno, ids in node_ids:
+        for i in ids:
+            if not 0 <= i < n:
+                raise ValueError(f"line {lineno}: node {i} out of range for n={n}")
+    graph = UndirectedGraph(n, list(edge_line))
     ordered = [0.0] * graph.m
-    for (u, v), c in zip(edges, costs):
+    for (u, v), c in zip(edge_line, costs):
         ordered[graph.edge_index(u, v)] = c
     return Instance(graph, ordered, commodities, hop)
 

@@ -593,8 +593,7 @@ def consensus_dual_aggregates(world):
 # the in-place driver must give the same bits
 
 
-def agent_linear_cost_reference(inst, agent, local, neighbor_snapshots, rho,
-                                consensus_coeff):
+def agent_linear_cost_reference(inst, agent, local, neighbor_snapshots, rho):
     """mcf.agent_linear_cost with a fresh array per term."""
     z = indicator_vector(local.z, inst.dim_w).astype(float)
     q_w = (half_incident_costs(inst, agent)
@@ -606,8 +605,8 @@ def agent_linear_cost_reference(inst, agent, local, neighbor_snapshots, rho,
     w_own = np.asarray(local.w, dtype=float)
     u_own = np.asarray(local.u, dtype=float)
     for snap in neighbor_snapshots:
-        q_w = q_w - consensus_coeff * (w_own + np.asarray(snap.w, dtype=float))
-        q_u = q_u - consensus_coeff * (u_own + np.asarray(snap.u, dtype=float))
+        q_w = q_w - rho * (w_own + np.asarray(snap.w, dtype=float))
+        q_u = q_u - rho * (u_own + np.asarray(snap.u, dtype=float))
     return np.concatenate([q_w, q_u])
 
 
@@ -616,8 +615,8 @@ def agent_dual_step_reference(own, staged, staged_partners):
     nu = own.nu.copy()
     xi = own.xi.copy()
     for other in staged_partners:
-        nu += 0.5 * (staged.u - other.u)
-        xi += 0.5 * (staged.w - other.w)
+        nu += staged.u - other.u
+        xi += staged.w - other.w
     mu = own.mu + (staged.z.vector - staged.w)
     eta = own.eta + (staged.y - staged.u)
     return AgentState(

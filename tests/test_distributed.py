@@ -15,7 +15,7 @@ from treedesign.distributed import (
     solve_distributed,
     sync_round,
 )
-from treedesign.graphs import DirectedArcSet, UndirectedGraph, is_spanning_tree
+from treedesign.graphs import UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, agent_linear_cost, random_instance
 from treedesign.projection import project_tree
 
@@ -109,11 +109,10 @@ def test_dual_arithmetic_single_neighbor():
     other = Staged()
     other.u = np.array([0.0, 0.0])
     other.w = np.array([0.0])
-    # the two-node communication pattern has both arc directions, so the
-    # neighbor appears twice and the half increments sum to the full one
-    nxt = agent_dual_step(own, mine, [other, other])
-    assert np.allclose(nxt.xi, np.array([1.0]))
-    assert np.allclose(nxt.nu, np.array([1.0, 0.0]))
+    # one neighbor, one unit step by the full disagreement
+    nxt = agent_dual_step(own, mine, [other])
+    assert np.array_equal(nxt.xi, np.array([1.0]))
+    assert np.array_equal(nxt.nu, np.array([1.0, 0.0]))
 
 
 def test_round_is_order_independent():
@@ -165,18 +164,14 @@ def test_consensus_gap_properties():
     assert consensus_gap(sub) <= consensus_gap(bumped)
 
 
-def test_directed_one_way_comm_uses_half_increments():
-    inst = two_node_instance()
-    cfg = SolverConfig(rho=1.0)
-    one_way = DirectedArcSet(2, [(0, 1)])
-    world = World(inst, init_world(inst, cfg).agents, comm=one_way)
-    assert world.partners[0] == (1,)
-    assert world.partners[1] == (0,)
-    nxt = sync_round(world, cfg)
-    # one direction of exchange: xi steps by half the disagreement
-    diff_w = nxt.agents[0].w - nxt.agents[1].w
-    assert np.allclose(nxt.agents[0].xi, 0.5 * diff_w)
-    assert np.allclose(nxt.agents[1].xi, -0.5 * diff_w)
+@pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (5, 0.7, 3), (8, 0.5, 0)])
+def test_partners_are_the_graph_neighbors_once_each(n, p, seed):
+    inst = two_node_instance() if n == 2 else random_instance(n, p, seed=seed)
+    world = init_world(inst, SolverConfig())
+    for i in range(inst.n):
+        neighbors = sorted(j for (a, b) in inst.graph.edges for j in (a, b)
+                           if i in (a, b) and j != i)
+        assert world.partners[i] == tuple(neighbors)
 
 
 def test_solve_distributed_one_round_trees():
@@ -314,12 +309,11 @@ def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
                            n_commodities=int(rng.integers(1, 3)))
     agents = [random_agent(inst, rng, tree) for _ in range(inst.n)]
     rho = float(rng.uniform(0.01, 10.0))
-    kappa = rho / 2.0
     for i in range(inst.n):
         partners = [agents[j] for j in rng.integers(0, inst.n, size=rng.integers(0, 6))]
         assert_same_bits(
-            agent_linear_cost(inst, i, agents[i], partners, rho, kappa),
-            agent_linear_cost_reference(inst, i, agents[i], partners, rho, kappa))
+            agent_linear_cost(inst, i, agents[i], partners, rho),
+            agent_linear_cost_reference(inst, i, agents[i], partners, rho))
         staged = random_agent(inst, rng, True)
         got = agent_dual_step(agents[i], staged, partners)
         expected = agent_dual_step_reference(agents[i], staged, partners)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treedesign import mcf
 from treedesign.graphs import UndirectedGraph
 from treedesign.mcf import (
     Commodity,
@@ -17,6 +18,7 @@ from treedesign.mcf import (
     objective,
     parse_instance,
     random_instance,
+    relaxed_set_nonempty,
     route_on_tree,
     write_instance,
     read_instance,
@@ -219,8 +221,7 @@ def test_agent_subproblem_shapes_and_isolated_case():
     local = _Snapshot(inst)
     # no partners: the subproblem is the centralized one with the local
     # half-cost objective
-    qp = build_agent_subproblem(inst, 1, local, [], rho=1.0,
-                                consensus_coeff=1.0)
+    qp = build_agent_subproblem(inst, 1, local, [], rho=1.0)
     central = build_centralized_subproblem(
         inst, z_k=local.z, y_k=local.y, mu_k=local.mu, eta_k=local.eta,
         rho=1.0,
@@ -232,10 +233,9 @@ def test_agent_subproblem_shapes_and_isolated_case():
     expected_q[:inst.dim_w] = half_incident_costs(inst, 1)
     assert np.allclose(qp.q, expected_q)
 
-    # two partners add two consensus blocks to every diagonal entry
+    # two neighbors add 2 rho each to every diagonal entry
     qp2 = build_agent_subproblem(inst, 1, local,
-                                 [_Snapshot(inst), _Snapshot(inst)], rho=1.0,
-                                 consensus_coeff=1.0)
+                                 [_Snapshot(inst), _Snapshot(inst)], rho=1.0)
     assert np.allclose(qp2.d, 1.0 + 2.0 * 1.0 * 2)
 
 
@@ -246,16 +246,16 @@ def test_agent_consensus_pull_toward_midpoints():
                       u=rng.uniform(0, 1, inst.dim_u))
     rho = 0.7
     # identical snapshots: the consensus target is the agent's own iterate,
-    # so the linear term matches -2*kappa*own per block
+    # so the linear term matches -2 rho own per neighbor
     twin = _Snapshot(inst, w=local.w, u=local.u)
-    q = agent_linear_cost(inst, 0, local, [twin, twin], rho, rho)
-    base = agent_linear_cost(inst, 0, local, [], rho, rho)
+    q = agent_linear_cost(inst, 0, local, [twin, twin], rho)
+    base = agent_linear_cost(inst, 0, local, [], rho)
     assert np.allclose(q[:inst.dim_w] - base[:inst.dim_w],
-                       -2 * rho * 2 * local.w / 2 * 2)
+                       2 * (-2 * rho * local.w))
     # general midpoint algebra
     other = _Snapshot(inst, w=rng.uniform(0, 1, inst.dim_w),
                       u=rng.uniform(0, 1, inst.dim_u))
-    q2 = agent_linear_cost(inst, 0, local, [other], rho, rho)
+    q2 = agent_linear_cost(inst, 0, local, [other], rho)
     assert np.allclose(q2[:inst.dim_w] - base[:inst.dim_w],
                        -rho * (local.w + other.w))
 
@@ -302,6 +302,51 @@ def test_parse_rejects_repeated_record_with_line_number(kind):
     text = "nodes 2\nedge 0 1 1.0\ncommodity 0 1\nhopbound 1\n"
     with pytest.raises(ValueError, match=f"^line 5: repeated {kind.split()[0]}"):
         parse_instance(text + kind + "\n")
+
+
+_VALID_LINES = ["nodes 3", "edge 0 1 1.0", "edge 1 2 1.0", "commodity 0 2",
+                "hopbound 2"]
+
+
+@pytest.mark.parametrize("lineno, record, message", [
+    (3, "edge 1 7 1.0", "node 7 out of range for n=3"),
+    (3, "edge 1 1 1.0", "self-loop at node 1"),
+    (3, "edge 1 0 2.0", r"duplicate edge \(0, 1\), first on line 2"),
+    (3, "edge 1 2 nan", "edge cost nan is not finite"),
+    (3, "edge 1 2 -1.0", "edge cost -1.0 is not finite"),
+    (4, "commodity 0 5", "node 5 out of range for n=3"),
+    (1, "nodes 1", "graph needs at least 2 nodes"),
+    (5, "hopbound 0", "hop bound must be at least 1"),
+])
+def test_parse_names_the_line_of_an_invalid_record(lineno, record, message):
+    lines = list(_VALID_LINES)
+    lines[lineno - 1] = record
+    with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
+        parse_instance("\n".join(lines) + "\n")
+    parse_instance("\n".join(_VALID_LINES) + "\n")
+
+
+@pytest.mark.parametrize("hop_slack", [-3, -1, 0, 2])
+@pytest.mark.parametrize("n, seed", [(6, 0), (6, 5), (8, 3), (8, 11)])
+def test_random_instance_hop_bound_is_the_smallest_feasible_one(n, seed,
+                                                                 hop_slack):
+    inst = random_instance(n, 0.5, seed, hop_slack=hop_slack)
+    longest = max(inst.graph.shortest_path_hops(c.origin, c.dest)
+                  for c in inst.commodities)
+    assert inst.hop_bound == min(longest + max(hop_slack, 0), n - 1)
+    assert relaxed_set_nonempty(inst)
+    # one hop below the longest shortest path the relaxed set is empty, so a
+    # negative slack cannot give a smaller feasible bound
+    if longest > 1:
+        tighter = Instance(inst.graph, inst.costs, inst.commodities,
+                           longest - 1)
+        assert not relaxed_set_nonempty(tighter)
+
+
+def test_random_instance_raises_when_the_relaxed_set_is_empty(monkeypatch):
+    monkeypatch.setattr(mcf, "relaxed_set_nonempty", lambda inst: False)
+    with pytest.raises(ValueError, match="relaxed set empty at hop bound"):
+        random_instance(6, 0.5, 0)
 
 
 def test_random_instance_deterministic_and_feasible():
