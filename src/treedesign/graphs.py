@@ -146,21 +146,27 @@ class UndirectedGraph:
             uf.union(u, v)
         return uf.components == 1
 
-    def shortest_path_hops(self, s, t):
-        """Minimum number of edges between s and t (BFS)."""
-        if s == t:
-            return 0
-        dist = {s: 0}
+    def shortest_path(self, s, t):
+        """Nodes of a fewest-edge path from s to t, s first (BFS, which
+        reaches each node first from the earliest-listed neighbor)."""
+        parent = {s: None}
         queue = deque([s])
-        while queue:
+        while queue and t not in parent:
             i = queue.popleft()
             for _, j in self._incident[i]:
-                if j not in dist:
-                    dist[j] = dist[i] + 1
-                    if j == t:
-                        return dist[j]
+                if j not in parent:
+                    parent[j] = i
                     queue.append(j)
-        raise ValueError(f"no path from {s} to {t}")
+        if t not in parent:
+            raise ValueError(f"no path from {s} to {t}")
+        path = [t]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    def shortest_path_hops(self, s, t):
+        """Minimum number of edges between s and t."""
+        return len(self.shortest_path(s, t)) - 1
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"

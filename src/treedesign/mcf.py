@@ -29,7 +29,7 @@ from .graphs import (
     is_spanning_tree,
     tree_path,
 )
-from .qp import QuadraticProgram, solve_qp
+from .qp import QuadraticProgram, WarmStart, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -429,10 +429,37 @@ def route_on_tree(inst, z):
     return RoutingResult(y, over)
 
 
+def shortest_path_point(inst):
+    """A point of the relaxed set whenever one exists: w = 1 on every edge
+    and each commodity's unit flow on a fewest-hop path.
+
+    Every coupling row holds (a simple path uses at most one arc of an
+    edge, and w_e = 1), and so does every hop row when the bound is at
+    least the longest of those paths; no unit flow uses fewer arcs, so
+    otherwise the relaxed set is empty.
+    """
+    v = np.zeros(inst.dim_total)
+    v[:inst.dim_w] = 1.0
+    for f, c in enumerate(inst.commodities):
+        path = inst.graph.shortest_path(c.origin, c.dest)
+        for i, j in zip(path, path[1:]):
+            v[inst.u_index(f, inst.arcs.arc_index(i, j))] = 1.0
+    return v
+
+
 def relaxed_set_nonempty(inst):
-    """One feasibility solve over the relaxed constraint set."""
-    probe = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
-    return solve_qp(probe, tol=1e-6).status == "solved"
+    """One feasibility solve over the relaxed constraint set: "solved",
+    i.e. residuals at or below 1e-6 on the original data, means nonempty.
+
+    The QP has no objective (zero diagonal and cost), so every feasible
+    point is optimal with zero multipliers, and it starts at
+    :func:`shortest_path_point`. When that point is feasible it is a KKT
+    point, and the first residual check certifies it; when it breaks a hop
+    row, the solve has to find the set empty, or fail to certify it.
+    """
+    probe = relaxed_qp(inst, 0.0, np.zeros(inst.dim_total))
+    start = WarmStart(shortest_path_point(inst))
+    return solve_qp(probe, tol=1e-6, warm=start).status == "solved"
 
 
 # edge costs of generated instances are uniform on [low, high)
@@ -446,9 +473,10 @@ def random_instance(n, p, seed, n_commodities=None, hop_slack=2):
     floor(n/5) commodities by default (at least one) with endpoints drawn
     without replacement, and hop bound max shortest-path hops plus
     max(slack, 0), capped at n-1. The relaxed set is nonempty exactly when
-    the bound is at least the longest shortest path (each commodity routed
-    on a shortest path with w = 1 is feasible, and no unit flow uses fewer
-    arcs), so the bound needs no search; one feasibility solve checks it.
+    the bound is at least the longest shortest path (see
+    :func:`shortest_path_point`), so the bound needs no search; one
+    :func:`relaxed_set_nonempty` solve, started at that point, certifies it
+    and raises ValueError if it does not.
     """
     graph = generate_erdos_renyi(n, p, seed)
     rng = np.random.default_rng([seed, 0x7EE5])

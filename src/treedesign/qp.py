@@ -8,12 +8,13 @@ part alternates with projection onto the stacked constraint interval. A
 QpWorkspace fixes everything except the linear cost: it scales the rows,
 assembles one KKT template and factors the iteration's KKT matrix once, and
 each solve takes a new q (the only thing an outer ADMM iteration changes),
-optionally warm-started from an earlier solution's (v, z, lam). A final
-active-set polish tightens residuals well below the iteration tolerance; its
-KKT matrix is cut out of the template rather than assembled, and the
-residuals it computes to accept or reject the polished point are the ones
-reported. Both KKT matrices are symmetric quasi-definite, so SuperLU factors
-them under a symmetric fill-reducing ordering without pivoting.
+optionally warm-started from an earlier solution's (v, z, lam) or from a
+bare point v (a WarmStart). A final active-set polish tightens residuals
+well below the iteration tolerance; its KKT matrix is cut out of the
+template rather than assembled, and the residuals it computes to accept or
+reject the polished point are the ones reported. Both KKT matrices are
+symmetric quasi-definite, so SuperLU factors them under a symmetric
+fill-reducing ordering without pivoting.
 
 Each solve runs one of three inner loops over the same iteration, chosen by
 size alone. The sparse loop iterates on one stacked state [x; z] whose
@@ -69,6 +70,7 @@ from scipy.sparse import _sparsetools
 __all__ = [
     "QuadraticProgram",
     "QpSolution",
+    "WarmStart",
     "QpWorkspace",
     "solve_qp",
     "InfeasibleSubproblemError",
@@ -189,6 +191,24 @@ class QpSolution:
         """The worst residual; NaN if any residual is NaN."""
         return float(np.max((self.eq_residual, self.in_violation,
                              self.stationarity)))
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """A start point for :meth:`QpWorkspace.solve` that is not an earlier
+    solution: a primal point ``v`` alone, with no splitting state, so the
+    solve starts at z = clip(A v) with zero multipliers."""
+
+    v: np.ndarray
+    z = lam = None
+
+
+def _fitted(name, a, size):
+    """Warm-start array ``name`` as a float vector of length ``size``."""
+    if a is None or np.shape(a) != (size,):
+        got = "is missing" if a is None else f"has shape {np.shape(a)}"
+        raise ValueError(f"warm start {name} {got}, expected ({size},)")
+    return np.asarray(a, dtype=float)
 
 
 class QpWorkspace:
@@ -410,20 +430,21 @@ class QpWorkspace:
     # -- main iteration ----------------------------------------------------
 
     def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
-        """Minimize with linear cost ``q``; ``warm`` is an earlier solution."""
-        n, m_total = self.n, self.m_total
+        """Minimize with linear cost ``q``, starting from ``warm``.
+
+        ``warm`` is None, an earlier :class:`QpSolution` of this workspace or
+        a :class:`WarmStart`. The start is x = ``warm.v`` (zeros when
+        ``warm`` is None) with z = clip(A x) and lam = 0, unless ``warm``
+        carries z and lam, which are then taken as they are; so a cold start
+        is the start at x = 0. A start array of the wrong length, or z
+        without lam (or lam without z), raises ValueError.
+        """
         q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
+        if q.shape != (self.n,):
             raise ValueError("q must have one entry per variable")
         if not np.isfinite(q).all():
             raise ValueError("q must be finite")
-        if warm is not None and warm.z is not None and len(warm.v) == n \
-                and len(warm.z) == m_total:
-            x, z, lam = warm.v, warm.z, warm.lam
-        else:
-            x = np.zeros(n)
-            z = np.clip(_matvec(self.a_csr, x, self._ax), self.l, self.u)
-            lam = np.zeros(m_total)
+        x, z, lam = self._start(warm)
         loop = getattr(self, f"_{self._loop}_loop")
         # the loops return fresh arrays, never views into their state
         x, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
@@ -443,6 +464,15 @@ class QpWorkspace:
             z=z,
             lam=lam,
         )
+
+    def _start(self, warm):
+        """The first (x, z, lam) under the rule :meth:`solve` states."""
+        n, m_total = self.n, self.m_total
+        x = np.zeros(n) if warm is None else _fitted("v", warm.v, n)
+        if warm is None or (warm.z is None and warm.lam is None):
+            z = np.clip(_matvec(self.a_csr, x, self._ax), self.l, self.u)
+            return x, z, np.zeros(m_total)
+        return x, _fitted("z", warm.z, m_total), _fitted("lam", warm.lam, m_total)
 
     def _sparse_loop(self, q, x0, z0, lam, tol, max_iters):
         n, m_total = self.n, self.m_total

@@ -346,15 +346,25 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
         q = np.asarray(q, dtype=float)
         a_csr = self.a_csr
         l, u = self.l, self.u
-        if warm is not None and warm.z is not None and len(warm.v) == n \
-                and len(warm.z) == m_total:
-            x = warm.v.copy()
-            z = warm.z.copy()
-            lam = warm.lam.copy()
+        # start at warm.v (zeros without a warm start), with warm's z and lam
+        # when it carries them, else clip(A x) and zeros
+        if warm is None:
+            x, z, lam = np.zeros(n), None, None
         else:
-            x = np.zeros(n)
+            x, z, lam = warm.v, warm.z, warm.lam
+        expected = {"v": (x, n)}
+        if z is not None or lam is not None:
+            expected.update(z=(z, m_total), lam=(lam, m_total))
+        for name, (a, size) in expected.items():
+            if a is None or np.shape(a) != (size,):
+                raise ValueError(f"warm start {name} does not fit")
+        x = np.array(x, dtype=float)
+        if z is None:
             z = np.clip(a_csr @ x, l, u)
             lam = np.zeros(m_total)
+        else:
+            z = np.array(z, dtype=float)
+            lam = np.array(lam, dtype=float)
         rp_window = []
         lam_snapshot = lam.copy()
         status = "max-iters"

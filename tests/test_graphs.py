@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from treedesign.graphs import (
     DirectedArcSet,
@@ -159,6 +161,30 @@ def test_tree_path_reversal_and_length():
             bwd = tree_path(g, z, int(t), int(s))
             assert len(fwd) <= g.n - 1
             assert bwd == [(b, a) for a, b in reversed(fwd)]
+
+
+def test_shortest_path_is_a_fewest_edge_path():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = generate_erdos_renyi(int(rng.integers(2, 12)), 0.4,
+                                 int(rng.integers(10**6)))
+        u, v = np.array(g.edges).T
+        hops = shortest_path(sp.csr_matrix((np.ones(g.m), (u, v)), shape=(g.n, g.n)),
+                             directed=False, unweighted=True)
+        for s in range(g.n):
+            for t in range(g.n):
+                path = g.shortest_path(s, t)
+                assert path[0] == s and path[-1] == t
+                assert len(path) - 1 == g.shortest_path_hops(s, t) == hops[s, t]
+                for a, b in zip(path, path[1:]):
+                    g.edge_index(a, b)  # raises unless a and b are adjacent
+
+
+def test_shortest_path_needs_a_connection():
+    g = UndirectedGraph(4, [(0, 1), (2, 3)])
+    assert g.shortest_path(2, 2) == [2]
+    with pytest.raises(ValueError, match="no path from 0 to 3"):
+        g.shortest_path(0, 3)
 
 
 def test_directed_arc_set_validation():

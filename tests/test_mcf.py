@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +20,14 @@ from treedesign.mcf import (
     objective,
     parse_instance,
     random_instance,
+    relaxed_qp,
     relaxed_set_nonempty,
     route_on_tree,
+    shortest_path_point,
     write_instance,
     read_instance,
 )
-from treedesign.qp import solve_qp
+from treedesign.qp import QpWorkspace, solve_qp
 
 from helpers import assert_same_csc, constraint_blocks_reference, k3_instance
 
@@ -341,6 +345,68 @@ def test_random_instance_hop_bound_is_the_smallest_feasible_one(n, seed,
         tighter = Instance(inst.graph, inst.costs, inst.commodities,
                            longest - 1)
         assert not relaxed_set_nonempty(tighter)
+
+
+@pytest.mark.parametrize("n, commodities, loop",
+                         [(8, None, "dense"), (10, 2, "xspace"), (20, None, "sparse")])
+def test_probe_certifies_the_shortest_path_point_at_its_first_check(
+        n, commodities, loop, monkeypatch):
+    # on each inner loop the probe's start is a KKT point that the first
+    # residual check certifies; one hop tighter it breaks a hop row, and
+    # the probe finds the set empty
+    probes = []
+    solve = QpWorkspace.solve
+
+    def spy(ws, *args, **kwargs):
+        sol = solve(ws, *args, **kwargs)
+        probes.append((ws._loop, sol))
+        return sol
+
+    monkeypatch.setattr(QpWorkspace, "solve", spy)
+    inst = random_instance(n, 0.5, 0, n_commodities=commodities)
+    (found, sol), = probes
+    assert (found, sol.status, sol.iterations) == \
+        (loop, "solved", QpWorkspace.CHECK_EVERY)
+    longest = max(inst.graph.shortest_path_hops(c.origin, c.dest)
+                  for c in inst.commodities)
+    assert longest > 1
+    tighter = Instance(inst.graph, inst.costs, inst.commodities, longest - 1)
+    assert not relaxed_set_nonempty(tighter)
+    assert probes[-1][1].status == "infeasible-detected"
+
+
+@pytest.mark.parametrize("n, seed, commodities", [(6, 0, None), (10, 7, 2), (20, 1, None)])
+def test_shortest_path_point_meets_every_relaxed_row(n, seed, commodities):
+    inst = random_instance(n, 0.5, seed, n_commodities=commodities)
+    v = shortest_path_point(inst)
+    qp = relaxed_qp(inst, 0.0, np.zeros(inst.dim_total))
+    assert np.array_equal(qp.a_eq @ v, qp.b_eq)
+    assert (qp.a_in @ v <= qp.b_in).all()
+    assert (v >= qp.lo).all() and (v <= qp.hi).all()
+    # w = 1, and each commodity uses exactly its shortest path's arcs
+    assert (v[:inst.dim_w] == 1.0).all()
+    for f, c in enumerate(inst.commodities):
+        assert v[inst.u_index(f, 0):inst.u_index(f + 1, 0)].sum() == \
+            inst.graph.shortest_path_hops(c.origin, c.dest)
+
+
+# SHA-256 of format_instance(random_instance(n, p, seed, commodities)),
+# recorded before the feasibility probe started at the shortest-path point.
+# Every benchmark instance comes from random_instance
+PINNED_INSTANCES = {
+    (6, 0.5, 0, None): "9e7563e19b302d110be711dd35453fa8d0e33ccf5b2e36b6f15c5f1a0c9f1288",
+    (8, 0.5, 3, None): "b118847514fd8f9b7c1b446d6877e0946cb61f4c8487f9ba1c1136ca6a9505b9",
+    (10, 0.5, 7, 2): "84bbc2ae8078af61f555eb13bef997dbeaf779c9e2ce001808677989281e06ed",
+    (12, 0.3, 4, 3): "14ea4fc9e99aaf59705d6a18193efb5d2b93867edbe9944bd9c725e807f1e5ea",
+    (20, 0.5, 1, None): "b4f61615ebfa3f39420a3600a9009b9505f61024c2538151cd33a1c5ce2e865c",
+}
+
+
+@pytest.mark.parametrize("cell", PINNED_INSTANCES, ids=str)
+def test_random_instance_output_is_pinned(cell):
+    n, p, seed, commodities = cell
+    text = format_instance(random_instance(n, p, seed, n_commodities=commodities))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INSTANCES[cell]
 
 
 def test_random_instance_raises_when_the_relaxed_set_is_empty(monkeypatch):

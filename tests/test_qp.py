@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from treedesign.qp import (
     QpSolution,
     QpWorkspace,
     QuadraticProgram,
+    WarmStart,
     _canonical,
     _matvec,
     factor_kkt,
@@ -247,6 +250,45 @@ def test_max_iters_exit_is_bit_identical_to_reference():
     ref = ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
     assert fast.status == "max-iters" and fast.iterations == 37
     assert_same_solution(fast, ref)
+
+
+@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
+def test_cold_start_is_the_start_at_zero(loop):
+    # one start rule: no warm start, and a bare point at zero, give the same
+    # bits; a bare point elsewhere starts the sparse loop as it starts the
+    # reference
+    rng = np.random.default_rng(4)
+    qp, v0 = random_feasible_qp(rng)
+    cold = forced_workspace(qp, loop).solve(qp.q, tol=1e-8)
+    at_zero = forced_workspace(qp, loop).solve(qp.q, tol=1e-8,
+                                               warm=WarmStart(np.zeros(qp.n)))
+    assert_same_solution(cold, at_zero)
+    if loop == "sparse":
+        start = WarmStart(v0)
+        assert_same_solution(sparse_workspace(qp).solve(qp.q, tol=1e-8, warm=start),
+                             ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-8, warm=start))
+
+
+@pytest.mark.parametrize("cls", [QpWorkspace, ReferenceQpWorkspace])
+@pytest.mark.parametrize("name, malformed", [
+    ("lam", lambda s: replace(s, lam=None)),
+    ("lam", lambda s: replace(s, lam=s.lam[:-1])),
+    ("z", lambda s: replace(s, z=None)),
+    ("z", lambda s: replace(s, z=s.z[1:])),
+    ("v", lambda s: WarmStart(s.v[:-1])),
+    ("v", lambda s: replace(s, v=s.v[:-1])),
+], ids=["lam-missing", "lam-short", "z-missing", "z-short", "v-short",
+        "v-short-with-state"])
+def test_malformed_warm_start_names_the_array(cls, name, malformed):
+    inst = random_instance(6, 0.5, 0)
+    qp = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
+    ws, untouched = cls(qp), cls(qp)
+    sol = ws.solve(qp.q)
+    untouched.solve(qp.q)
+    with pytest.raises(ValueError, match=f"^warm start {name} "):
+        ws.solve(qp.q, warm=malformed(sol))
+    # the raise left the workspace as it was
+    assert_same_solution(ws.solve(qp.q, warm=sol), untouched.solve(qp.q, warm=sol))
 
 
 @pytest.mark.parametrize("polish", ["kept", "rejected"])
