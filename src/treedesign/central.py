@@ -57,17 +57,15 @@ class SolverConfig:
     """Run parameters shared by the centralized and distributed drivers.
 
     The penalty ``rho``, the outer tolerance ``tol`` and cap ``max_iters``
-    and the inner QP tolerance ``qp_tol``; ``w0`` overrides the all-ones
-    initial relaxation. ``rho``, ``tol`` and ``qp_tol`` must be finite and
-    positive, ``max_iters`` a nonnegative integer. :class:`SubproblemRuntime`
-    fixes the rest of the inner policy.
+    and the inner QP tolerance ``qp_tol``. ``rho``, ``tol`` and ``qp_tol``
+    must be finite and positive, ``max_iters`` a nonnegative integer.
+    :class:`SubproblemRuntime` fixes the rest of the inner policy.
     """
 
     rho: float = 1.0
     tol: float = 1e-4
     max_iters: int = 500
     qp_tol: float = 1e-6
-    w0: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("rho", "tol", "qp_tol"):
@@ -78,19 +76,6 @@ class SolverConfig:
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise ValueError(f"max_iters must be a nonnegative integer, "
                              f"got {self.max_iters!r}")
-
-
-def initial_w0(inst, cfg):
-    """The starting relaxation: ``cfg.w0`` checked against the unit box, or
-    all ones. Both drivers start from it."""
-    if cfg.w0 is None:
-        return np.ones(inst.dim_w)
-    w0 = np.asarray(cfg.w0, dtype=float)
-    if len(w0) != inst.dim_w:
-        raise ValueError("w0 must have one entry per edge")
-    if (w0 < 0).any() or (w0 > 1).any():
-        raise ValueError("w0 must lie in the unit box")
-    return w0
 
 
 class SubproblemRuntime:
@@ -164,7 +149,7 @@ class CentralState:
 
 
 def init_state(inst, cfg):
-    """Relaxed start: w0 = 1 (unless overridden), flows and duals at zero.
+    """Relaxed start: w0 = 1, flows and duals at zero.
 
     The first subproblem's tree anchor is w0 itself rather than a projected
     tree: with w0 = 1 every spanning tree ties in the projection, and seeding
@@ -173,11 +158,10 @@ def init_state(inst, cfg):
     projection see a cost-graded relaxation; every iterate from k = 1 onward
     is an exact spanning tree.
     """
-    w0 = initial_w0(inst, cfg)
     return CentralState(
-        w=w0,
+        w=np.ones(inst.dim_w),
         u=np.zeros(inst.dim_u),
-        z=w0.copy(),
+        z=np.ones(inst.dim_w),
         y=np.zeros(inst.dim_u, dtype=np.int8),
         mu=np.zeros(inst.dim_w),
         eta=np.zeros(inst.dim_u),

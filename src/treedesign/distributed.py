@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import SubproblemRuntime, change_norm, initial_w0, run_outer_loop
+from .central import SubproblemRuntime, change_norm, run_outer_loop
 from .graphs import TreeIndicator
 from .mcf import agent_diagonal, agent_linear_cost, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
@@ -90,12 +90,11 @@ class World:
             tuple(j for _, j in inst.graph.incident(i)) for i in range(inst.n))
 
 
-def _initial_agent(inst, cfg):
-    w0 = initial_w0(inst, cfg)
+def _initial_agent(inst):
     return AgentState(
         u=np.zeros(inst.dim_u),
-        w=w0.copy(),
-        z=w0.copy(),  # relaxed anchor; real trees appear from round 1 on
+        w=np.ones(inst.dim_w),
+        z=np.ones(inst.dim_w),  # relaxed anchor; real trees appear from round 1 on
         y=np.zeros(inst.dim_u, dtype=np.int8),
         mu=np.zeros(inst.dim_w),
         eta=np.zeros(inst.dim_u),
@@ -106,7 +105,7 @@ def _initial_agent(inst, cfg):
 
 def init_world(inst, cfg):
     """All agents start identical (relaxed w0, zero duals)."""
-    return World(inst, [_initial_agent(inst, cfg) for _ in range(inst.n)])
+    return World(inst, [_initial_agent(inst) for _ in range(inst.n)])
 
 
 def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):

@@ -219,12 +219,16 @@ class DirectedArcSet:
         return f"DirectedArcSet(n={self.n}, arcs={len(self.arcs)})"
 
 
-def generate_erdos_renyi(n, p, seed, max_attempts=1000):
+# disconnected draws generate_erdos_renyi resamples before it gives up
+MAX_ATTEMPTS = 1000
+
+
+def generate_erdos_renyi(n, p, seed):
     """Sample a connected G(n, p) graph with a seeded generator.
 
     Each unordered pair is included independently with probability p.
     Disconnected draws are resampled (attempt count logged); after
-    ``max_attempts`` failures a GraphGenerationError is raised.
+    ``MAX_ATTEMPTS`` failures a GraphGenerationError is raised.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -232,7 +236,7 @@ def generate_erdos_renyi(n, p, seed, max_attempts=1000):
         raise ValueError("p must be in (0, 1]")
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         draws = rng.random(len(pairs))
         edges = [pair for pair, x in zip(pairs, draws) if x < p]
         g = UndirectedGraph(n, edges)
@@ -245,7 +249,7 @@ def generate_erdos_renyi(n, p, seed, max_attempts=1000):
             return g
     raise GraphGenerationError(
         f"could not generate connected graph for (n={n}, p={p}, seed={seed}) "
-        f"within {max_attempts} attempts"
+        f"within {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -136,10 +136,6 @@ class Instance:
         """Index of commodity f's arc variable within a flow-only vector."""
         return f * self.n_arcs + arc
 
-    def flow_slice(self, f):
-        """Commodity f's block within a flow-only vector."""
-        return slice(f * self.n_arcs, (f + 1) * self.n_arcs)
-
     def split(self, v):
         """Split a stacked iterate into (w over edges, u over commodities*arcs)."""
         v = np.asarray(v)
@@ -150,14 +146,6 @@ class Instance:
     def __repr__(self):
         return (f"Instance(n={self.n}, m={self.m}, F={self.n_commodities}, "
                 f"d={self.hop_bound})")
-
-
-def flow_rhs(inst, f):
-    """Conservation right-hand side for commodity f, one entry per node."""
-    rhs = np.zeros(inst.n)
-    rhs[inst.commodities[f].origin] = -1.0
-    rhs[inst.commodities[f].dest] = 1.0
-    return rhs
 
 
 def constraint_blocks(inst):
@@ -335,7 +323,8 @@ class FeasibilityReport:
 
 
 def check_feasible(inst, z, y):
-    """Verify a binary (tree, flows) pair against the full model.
+    """Verify a binary (tree, flows) pair against the full model: a spanning
+    tree whose flows meet the relaxed rows (:func:`check_flows`).
 
     Violations are returned as data, one string per failed constraint:
     spanning tree, then the flow checks of :func:`check_flows`.
@@ -347,43 +336,38 @@ def check_feasible(inst, z, y):
 
 
 def check_flows(inst, z, y):
-    """Verify binary flows ``y`` against the edge selection ``z``, without
-    checking that ``z`` is a spanning tree.
+    """Verify binary flows ``y`` against the 0/1 edge selection ``z``,
+    without checking that ``z`` is a spanning tree.
 
-    For callers that have already checked the tree; violations are reported
-    as in :func:`check_feasible`: binariness, conservation, coupling, and hop
-    budget.
+    Evaluates the rows of :func:`constraint_blocks` at v = [z; y]. Every
+    entry is +-1 and every value a small integer, so the row sums are exact.
+    Violations come as in :func:`check_feasible`: binariness, then per
+    commodity conservation (by node), coupling (by edge) and hop budget.
     """
-    violations = []
     zv = indicator_vector(z, inst.dim_w)
     yv = np.asarray(y)
     if len(yv) != inst.dim_u:
         raise ValueError("flow vector has wrong length")
-    if not np.isin(yv, (0, 1)).all():
-        violations.append("flows are not binary")
-    yv = yv.astype(np.int64)
-    arcs = inst.arcs
-    for f in range(inst.n_commodities):
-        uf = yv[inst.flow_slice(f)]
-        rhs = flow_rhs(inst, f)
-        for i in range(inst.n):
-            net = sum(int(uf[a]) for a, _ in arcs.in_arcs(i)) \
-                - sum(int(uf[a]) for a, _ in arcs.out_arcs(i))
-            if net != int(rhs[i]):
-                violations.append(
-                    f"conservation violated for commodity {f} at node {i}: "
-                    f"net {net} != {int(rhs[i])}"
-                )
-        for e in range(inst.m):
-            if uf[e] + uf[e + inst.m] > zv[e]:
-                violations.append(
-                    f"coupling violated for commodity {f} on edge {e}"
-                )
-        used = int(uf.sum())
-        if used > inst.hop_bound:
+    violations = [] if np.isin(yv, (0, 1)).all() else ["flows are not binary"]
+    a_eq, b_eq, a_in, _ = constraint_blocks(inst)
+    v = np.concatenate([zv, yv.astype(np.int64)]).astype(float)
+    nf = inst.n_commodities
+    # conservation row f n + i is node i's net inflow, coupling row f m + e
+    # is u_f on edge e minus z_e, and hop row m nf + f the arcs u_f uses
+    net, expected = (a_eq @ v).reshape(nf, inst.n), b_eq.reshape(nf, inst.n)
+    rows = a_in @ v
+    excess, used = rows[:inst.m * nf].reshape(nf, inst.m), rows[inst.m * nf:]
+    for f in range(nf):
+        for i in np.flatnonzero(net[f] != expected[f]):
             violations.append(
-                f"hop bound violated for commodity {f}: {used} > {inst.hop_bound}"
+                f"conservation violated for commodity {f} at node {i}: "
+                f"net {int(net[f, i])} != {int(expected[f, i])}"
             )
+        for e in np.flatnonzero(excess[f] > 0):
+            violations.append(f"coupling violated for commodity {f} on edge {e}")
+        if used[f] > inst.hop_bound:
+            violations.append(f"hop bound violated for commodity {f}: "
+                              f"{int(used[f])} > {inst.hop_bound}")
     return FeasibilityReport(not violations, violations)
 
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from treedesign.central import SubproblemRuntime
 from treedesign.distributed import AgentState, init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
-from treedesign.mcf import Commodity, Instance, flow_rhs, half_incident_costs
+from treedesign.mcf import Commodity, FeasibilityReport, Instance, half_incident_costs
 from treedesign.projection import project_binary, project_tree
 from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
 
@@ -162,6 +162,14 @@ def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
     }
 
 
+def flow_rhs(inst, f):
+    """Conservation right-hand side for commodity f, one entry per node."""
+    rhs = np.zeros(inst.n)
+    rhs[inst.commodities[f].origin] = -1.0
+    rhs[inst.commodities[f].dest] = 1.0
+    return rhs
+
+
 def constraint_blocks_reference(inst):
     """The relaxed set's (a_eq, b_eq, a_in, b_in), built row by row."""
     n, m, nf = inst.n, inst.m, inst.n_commodities
@@ -204,6 +212,42 @@ def constraint_blocks_reference(inst):
         r += 1
     a_in = sp.csr_matrix((vals, (rows, cols)), shape=(n_coupling + nf, total))
     return a_eq, b_eq, a_in, b_in
+
+
+def check_flows_reference(inst, z, y):
+    """``mcf.check_flows`` written as loops over commodities, nodes and
+    edges, with the same messages in the same order."""
+    violations = []
+    zv = indicator_vector(z, inst.dim_w)
+    yv = np.asarray(y)
+    if len(yv) != inst.dim_u:
+        raise ValueError("flow vector has wrong length")
+    if not np.isin(yv, (0, 1)).all():
+        violations.append("flows are not binary")
+    yv = yv.astype(np.int64)
+    arcs = inst.arcs
+    for f in range(inst.n_commodities):
+        uf = yv[f * inst.n_arcs:(f + 1) * inst.n_arcs]
+        rhs = flow_rhs(inst, f)
+        for i in range(inst.n):
+            net = sum(int(uf[a]) for a, _ in arcs.in_arcs(i)) \
+                - sum(int(uf[a]) for a, _ in arcs.out_arcs(i))
+            if net != int(rhs[i]):
+                violations.append(
+                    f"conservation violated for commodity {f} at node {i}: "
+                    f"net {net} != {int(rhs[i])}"
+                )
+        for e in range(inst.m):
+            if uf[e] + uf[e + inst.m] > zv[e]:
+                violations.append(
+                    f"coupling violated for commodity {f} on edge {e}"
+                )
+        used = int(uf.sum())
+        if used > inst.hop_bound:
+            violations.append(
+                f"hop bound violated for commodity {f}: {used} > {inst.hop_bound}"
+            )
+    return FeasibilityReport(not violations, violations)
 
 
 def iteration_kkt_reference(ws, rho):

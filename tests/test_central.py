@@ -57,18 +57,6 @@ def test_init_state_defaults():
     assert st.k == 0
 
 
-def test_init_state_custom_w0_tree_indicator():
-    inst = k3_instance(hop=2)
-    w0 = np.zeros(3)
-    w0[[0, 2]] = 1.0
-    st = init_state(inst, SolverConfig(w0=w0))
-    assert np.array_equal(np.asarray(st.z), w0)
-    with pytest.raises(ValueError):
-        init_state(inst, SolverConfig(w0=np.ones(5)))
-    with pytest.raises(ValueError):
-        init_state(inst, SolverConfig(w0=np.full(3, 2.0)))
-
-
 def test_dual_update_arithmetic():
     # mu' = mu + (z - w) componentwise
     inst = single_edge_instance()

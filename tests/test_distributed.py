@@ -252,15 +252,6 @@ def test_condensed_matches_full_dual_any_rho():
             assert np.allclose(a.xi, xi_agg[i] / rho, atol=1e-8)
 
 
-def test_w0_outside_unit_box_is_rejected():
-    inst = k3_instance(hop=2)
-    cfg = SolverConfig(w0=np.full(inst.m, 2.0))
-    with pytest.raises(ValueError, match="unit box"):
-        init_world(inst, cfg)
-    with pytest.raises(ValueError, match="unit box"):
-        solve_distributed(inst, cfg)
-
-
 def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(5, 0.6, seed=4)
     cfg = SolverConfig(rho=1.0)

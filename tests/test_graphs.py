@@ -60,9 +60,9 @@ def test_generate_always_connected():
 
 
 def test_generate_resample_cap():
-    # p tiny on a larger graph: the first draws are disconnected
+    # p tiny on a larger graph: every draw is disconnected
     with pytest.raises(GraphGenerationError, match="could not generate"):
-        generate_erdos_renyi(20, 0.01, seed=0, max_attempts=2)
+        generate_erdos_renyi(20, 0.01, seed=0)
 
 
 def test_bidirect_counts_and_parents():

@@ -14,6 +14,7 @@ from treedesign.mcf import (
     build_agent_subproblem,
     build_centralized_subproblem,
     check_feasible,
+    check_flows,
     constraint_blocks,
     format_instance,
     half_incident_costs,
@@ -27,9 +28,15 @@ from treedesign.mcf import (
     write_instance,
     read_instance,
 )
+from treedesign.projection import mst_kruskal
 from treedesign.qp import QpWorkspace, solve_qp
 
-from helpers import assert_same_csc, constraint_blocks_reference, k3_instance
+from helpers import (
+    assert_same_csc,
+    check_flows_reference,
+    constraint_blocks_reference,
+    k3_instance,
+)
 
 
 class _Snapshot:
@@ -147,6 +154,109 @@ def test_check_feasible_k3():
     report = check_feasible(inst, np.ones(3, dtype=int), y)
     assert not report.feasible
     assert any("spanning tree" in v for v in report.violations)
+
+
+def _k3_flows(inst, *paths):
+    """Flows on K3 with commodity f on the arcs of ``paths[f]``."""
+    y = np.zeros(inst.dim_u, dtype=np.int8)
+    for f, path in enumerate(paths):
+        for i, j in path:
+            y[inst.flow_index(f, inst.arcs.arc_index(i, j))] = 1
+    return y
+
+
+def _k3_tree(inst, *edges):
+    z = np.zeros(inst.m, dtype=np.int8)
+    z[[inst.graph.edge_index(i, j) for i, j in edges]] = 1
+    return z
+
+
+def test_check_flows_reports_net_and_expected_inflow_per_node():
+    inst = k3_instance(commodity=(0, 2), hop=2)
+    star = _k3_tree(inst, (0, 1), (0, 2))
+    report = check_flows(inst, star, _k3_flows(inst, []))
+    assert not report.feasible
+    assert report.violations == [
+        "conservation violated for commodity 0 at node 0: net 0 != -1",
+        "conservation violated for commodity 0 at node 2: net 0 != 1",
+    ]
+    assert check_flows(inst, star, _k3_flows(inst, [(0, 2)])) == \
+        mcf.FeasibilityReport(True, [])
+
+
+def test_check_flows_reports_flow_on_an_unselected_edge():
+    inst = k3_instance(commodity=(0, 2), hop=2)
+    path = _k3_tree(inst, (0, 1), (1, 2))
+    report = check_flows(inst, path, _k3_flows(inst, [(0, 2)]))
+    assert report.violations == [
+        f"coupling violated for commodity 0 on edge {inst.graph.edge_index(0, 2)}",
+    ]
+
+
+def test_check_flows_reports_used_arcs_against_the_hop_bound():
+    inst = k3_instance(commodity=(0, 2), hop=1)
+    path = _k3_tree(inst, (0, 1), (1, 2))
+    report = check_flows(inst, path, _k3_flows(inst, [(0, 1), (1, 2)]))
+    assert report.violations == ["hop bound violated for commodity 0: 2 > 1"]
+
+
+def test_check_flows_reports_non_binary_flows():
+    inst = k3_instance(commodity=(0, 2), hop=2)
+    star = _k3_tree(inst, (0, 1), (0, 2))
+    y = _k3_flows(inst, [(0, 2)]).astype(float)
+    y[inst.flow_index(0, inst.arcs.arc_index(1, 0))] = 0.5
+    report = check_flows(inst, star, y)
+    assert report == mcf.FeasibilityReport(False, ["flows are not binary"])
+
+
+def test_check_flows_rejects_a_flow_vector_of_the_wrong_length():
+    inst = k3_instance()
+    with pytest.raises(ValueError, match="flow vector has wrong length"):
+        check_flows(inst, np.ones(inst.m), np.zeros(inst.dim_u + 1))
+
+
+def test_check_flows_orders_messages_by_commodity_then_kind():
+    g = k3_instance().graph
+    inst = Instance(g, [1.0, 2.0, 3.0], [Commodity(0, 2), Commodity(1, 2)], 1)
+    path = _k3_tree(inst, (0, 1), (1, 2))
+    # commodity 0 leaves 0 directly for 2 and also leaves 1 for 2; commodity
+    # 1 sends nothing
+    y = _k3_flows(inst, [(0, 2), (1, 2)], [])
+    assert check_flows(inst, path, y).violations == [
+        "conservation violated for commodity 0 at node 1: net -1 != 0",
+        "conservation violated for commodity 0 at node 2: net 2 != 1",
+        f"coupling violated for commodity 0 on edge {g.edge_index(0, 2)}",
+        "hop bound violated for commodity 0: 2 > 1",
+        "conservation violated for commodity 1 at node 1: net 0 != -1",
+        "conservation violated for commodity 1 at node 2: net 0 != 1",
+    ]
+    assert check_feasible(inst, path, y).violations == \
+        check_flows(inst, path, y).violations
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(seed=0, n=3, commodities=3, tree_z=True, flows="integer")
+@example(seed=0, n=10, commodities=2, tree_z=False, flows="flipped")
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10),
+       commodities=st.integers(1, 3), tree_z=st.booleans(),
+       flows=st.sampled_from(["routed", "flipped", "binary", "integer"]))
+def test_check_flows_equals_the_loop_reference(seed, n, commodities, tree_z,
+                                               flows):
+    # z is a spanning tree or any 0/1 selection; y is routed on a tree, one
+    # bit off that routing, any 0/1 vector, or integers outside {0, 1}
+    inst = random_instance(n, 0.5, seed, n_commodities=commodities)
+    rng = np.random.default_rng([seed, 1])
+    tree = mst_kruskal(inst.graph, rng.random(inst.m))
+    z = tree if tree_z else rng.integers(0, 2, inst.m)
+    if flows in ("routed", "flipped"):
+        y = route_on_tree(inst, tree).flows
+        if flows == "flipped":
+            y[rng.integers(inst.dim_u)] ^= 1
+    elif flows == "binary":
+        y = rng.integers(0, 2, inst.dim_u)
+    else:
+        y = rng.integers(-1, 3, inst.dim_u)
+    assert check_flows(inst, z, y) == check_flows_reference(inst, z, y)
 
 
 def test_objective_values():
