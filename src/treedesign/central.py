@@ -37,7 +37,7 @@ from .mcf import (
 from .mcf import build_centralized_subproblem  # noqa: F401
 from .projection import project_binary, project_tree
 from .qp import InfeasibleSubproblemError, QpWorkspace
-from .report import CentralTraceRow, SolveReport
+from .report import CentralTraceRow, QpCounters, SolveReport
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +93,7 @@ class SubproblemRuntime:
     subproblem raises InfeasibleSubproblemError. A max-iters solve is
     accepted, and logged as degraded, when its residuals are at or below
     ``QP_ACCEPT_RESIDUAL``; a worse or NaN one raises RuntimeError.
+    :meth:`counters` totals every solve, including one that raised.
     """
 
     QP_MAX_ITERS = 20000
@@ -101,6 +102,17 @@ class SubproblemRuntime:
     def __init__(self):
         self.workspaces = {}
         self.last = {}
+        self.solves = self.inner_iters = self.polish_kept = 0
+
+    def counters(self):
+        """The :class:`report.QpCounters` of every solve so far."""
+        return QpCounters(
+            solves=self.solves,
+            inner_iters=self.inner_iters,
+            refactors=sum(ws.refactors for _, _, ws in self.workspaces.values()),
+            polish_kept=self.polish_kept,
+            polish_rejected=self.solves - self.polish_kept,
+        )
 
     def solve(self, key, inst, diag, q, cfg):
         entry = self.workspaces.get(key)
@@ -112,6 +124,9 @@ class SubproblemRuntime:
                              f"instance or diagonal")
         sol = entry[2].solve(q, tol=cfg.qp_tol, max_iters=self.QP_MAX_ITERS,
                              warm=self.last.get(key))
+        self.solves += 1
+        self.inner_iters += sol.iterations
+        self.polish_kept += sol.polished
         who = "" if key is None else f"agent {key}: "
         if sol.status == "infeasible-detected":
             raise InfeasibleSubproblemError(
@@ -200,10 +215,15 @@ def step(state, inst, cfg, _runtime=None):
 
 def change_norm(prev, curr, fields):
     """Euclidean norm of the change in the stacked ``fields`` between two
-    states; the squared differences are summed field by field, in order."""
+    states; the squared differences are summed field by field, in order.
+
+    Each field's term is ``np.sum((curr - prev) ** 2)`` computed in place,
+    bit for bit: ``d ** 2`` is ``d * d``, and np.sum runs np.add.reduce.
+    """
     total = 0.0
     for name in fields:
-        total += float(np.sum((getattr(curr, name) - getattr(prev, name)) ** 2))
+        d = np.subtract(getattr(curr, name), getattr(prev, name))
+        total += float(np.add.reduce(np.multiply(d, d, out=d)))
     return math.sqrt(total)
 
 
@@ -308,8 +328,10 @@ def solve_central(inst, cfg):
         ))
         return residual
 
-    return run_outer_loop(
+    report = run_outer_loop(
         inst, cfg, "central", init_state,
         lambda state: step(state, inst, cfg, _runtime=runtime),
         lambda state: (state,), record,
     )
+    report.counters = runtime.counters()
+    return report

@@ -66,9 +66,11 @@ class SweepSpec:
 def _trace_rows_distributed(report, per_agent):
     if per_agent:
         return report.trace
+    groups = {}
+    for row in report.trace:
+        groups.setdefault(row.k, []).append(row)
     rows = []
-    for k in sorted({row.k for row in report.trace}):
-        group = [row for row in report.trace if row.k == k]
+    for k, group in sorted(groups.items()):
         rows.append(DistributedTraceRow(
             k=k,
             agent=-1,

@@ -242,4 +242,5 @@ def solve_distributed(inst, cfg):
         lambda world: world.agents, record,
     )
     report.final_consensus_gap = gap
+    report.counters = runtime.counters()
     return report

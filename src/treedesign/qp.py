@@ -67,6 +67,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
+# _clip(w, l, u[, out]) is the clip ufunc that np.clip runs for float bounds:
+# one kernel call, bitwise np.minimum(np.maximum(w, l), u), without np.clip's
+# Python dispatch. Its out is never w itself: in place, numpy's paths for a
+# single element may break signed-zero ties the other way
+from numpy._core.umath import clip as _clip
+
 __all__ = [
     "QuadraticProgram",
     "QpSolution",
@@ -174,7 +180,8 @@ class QpSolution:
     ``stationarity`` is the infinity norm of the Lagrangian gradient plus any
     dual-sign violation; when status is "solved" all residuals are at or
     below the requested tolerance. ``z`` and ``lam`` are the splitting state
-    kept for warm starts.
+    kept for warm starts. ``polished`` says whether the active-set polish
+    was kept.
     """
 
     v: np.ndarray
@@ -185,6 +192,7 @@ class QpSolution:
     status: str
     z: np.ndarray = field(repr=False, default=None)
     lam: np.ndarray = field(repr=False, default=None)
+    polished: bool = False
 
     @property
     def max_residual(self):
@@ -218,7 +226,8 @@ class QpWorkspace:
     The diagonal, the constraint rows and the box of ``qp`` are fixed for the
     workspace's lifetime; ``qp.q`` is not read. Each :meth:`solve` takes a
     new linear cost. The penalty adapted by one solve carries over to the
-    next, so a refactorization happens only when rho adaptation moves it.
+    next, so a refactorization happens only when rho adaptation moves it;
+    ``refactors`` counts those.
 
     ``__init__`` pays every structural cost once: it reads the constraint
     rows once as sorted triplets and scales them, and from those builds the
@@ -342,6 +351,10 @@ class QpWorkspace:
             self._map_scale = np.full(n, self.ALPHA)
             # the constraint rows of A; its box rows are the identity
             self._a_con = self.a_csr[:m_eq + m_in].toarray()
+            # the step's coefficients of its stacked [p; x]
+            self._px_scale = np.concatenate([np.full(m_total, self.ALPHA),
+                                             np.full(n, 1.0 - self.ALPHA)])
+        self.refactors = 0
         self._refactor(self.RHO0)
 
     def _assemble_template(self):
@@ -447,8 +460,9 @@ class QpWorkspace:
         x, z, lam = self._start(warm)
         loop = getattr(self, f"_{self._loop}_loop")
         # the loops return fresh arrays, never views into their state
-        x, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
-        x, z, lam, (eq_res, in_vio, stat) = self._polish(x, z, lam, q)
+        x_loop, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
+        # a rejected polish hands back the loop's own arrays
+        x, z, lam, (eq_res, in_vio, stat) = self._polish(x_loop, z, lam, q)
         # np.max, unlike Python's max, keeps a NaN in any position
         if status == "solved" and not np.max((eq_res, in_vio, stat)) <= tol:
             # polish never regresses; this can only trip if tolerances are
@@ -463,6 +477,7 @@ class QpWorkspace:
             status=status,
             z=z,
             lam=lam,
+            polished=x is not x_loop,
         )
 
     def _start(self, warm):
@@ -470,7 +485,7 @@ class QpWorkspace:
         n, m_total = self.n, self.m_total
         x = np.zeros(n) if warm is None else _fitted("v", warm.v, n)
         if warm is None or (warm.z is None and warm.lam is None):
-            z = np.clip(_matvec(self.a_csr, x, self._ax), self.l, self.u)
+            z = _clip(_matvec(self.a_csr, x, self._ax), self.l, self.u)
             return x, z, np.zeros(m_total)
         return x, _fitted("z", warm.z, m_total), _fitted("lam", warm.lam, m_total)
 
@@ -493,7 +508,8 @@ class QpWorkspace:
         #   [x; z_pre] = alpha [xt; zt] + (1 - alpha) [x; z]
         #   z     = clip(z_pre + lam/rho, l, u)
         #   lam   = lam + rho (z_pre - z)
-        # so every iterate is bitwise what the expressions give.
+        # so every iterate is bitwise what the expressions give. The clip's
+        # argument goes into lam/rho's slot of g, free until the next step.
         c, alpha, beta = self._c, self._alpha, self._beta
         g, rhs, pre = np.empty((3, n + m_total))
         g[:n] = q
@@ -513,9 +529,8 @@ class QpWorkspace:
             np.multiply(alpha, sol, sol)
             np.multiply(beta, s, pre)
             np.add(sol, pre, pre)
-            np.add(z_pre, lam_rho, z)
-            np.maximum(z, l, out=z)
-            np.minimum(z, u, out=z)
+            np.add(z_pre, lam_rho, lam_rho)
+            _clip(lam_rho, l, u, z)
             np.subtract(z_pre, z, z_pre)
             np.multiply(rho, z_pre, z_pre)
             np.add(lam, z_pre, lam)
@@ -547,8 +562,7 @@ class QpWorkspace:
         window, lam_snapshot = [], lam
         for it in range(1, max_iters + 1):
             np.dot(m_map, cur[0], out=nxt[1])
-            np.maximum(nxt[2], l, out=nxt[3])
-            np.minimum(nxt[3], u, out=nxt[3])
+            _clip(nxt[2], l, u, nxt[3])
             cur, nxt = nxt, cur
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
@@ -568,15 +582,18 @@ class QpWorkspace:
     def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
         n, m_total = self.n, self.m_total
         l, u, v_map, a_con = self.l, self.u, self._map, self._a_con
-        alpha, beta = self.ALPHA, 1.0 - self.ALPHA
-        # the product's input is y = [x; v; 1] with v = 2p - w, the z part of
-        # the KKT right-hand side; zt holds alpha z~ = A (alpha x~), and the
-        # box rows of A are the identity and sit last, so the product writes
-        # alpha x~ straight into zt's box slice
-        y = np.empty(n + m_total + 1)
-        y[-1] = 1.0
-        x, v = y[:n], y[n:-1]
-        w, p, zt = np.empty((3, m_total))
+        px_scale = self._px_scale
+        # one buffer [p; x; v; 1]: the product's input is its tail
+        # y = [x; v; 1], with v = 2p - w the z part of the KKT right-hand
+        # side, and one multiply by [alpha 1; (1 - alpha) 1] scales its head
+        # [p; x]. zt holds alpha z~ = A (alpha x~), and the box rows of A are
+        # the identity and sit last, so the product writes alpha x~ straight
+        # into zt's box slice
+        buf = np.empty(2 * m_total + n + 1)
+        buf[-1] = 1.0
+        p, x, v = buf[:m_total], buf[m_total:m_total + n], buf[m_total + n:-1]
+        px, y = buf[:m_total + n], buf[m_total:]
+        w, zt = np.empty((2, m_total))
         zt_con, xt = zt[:m_total - n], zt[m_total - n:]
         x[:] = x0
         p[:] = z0
@@ -590,14 +607,13 @@ class QpWorkspace:
             np.subtract(v, w, v)
             np.dot(v_map, y, out=xt)
             np.dot(a_con, xt, out=zt_con)
-            # w <- w - alpha p + alpha z~; p is free until the clip rewrites it
-            np.multiply(p, alpha, p)
+            # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha x~;
+            # p is free until the clip rewrites it
+            np.multiply(px, px_scale, px)
             np.subtract(w, p, w)
             np.add(w, zt, w)
-            np.multiply(x, beta, x)
             np.add(x, xt, x)
-            np.maximum(w, l, out=p)
-            np.minimum(p, u, out=p)
+            _clip(w, l, u, p)
 
             if it % self.CHECK_EVERY == 0 or it == max_iters:
                 lam = rho * (w - p)
@@ -703,6 +719,7 @@ class QpWorkspace:
         if new_base == self._rho_base:
             return
         self._refactor(new_base)
+        self.refactors += 1
 
     def _report_residuals(self, x, lam, q):
         """(equality residual, inequality and box violation, stationarity)
@@ -787,7 +804,7 @@ class QpWorkspace:
         worst = np.max(new)
         if not np.isfinite(worst) or worst >= old_worst:
             return x, z, lam, old
-        z_p = np.clip(_matvec(self.a_csr, x_p, self._ax), self.l, self.u)
+        z_p = _clip(_matvec(self.a_csr, x_p, self._ax), self.l, self.u)
         return x_p, z_p, lam_p, new
 
 

@@ -37,6 +37,18 @@ class DistributedTraceRow(NamedTuple):
     qp_iters: int
 
 
+class QpCounters(NamedTuple):
+    """Totals over a run's inner QP solves: the solves, their inner
+    iterations, the refactorizations that rho adaptation caused, and how
+    many polishes were kept or rejected (one of the two per solve)."""
+
+    solves: int = 0
+    inner_iters: int = 0
+    refactors: int = 0
+    polish_kept: int = 0
+    polish_rejected: int = 0
+
+
 CENTRAL_TRACE_COLUMNS = CentralTraceRow._fields
 DISTRIBUTED_TRACE_COLUMNS = DistributedTraceRow._fields
 SUMMARY_COLUMNS = (
@@ -87,7 +99,8 @@ class SolveReport:
     ``objective`` is always the cost of the final tree, recomputable from the
     instance; ``flows`` is None when no feasible flow extraction exists.
     ``extraction`` records how the flows were obtained: the raw iterate, a
-    re-route on the final tree, or nothing.
+    re-route on the final tree, or nothing. ``counters`` totals the run's
+    inner QP solves.
     """
 
     mode: str
@@ -103,3 +116,4 @@ class SolveReport:
     extraction: str = "none"
     trees_validated: int = 0
     final_consensus_gap: float | None = None
+    counters: QpCounters = field(default_factory=QpCounters)

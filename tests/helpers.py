@@ -11,6 +11,7 @@ from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_v
 from treedesign.mcf import Commodity, FeasibilityReport, Instance, half_incident_costs
 from treedesign.projection import project_binary, project_tree
 from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
+from treedesign.report import DistributedTraceRow
 
 
 def k3():
@@ -442,13 +443,14 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
                 lam_snapshot = lam.copy()
                 if it % (self.CHECK_EVERY * 4) == 0:
                     self._adapt_rho(r_prim, r_dual)
+        x_loop = x
         x, z, lam = self._polish(x, z, lam, q)
         eq_res, in_vio, stat = self._report_residuals(x, lam, q)
         if status == "solved" and max(eq_res, in_vio, stat) > tol:
             status = "max-iters"
         return QpSolution(v=x, eq_residual=eq_res, in_violation=in_vio,
                           stationarity=stat, iterations=iterations,
-                          status=status, z=z, lam=lam)
+                          status=status, z=z, lam=lam, polished=x is not x_loop)
 
     def _residuals(self, x, z, lam, q):
         ax = self.a_csr @ x
@@ -503,6 +505,63 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
             return x, z, lam
         z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
         return x_p, z_p, lam_p
+
+
+class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
+    """QpWorkspace with its x-space loop written as plain expressions.
+
+    One fresh array per operation, ``np.dot`` for each product and
+    ``np.clip`` for the clip, in the operands and order of the x-space step.
+    ReferenceQpWorkspace runs the sparse iteration, which the x-space loop
+    matches only up to rounding; this is the x-space loop's bit-for-bit
+    reference.
+    """
+
+    def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
+        alpha, beta = self.ALPHA, 1.0 - self.ALPHA
+        v_map, a_con, l, u = self._map, self._a_con, self.l, self.u
+        x, p = x0.copy(), z0.copy()
+        rho = self.rho
+        w = p + lam / rho
+        self._set_map_offset(q)
+        window, lam_snapshot = [], lam
+        for it in range(1, max_iters + 1):
+            v = 2.0 * p - w
+            xt = np.dot(v_map, np.concatenate([x, v, [1.0]]))
+            zt = np.concatenate([np.dot(a_con, xt), xt])
+            w = w - alpha * p + zt
+            x = beta * x + xt
+            p = np.clip(w, l, u)
+            if it % self.CHECK_EVERY == 0 or it == max_iters:
+                lam = rho * (w - p)
+                status = self._check(it, x, p, lam, q, tol, window, lam_snapshot)
+                if status is not None:
+                    return x, p, lam, status, it
+                lam_snapshot = lam
+                if self.rho is not rho:
+                    rho = self.rho
+                    w = p + lam / rho
+                    self._set_map_offset(q)
+        return x, p, lam, "max-iters", max_iters
+
+
+def trace_rows_distributed_reference(report, per_agent):
+    """The CLI's aggregated distributed trace, one scan of the trace per
+    round, kept as a reference."""
+    if per_agent:
+        return report.trace
+    rows = []
+    for k in sorted({row.k for row in report.trace}):
+        group = [row for row in report.trace if row.k == k]
+        rows.append(DistributedTraceRow(
+            k=k,
+            agent=-1,
+            objective_w=group[0].objective_w,
+            residual_contrib=sum(r.residual_contrib for r in group) / len(group),
+            consensus_gap=group[0].consensus_gap,
+            qp_iters=sum(r.qp_iters for r in group),
+        ))
+    return rows
 
 
 # -- un-condensed distributed reference with explicit per-arc averages and duals

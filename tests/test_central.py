@@ -1,10 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedesign.central import (
     CentralState,
     SolverConfig,
     SubproblemRuntime,
+    change_norm,
     init_state,
     residual_central,
     solve_central,
@@ -14,6 +19,7 @@ from treedesign.distributed import solve_distributed
 from treedesign.graphs import UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, check_feasible, objective, random_instance
 from treedesign.qp import QpSolution, QpWorkspace
+from treedesign.report import QpCounters
 
 from helpers import k3_instance
 
@@ -226,3 +232,54 @@ def test_extraction_outcomes_match_across_drivers(solve, caplog):
             assert rep.flows is None and not rep.feasible
             assert "no feasible extraction" in caplog.text
 
+
+
+@pytest.mark.parametrize("solve, n, seed", [(solve_central, 8, 3),
+                                            (solve_distributed, 6, 0)],
+                         ids=["central", "distributed"])
+def test_counters_equal_wrapper_counts(solve, n, seed, monkeypatch):
+    # wrappers count what the report's counters total: every solve and its
+    # inner iterations, every rho adaptation that moved the penalty, and
+    # every polish, kept when it hands back a point other than the loop's
+    counts = Counter()
+    plain = QpWorkspace.solve, QpWorkspace._polish, QpWorkspace._adapt_rho
+
+    def solve_qp(self, q, **kwargs):
+        sol = plain[0](self, q, **kwargs)
+        counts["solves"] += 1
+        counts["inner_iters"] += sol.iterations
+        return sol
+
+    def polish(self, x, z, lam, q):
+        out = plain[1](self, x, z, lam, q)
+        counts["polish_kept" if out[0] is not x else "polish_rejected"] += 1
+        return out
+
+    def adapt_rho(self, r_prim, r_dual):
+        before = self._rho_base
+        plain[2](self, r_prim, r_dual)
+        counts["refactors"] += self._rho_base != before
+
+    # built first: the instance's feasibility probe is a solve of its own
+    inst = random_instance(n, 0.5, seed=seed)
+    monkeypatch.setattr(QpWorkspace, "solve", solve_qp)
+    monkeypatch.setattr(QpWorkspace, "_polish", polish)
+    monkeypatch.setattr(QpWorkspace, "_adapt_rho", adapt_rho)
+    rep = solve(inst, SolverConfig(rho=0.1, max_iters=40))
+    assert rep.counters == QpCounters(**counts)
+    assert all(rep.counters)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60))
+def test_change_norm_sums_the_plain_squares(seed, size):
+    # each field's term is computed in place with the bits of
+    # np.sum((curr - prev) ** 2)
+    rng = np.random.default_rng(seed)
+    prev, curr = (CentralState(*(rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+                                 for _ in range(6))) for _ in range(2))
+    fields = ("mu", "eta", "u", "w")
+    total = 0.0
+    for name in fields:
+        total += float(np.sum((getattr(curr, name) - getattr(prev, name)) ** 2))
+    assert change_norm(prev, curr, fields) == np.sqrt(total)

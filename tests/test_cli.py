@@ -9,10 +9,20 @@ import pytest
 
 import treedesign
 
-from treedesign.cli import SweepSpec, build_parser, compute_gap, main, run_experiment
-from treedesign.report import SUMMARY_COLUMNS
+from treedesign.central import SolverConfig
+from treedesign.cli import (
+    SweepSpec,
+    _trace_rows_distributed,
+    build_parser,
+    compute_gap,
+    main,
+    run_experiment,
+)
+from treedesign.distributed import solve_distributed
+from treedesign.mcf import random_instance
+from treedesign.report import DISTRIBUTED_TRACE_COLUMNS, SUMMARY_COLUMNS, write_csv
 
-from helpers import read_csv
+from helpers import read_csv, trace_rows_distributed_reference
 
 
 def test_compute_gap_examples(caplog):
@@ -135,6 +145,23 @@ def test_solve_dist_cli_aggregate_trace(tmp_path, capsys):
                       "consensus_gap", "qp_iters")
     agents = {row[1] for row in rows}
     assert agents == {"-1"}
+
+
+def test_aggregated_trace_is_byte_identical_to_the_per_round_scan(tmp_path):
+    # one pass over the trace writes the bytes the scan per round wrote,
+    # also for a trace whose rounds are not in order
+    report = solve_distributed(random_instance(6, 0.5, seed=1),
+                               SolverConfig(rho=0.1, max_iters=60))
+    shuffled = list(reversed(report.trace[len(report.trace) // 3:])) \
+        + report.trace[:len(report.trace) // 3]
+    for trace in (report.trace, shuffled):
+        report.trace = trace
+        paths = tmp_path / "fast.csv", tmp_path / "reference.csv"
+        for path, rows in zip(paths, (_trace_rows_distributed(report, False),
+                                      trace_rows_distributed_reference(report, False))):
+            write_csv(path, DISTRIBUTED_TRACE_COLUMNS, rows)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_text().splitlines()) == 1 + len({r.k for r in trace})
 
 
 @pytest.mark.parametrize("argv", [

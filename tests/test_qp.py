@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treedesign import central
+from treedesign.central import SolverConfig, solve_central
 from treedesign.mcf import random_instance, relaxed_qp
 from treedesign.qp import (
     QpSolution,
@@ -14,6 +16,7 @@ from treedesign.qp import (
     QuadraticProgram,
     WarmStart,
     _canonical,
+    _clip,
     _matvec,
     factor_kkt,
     solve_qp,
@@ -22,6 +25,7 @@ from treedesign.qp import (
 from helpers import (
     PlainResidualsMixin,
     ReferenceQpWorkspace,
+    ReferenceXspaceWorkspace,
     assert_same_csc,
     iteration_kkt_reference,
     polish_kkt_reference,
@@ -237,6 +241,7 @@ def assert_same_solution(fast, ref):
     for name in ("v", "z", "lam"):
         assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
     assert fast.iterations == ref.iterations
+    assert fast.polished == ref.polished
     assert fast.status == ref.status
     assert (fast.eq_residual, fast.in_violation, fast.stationarity) == \
         (ref.eq_residual, ref.in_violation, ref.stationarity)
@@ -301,6 +306,7 @@ def test_returned_arrays_are_not_reused_by_later_solves(polish):
         if polish == "rejected":
             keep_loop_output(ws)
         a = ws.solve(qp.q)
+        assert a.polished == (polish == "kept")
         kept = (a.v.copy(), a.z.copy(), a.lam.copy())
         b = ws.solve(qp.q + 1e-2 * rng.normal(size=qp.n), warm=a)
         c = ws.solve(qp.q - 1e-2 * rng.normal(size=qp.n))
@@ -686,3 +692,63 @@ def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop):
         inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
         ws = QpWorkspace(relaxed_qp(inst, 1.0, np.zeros(inst.dim_total)))
         assert ws._loop == loop
+
+
+# every value the clip can meet: NaN, signed zeros, infinite bounds and finite
+# values, plus equal bounds drawn separately
+_CLIP_VALUES = st.sampled_from([np.nan, -0.0, 0.0, -np.inf, np.inf, 1.0, -1.0]) \
+    | st.floats(width=64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(triples=st.lists(st.tuples(_CLIP_VALUES, _CLIP_VALUES, _CLIP_VALUES),
+                        max_size=70),
+       equal=st.booleans(), offset=st.integers(0, 3))
+def test_clip_ufunc_is_max_then_min_bit_for_bit(triples, equal, offset):
+    # the inner loops clip with one call of the ufunc np.clip runs, into an
+    # out that is not the input, often a view into a larger state; it must
+    # give the bits of np.maximum then np.minimum (the form it replaced, the
+    # second call in place) and of np.clip, at every length
+    w, l, u = (np.array(col, dtype=float) for col in zip(*triples)) \
+        if triples else np.zeros((3, 0))
+    if equal:
+        u = l.copy()
+    state = np.full(len(w) + 2 * offset, 7.0)
+    out = state[offset:offset + len(w)]
+    _clip(w, l, u, out)
+    two_calls = np.empty(len(w))
+    np.maximum(w, l, out=two_calls)
+    np.minimum(two_calls, u, out=two_calls)
+    for other in (two_calls, np.minimum(np.maximum(w, l), u), np.clip(w, l, u),
+                  _clip(w, l, u)):
+        assert out.tobytes() == other.tobytes()
+    assert np.all(state[:offset] == 7.0) and np.all(state[offset + len(w):] == 7.0)
+
+
+@pytest.mark.parametrize("seed, rho", [(0, 0.1), (1, 10.0), (4, 0.1)])
+def test_xspace_loop_is_its_plain_step_on_n10_cells(seed, rho, monkeypatch):
+    # every subproblem of 12 central steps on an n=10 instance with two
+    # commodities, solved by the x-space loop and by its plain-expression
+    # reference; these runs warm-start, adapt rho and both keep and reject
+    # polishes
+    solves = []
+
+    class Twin(QpWorkspace):
+        def __init__(self, qp):
+            super().__init__(qp)
+            assert self._loop == "xspace"
+            self.ref = ReferenceXspaceWorkspace(qp)
+
+        def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
+            sol = super().solve(q, tol=tol, max_iters=max_iters, warm=warm)
+            assert_same_solution(sol, self.ref.solve(q, tol=tol, max_iters=max_iters,
+                                                     warm=warm))
+            assert self._rho_base == self.ref._rho_base
+            solves.append(sol)
+            return sol
+
+    monkeypatch.setattr(central, "QpWorkspace", Twin)
+    inst = random_instance(10, 0.5, seed=seed, n_commodities=2)
+    counters = solve_central(inst, SolverConfig(rho=rho, max_iters=12)).counters
+    assert len(solves) == counters.solves == 12
+    assert counters.refactors and counters.polish_kept and counters.polish_rejected
