@@ -242,6 +242,8 @@ def _print_report(report, inst):
         print(f"tree edges: {edges}")
     if report.final_consensus_gap is not None:
         print(f"consensus gap: {report.final_consensus_gap!r}")
+    print("counters:   " + " ".join(f"{name}={count}" for name, count
+                                     in report.counters._asdict().items()))
 
 
 def _cmd_gen(args):

@@ -16,42 +16,38 @@ reject the polished point are the ones reported. Both KKT matrices are
 symmetric quasi-definite, so SuperLU factors them under a symmetric
 fill-reducing ordering without pivoting.
 
-Each solve runs one of three inner loops over the same iteration, chosen by
-size alone. The sparse loop iterates on one stacked state [x; z] whose
-coefficients (sigma and 1, alpha and 1 - alpha) are constant vectors, so
-one in-place ufunc updates x and z together and an iteration allocates
-only the triangular solve's result. Each ufunc keeps the operands and
-order of the operation it replaces (1.0 z is exactly z), so the iterates
-are bitwise those of the plain vector expressions.
+Each solve runs one of two inner loops, chosen by size alone. With rho
+fixed, the iteration is an affine map followed by a clip. Put w = z_pre +
+lam/rho, the point the clip projects, and p = clip(w, l, u), the new z; the
+multiplier update lam + rho (z_pre - p) is then exactly rho (w - p), so
+lam/rho = w - p at every step, and the KKT step solves
 
-With rho fixed, that iteration is an affine map followed by a clip. Put
-w = z_pre + lam/rho, the point the clip projects, and p = clip(w, l, u),
-the new z; the multiplier update lam + rho (z_pre - p) is then exactly
-rho (w - p), so lam/rho = w - p at every step and the KKT right-hand side
-and every update are linear in [x; w; p] plus a constant. One step on the
-state [x; w; p; 1] is [x; w] <- M [x; w; p; 1], then p <- clip(w, l, u).
-This is exact algebra on the same step, so only the rounding differs from
-the sparse loop. For a KKT system of size N = n + m whose map has at most
-2^16 entries, the dense loop builds M once per factorization from the
+    K [x~; nu] = [sigma x - q; v],   v = 2p - w,   z~ = v + nu/rho
+
+    x rows:    x <- (1 - alpha) x + alpha x~
+    w rows:    w <- w - alpha p + alpha z~
+
+then p <- clip(w, l, u). Every update is linear in [x; w; p] plus a
+constant, so one step on the state [x; w; p; 1] is [x; w] <- M [x; w; p; 1]
+followed by the clip. For a KKT system of size N = n + m whose map has at
+most 2^16 entries, the dense loop builds M once per factorization from the
 inverse KKT matrix, and an iteration is one matrix-vector product and one
 clip: at that size a product is cheaper than the fixed cost of one sparse
 triangular solve.
 
-Past that size M is mostly redundant, because the KKT step's z part is
-exactly A times its x part (z~ = A x~), an affine map of rank n:
+Past that size the x-space loop keeps the state (x, w, p) and takes alpha
+[x~; z~] on its own. By K's second block row z~ = A x~, an affine map of
+rank n:
 
-    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q],  v = 2p - w
-    x rows:    x <- (1 - alpha) x + alpha x~
-    w rows:    w <- w - alpha p + A (alpha x~)
+    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q]
 
-So the w rows of M are A times its rank-n part plus the structured part
-[0, I, -alpha I, 0], and the x-space loop keeps only the n x (N + 1) map V,
-built from the x rows of K^-1, and the dense constraint rows of A. A step
-is one product with V, one with the constraint rows (the box rows of A are
-the identity), the updates of x and w, and the clip. Its cost grows with
-n N rather than N^2. Structures whose M is too big but whose V has at most
-2^16 entries run it, as nearly every n=10 relaxed subproblem with two
-commodities does; larger ones keep the sparse loop.
+Structures whose n x (N + 1) map V, built from the x rows of K^-1, has at
+most 2^16 entries take alpha x~ from one product with V and alpha z~ from
+one with the dense constraint rows (the box rows of A are the identity), as
+nearly every n=10 relaxed subproblem with two commodities does. Larger ones
+take alpha [x~; z~] from one triangular solve with the cached sparse factor
+and one multiply. The operators are exact algebra on the same step, so
+their iterates differ only in rounding.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -165,6 +161,15 @@ class QuadraticProgram:
         self.hi = np.full(n, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
         if len(self.lo) != n or len(self.hi) != n:
             raise ValueError("box bounds must have length n")
+        # NaN is nowhere allowed, and an infinite entry only where it bounds
+        # nothing
+        for name, free in (("a_eq", np.nan), ("a_in", np.nan), ("b_eq", np.nan),
+                           ("b_in", np.inf), ("lo", -np.inf), ("hi", np.inf)):
+            a = getattr(self, name)
+            a = a.data if sp.issparse(a) else a
+            if not (np.isfinite(a) | (a == free)).all():
+                raise ValueError(f"{name} must be finite"
+                                 + ("" if np.isnan(free) else f" or {free:+}"))
         if (self.lo > self.hi).any():
             raise ValueError("box bounds must satisfy lo <= hi")
 
@@ -216,7 +221,10 @@ def _fitted(name, a, size):
     if a is None or np.shape(a) != (size,):
         got = "is missing" if a is None else f"has shape {np.shape(a)}"
         raise ValueError(f"warm start {name} {got}, expected ({size},)")
-    return np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"warm start {name} is not finite")
+    return a
 
 
 class QpWorkspace:
@@ -246,11 +254,11 @@ class QpWorkspace:
 
     The inner loop (``_loop``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
-    ``DENSE_MAX_ENTRIES`` keeps the dense iteration map ``M`` of shape
-    (N, N + m + 1); one with n (N + 1) <= ``XSPACE_MAX_ENTRIES`` keeps only
+    ``DENSE_MAX_ENTRIES`` runs the dense loop on the iteration map ``M`` of
+    shape (N, N + m + 1); every other one runs the x-space loop, which keeps
     the x-space map ``V`` of shape (n, N + 1) and a dense copy of the
-    constraint rows; every other structure runs the sparse loop, whose
-    iterates are bitwise those of the plain vector expressions. Either map
+    constraint rows when n (N + 1) <= ``XSPACE_MAX_ENTRIES``, and otherwise
+    no map (``_map`` is None) and steps with the sparse factor. Either map
     is ``_map``, rebuilt in place from K^-1 at every factorization. In terms
     of the blocks of K^-1 and R = diag(rho), M is
 
@@ -260,8 +268,8 @@ class QpWorkspace:
     and V is [a s K_xx, a K_xz, c_x], with a = alpha, s = sigma, and
     [c_x; c_w] = -a [K_xx q; R^-1 K_zx q] written by each solve from one
     triangular solve. V needs only the first n columns of K^-1, which K's
-    symmetry makes its x rows. All three loops stop, check residuals,
-    detect infeasibility and adapt rho alike.
+    symmetry makes its x rows. Both loops stop, check residuals, detect
+    infeasibility and adapt rho alike.
     """
 
     SIGMA = 1e-6
@@ -271,10 +279,11 @@ class QpWorkspace:
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e3
     POLISH_DELTA = 1e-9
-    # the dense and sparse loops cost about the same per iteration near 1e5
-    # map entries (measured on n=10 relaxed subproblems), and the x-space
-    # and sparse loops from about 75k to 130k (n=10 to 16); below 2^16
-    # either product is clearly the cheaper
+    # a product with M and a sparse triangular solve cost about the same
+    # per iteration near 1e5 map entries (measured on n=10 relaxed
+    # subproblems), and the x-space step with V and with the factor from
+    # about 75k to 130k (n=10 to 16); below 2^16 either product is clearly
+    # the cheaper
     DENSE_MAX_ENTRIES = 2**16
     XSPACE_MAX_ENTRIES = 2**16
     _MAP_BLOCK = 32
@@ -334,26 +343,23 @@ class QpWorkspace:
         self._atl, self._grad = np.empty((2, n))
         self._slack = np.empty(len(self._report_rhs))
         self._sign = np.empty(m_in)
-        self._c = np.concatenate([np.full(n, self.SIGMA), np.ones(self.m_total)])
-        self._alpha = np.full(len(self._c), self.ALPHA)
-        self._beta = np.full(len(self._c), 1.0 - self.ALPHA)
-        big = n + self.m_total
-        self._loop, self._map, self._map_scale = "sparse", None, None
-        if big * (big + self.m_total + 1) <= self.DENSE_MAX_ENTRIES:
-            self._loop = "dense"
-            self._map = np.empty((big, big + self.m_total + 1))
+        big = n + m_total
+        self._loop, self._map, self._map_scale = "dense", None, None
+        if big * (big + m_total + 1) <= self.DENSE_MAX_ENTRIES:
+            self._map = np.empty((big, big + m_total + 1))
             # [alpha 1; alpha / rho], the row scale of every K^-1 block in M
             self._map_scale = np.full(big, self.ALPHA)
-        elif n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
+        else:
             self._loop = "xspace"
-            self._map = np.empty((n, big + 1))
-            # alpha 1, the row scale of V's offset column
-            self._map_scale = np.full(n, self.ALPHA)
-            # the constraint rows of A; its box rows are the identity
-            self._a_con = self.a_csr[:m_eq + m_in].toarray()
             # the step's coefficients of its stacked [p; x]
             self._px_scale = np.concatenate([np.full(m_total, self.ALPHA),
                                              np.full(n, 1.0 - self.ALPHA)])
+            if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
+                self._map = np.empty((n, big + 1))
+                # alpha 1, the row scale of V's offset column
+                self._map_scale = np.full(n, self.ALPHA)
+                # the constraint rows of A; its box rows are the identity
+                self._a_con = self.a_csr[:m_eq + m_in].toarray()
         self.refactors = 0
         self._refactor(self.RHO0)
 
@@ -395,7 +401,7 @@ class QpWorkspace:
         lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
         if self._loop == "dense":
             self._build_map(lu, rho)
-        elif self._loop == "xspace":
+        elif self._map is not None:
             self._build_xspace_map(lu)
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
@@ -489,61 +495,6 @@ class QpWorkspace:
             return x, z, np.zeros(m_total)
         return x, _fitted("z", warm.z, m_total), _fitted("lam", warm.lam, m_total)
 
-    def _sparse_loop(self, q, x0, z0, lam, tol, max_iters):
-        n, m_total = self.n, self.m_total
-        l, u = self.l, self.u
-        # the iteration state is s = [x; z]; x and z are views into it
-        s = np.empty(n + m_total)
-        x, z = s[:n], s[n:]
-        x[:] = x0
-        z[:] = z0
-        lam = lam.copy()
-
-        # s, lam and the buffers below live for this solve only. With the
-        # constant vectors c = [sigma; 1], alpha 1 and (1 - alpha) 1 of
-        # length n + m, and g = [q; lam/rho], each line keeps the operands
-        # and order of
-        #   rhs   = [sigma x - q, z - lam/rho]    (1.0 z is z, bit for bit)
-        #   zt    = z + (nu - lam)/rho
-        #   [x; z_pre] = alpha [xt; zt] + (1 - alpha) [x; z]
-        #   z     = clip(z_pre + lam/rho, l, u)
-        #   lam   = lam + rho (z_pre - z)
-        # so every iterate is bitwise what the expressions give. The clip's
-        # argument goes into lam/rho's slot of g, free until the next step.
-        c, alpha, beta = self._c, self._alpha, self._beta
-        g, rhs, pre = np.empty((3, n + m_total))
-        g[:n] = q
-        lam_rho = g[n:]
-        x_new, z_pre = pre[:n], pre[n:]
-        rho, lu = self.rho, self._lu
-        window, lam_snapshot = [], lam.copy()
-        for it in range(1, max_iters + 1):
-            np.divide(lam, rho, lam_rho)
-            np.multiply(c, s, rhs)
-            np.subtract(rhs, g, rhs)
-            sol = lu.solve(rhs)
-            zt = sol[n:]
-            np.subtract(zt, lam, zt)
-            np.divide(zt, rho, zt)
-            np.add(z, zt, zt)
-            np.multiply(alpha, sol, sol)
-            np.multiply(beta, s, pre)
-            np.add(sol, pre, pre)
-            np.add(z_pre, lam_rho, lam_rho)
-            _clip(lam_rho, l, u, z)
-            np.subtract(z_pre, z, z_pre)
-            np.multiply(rho, z_pre, z_pre)
-            np.add(lam, z_pre, lam)
-            x[:] = x_new
-
-            if it % self.CHECK_EVERY == 0 or it == max_iters:
-                status = self._check(it, x, z, lam, q, tol, window, lam_snapshot)
-                if status is not None:
-                    return x.copy(), z.copy(), lam, status, it
-                lam_snapshot = lam.copy()
-                rho, lu = self.rho, self._lu
-        return x.copy(), z.copy(), lam, "max-iters", max_iters
-
     def _dense_loop(self, q, x0, z0, lam, tol, max_iters):
         n, big = self.n, self.n + self.m_total
         l, u, m_map = self.l, self.u, self._map
@@ -552,15 +503,18 @@ class QpWorkspace:
         states = np.empty((2, big + self.m_total + 1))
         states[:, -1] = 1.0
         cur, nxt = [(st, st[:big], st[n:big], st[big:-1]) for st in states]
-        s, _, w, p = cur
-        s[:n] = x0
-        p[:] = z0
+        cur[0][:n] = x0
+        cur[3][:] = z0
         lam = lam.copy()
-        rho = self.rho
-        np.add(p, lam / rho, w)
-        self._set_map_offset(q)
+        rho = None
         window, lam_snapshot = [], lam
         for it in range(1, max_iters + 1):
+            if self.rho is not rho:
+                # the start, and the re-base once rho adapts: lam carries
+                # over to the new penalty
+                rho = self.rho
+                np.add(cur[3], lam / rho, cur[2])
+                self._set_map_offset(q)
             np.dot(m_map, cur[0], out=nxt[1])
             _clip(nxt[2], l, u, nxt[3])
             cur, nxt = nxt, cur
@@ -572,41 +526,54 @@ class QpWorkspace:
                 if status is not None:
                     return s[:n].copy(), p.copy(), lam, status, it
                 lam_snapshot = lam
-                if self.rho is not rho:
-                    # lam carries over to the new penalty, as in the sparse loop
-                    rho = self.rho
-                    np.add(p, lam / rho, w)
-                    self._set_map_offset(q)
         return cur[0][:n].copy(), cur[3].copy(), lam, "max-iters", max_iters
 
     def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
-        n, m_total = self.n, self.m_total
-        l, u, v_map, a_con = self.l, self.u, self._map, self._a_con
-        px_scale = self._px_scale
-        # one buffer [p; x; v; 1]: the product's input is its tail
-        # y = [x; v; 1], with v = 2p - w the z part of the KKT right-hand
-        # side, and one multiply by [alpha 1; (1 - alpha) 1] scales its head
-        # [p; x]. zt holds alpha z~ = A (alpha x~), and the box rows of A are
-        # the identity and sit last, so the product writes alpha x~ straight
-        # into zt's box slice
+        n, m_total, alpha, sigma = self.n, self.m_total, self.ALPHA, self.SIGMA
+        l, u, v_map, px_scale = self.l, self.u, self._map, self._px_scale
+        # one buffer [p; x; v; 1]: one multiply by [alpha 1; (1 - alpha) 1]
+        # scales its head [p; x], and its tail y = [x; v; 1] is V's input
         buf = np.empty(2 * m_total + n + 1)
         buf[-1] = 1.0
         p, x, v = buf[:m_total], buf[m_total:m_total + n], buf[m_total + n:-1]
         px, y = buf[:m_total + n], buf[m_total:]
-        w, zt = np.empty((2, m_total))
-        zt_con, xt = zt[:m_total - n], zt[m_total - n:]
+        w = np.empty(m_total)
+        if v_map is None:
+            # the factor's right-hand side [sigma x - q; v] holds v instead
+            rhs = np.empty(n + m_total)
+            r, v = rhs[:n], rhs[n:]
+        else:
+            # zt holds alpha z~ = A (alpha x~), and the box rows of A are the
+            # identity and sit last, so the product with V writes alpha x~
+            # straight into zt's box slice
+            a_con = self._a_con
+            zt = np.empty(m_total)
+            zt_con, xt = zt[:m_total - n], zt[m_total - n:]
         x[:] = x0
         p[:] = z0
         lam = lam.copy()
-        rho = self.rho
-        np.add(p, lam / rho, w)
-        self._set_map_offset(q)
+        rho = None
         window, lam_snapshot = [], lam
         for it in range(1, max_iters + 1):
+            if self.rho is not rho:
+                # the start, and the re-base once rho adapts
+                rho, lu = self.rho, self._lu
+                np.add(p, lam / rho, w)
+                if v_map is not None:
+                    self._set_map_offset(q)
             np.multiply(p, 2.0, v)
             np.subtract(v, w, v)
-            np.dot(v_map, y, out=xt)
-            np.dot(a_con, xt, out=zt_con)
+            if v_map is None:
+                np.multiply(x, sigma, r)
+                np.subtract(r, q, r)
+                step = lu.solve(rhs)
+                xt, zt = step[:n], step[n:]
+                np.divide(zt, rho, zt)
+                np.add(v, zt, zt)
+                np.multiply(step, alpha, step)
+            else:
+                np.dot(v_map, y, out=xt)
+                np.dot(a_con, xt, out=zt_con)
             # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha x~;
             # p is free until the clip rewrites it
             np.multiply(px, px_scale, px)
@@ -621,10 +588,6 @@ class QpWorkspace:
                 if status is not None:
                     return x.copy(), p.copy(), lam, status, it
                 lam_snapshot = lam
-                if self.rho is not rho:
-                    rho = self.rho
-                    np.add(p, lam / rho, w)
-                    self._set_map_offset(q)
         return x.copy(), p.copy(), lam, "max-iters", max_iters
 
     def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):

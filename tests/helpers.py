@@ -401,7 +401,7 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
         if z is not None or lam is not None:
             expected.update(z=(z, m_total), lam=(lam, m_total))
         for name, (a, size) in expected.items():
-            if a is None or np.shape(a) != (size,):
+            if a is None or np.shape(a) != (size,) or not np.isfinite(a).all():
                 raise ValueError(f"warm start {name} does not fit")
         x = np.array(x, dtype=float)
         if z is None:
@@ -510,25 +510,39 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
 class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
     """QpWorkspace with its x-space loop written as plain expressions.
 
-    One fresh array per operation, ``np.dot`` for each product and
-    ``np.clip`` for the clip, in the operands and order of the x-space step.
-    ReferenceQpWorkspace runs the sparse iteration, which the x-space loop
+    One fresh array per operation, ``np.dot`` for each product with the map
+    V, one solve with the factor of the ``sp.bmat`` iteration matrix (as
+    ReferenceQpWorkspace factors it) where there is no map, and ``np.clip``
+    for the clip, in the operands and order of the x-space step. The start
+    comes before the loop and the re-base after the check that adapts rho.
+    ReferenceQpWorkspace runs the (z, lam) iteration, which the x-space loop
     matches only up to rounding; this is the x-space loop's bit-for-bit
     reference.
     """
 
+    def _refactor(self, rho_base):
+        ReferenceQpWorkspace._refactor(self, rho_base)
+        if self._map is not None:
+            self._build_xspace_map(self._lu)
+
     def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
-        alpha, beta = self.ALPHA, 1.0 - self.ALPHA
-        v_map, a_con, l, u = self._map, self._a_con, self.l, self.u
+        n, alpha, beta = self.n, self.ALPHA, 1.0 - self.ALPHA
+        v_map, l, u = self._map, self.l, self.u
         x, p = x0.copy(), z0.copy()
         rho = self.rho
         w = p + lam / rho
-        self._set_map_offset(q)
+        if v_map is not None:
+            self._set_map_offset(q)
         window, lam_snapshot = [], lam
         for it in range(1, max_iters + 1):
             v = 2.0 * p - w
-            xt = np.dot(v_map, np.concatenate([x, v, [1.0]]))
-            zt = np.concatenate([np.dot(a_con, xt), xt])
+            if v_map is None:
+                sol = self._lu.solve(np.concatenate([self.SIGMA * x - q, v]))
+                xt = alpha * sol[:n]
+                zt = alpha * (v + sol[n:] / rho)
+            else:
+                xt = np.dot(v_map, np.concatenate([x, v, [1.0]]))
+                zt = np.concatenate([np.dot(self._a_con, xt), xt])
             w = w - alpha * p + zt
             x = beta * x + xt
             p = np.clip(w, l, u)
@@ -541,8 +555,18 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
                 if self.rho is not rho:
                     rho = self.rho
                     w = p + lam / rho
-                    self._set_map_offset(q)
+                    if v_map is not None:
+                        self._set_map_offset(q)
         return x, p, lam, "max-iters", max_iters
+
+
+def step_operator(ws):
+    """How a workspace takes its step: "dense" (the dense loop's map M),
+    "xspace" (the x-space loop's map V) or "sparse" (the x-space loop's
+    triangular solve with the sparse KKT factor)."""
+    if ws._loop == "dense":
+        return "dense"
+    return "sparse" if ws._map is None else "xspace"
 
 
 def trace_rows_distributed_reference(report, per_agent):

@@ -9,7 +9,7 @@ import pytest
 
 import treedesign
 
-from treedesign.central import SolverConfig
+from treedesign.central import SolverConfig, solve_central
 from treedesign.cli import (
     SweepSpec,
     _trace_rows_distributed,
@@ -19,7 +19,7 @@ from treedesign.cli import (
     run_experiment,
 )
 from treedesign.distributed import solve_distributed
-from treedesign.mcf import random_instance
+from treedesign.mcf import random_instance, read_instance
 from treedesign.report import DISTRIBUTED_TRACE_COLUMNS, SUMMARY_COLUMNS, write_csv
 
 from helpers import read_csv, trace_rows_distributed_reference
@@ -145,6 +145,23 @@ def test_solve_dist_cli_aggregate_trace(tmp_path, capsys):
                       "consensus_gap", "qp_iters")
     agents = {row[1] for row in rows}
     assert agents == {"-1"}
+
+
+@pytest.mark.parametrize("command, solve", [("solve-central", solve_central),
+                                            ("solve-dist", solve_distributed)])
+def test_solve_prints_the_run_counters_on_one_line(tmp_path, capsys, command, solve):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "5", "--p", "0.6", "--seed", "1",
+                 "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main([command, "--instance", str(inst_path), "--rho", "0.1",
+                 "--max-iters", "40"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("counters:")]
+    counters = solve(read_instance(inst_path), SolverConfig(rho=0.1, max_iters=40)).counters
+    assert all(counters)
+    assert lines == [["counters:"] + [f"{name}={count}" for name, count
+                                      in counters._asdict().items()]]
 
 
 def test_aggregated_trace_is_byte_identical_to_the_per_round_scan(tmp_path):

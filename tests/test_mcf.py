@@ -36,6 +36,7 @@ from helpers import (
     check_flows_reference,
     constraint_blocks_reference,
     k3_instance,
+    step_operator,
 )
 
 
@@ -461,7 +462,7 @@ def test_random_instance_hop_bound_is_the_smallest_feasible_one(n, seed,
                          [(8, None, "dense"), (10, 2, "xspace"), (20, None, "sparse")])
 def test_probe_certifies_the_shortest_path_point_at_its_first_check(
         n, commodities, loop, monkeypatch):
-    # on each inner loop the probe's start is a KKT point that the first
+    # on each step operator the probe's start is a KKT point that the first
     # residual check certifies; one hop tighter it breaks a hop row, and
     # the probe finds the set empty
     probes = []
@@ -469,7 +470,7 @@ def test_probe_certifies_the_shortest_path_point_at_its_first_check(
 
     def spy(ws, *args, **kwargs):
         sol = solve(ws, *args, **kwargs)
-        probes.append((ws._loop, sol))
+        probes.append((step_operator(ws), sol))
         return sol
 
     monkeypatch.setattr(QpWorkspace, "solve", spy)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,20 +32,22 @@ from helpers import (
     polish_kkt_reference,
     projected_gradient_qp,
     random_feasible_qp,
+    step_operator,
     workspace_structures_reference,
 )
 
 
-def forced_workspace(qp, loop, cls=QpWorkspace):
-    """A ``cls`` workspace that runs ``loop``: zeroing the size caps of the
-    loops tried before it rules them out, and a small ``qp`` fits any loop."""
+def forced_workspace(qp, operator, cls=QpWorkspace):
+    """A ``cls`` workspace that steps with ``operator`` (see
+    ``step_operator``): zeroing the size caps of the maps tried before it
+    rules them out, and a small ``qp`` fits any map."""
     caps = {"dense": [], "xspace": ["DENSE_MAX_ENTRIES"],
-            "sparse": ["DENSE_MAX_ENTRIES", "XSPACE_MAX_ENTRIES"]}[loop]
+            "sparse": ["DENSE_MAX_ENTRIES", "XSPACE_MAX_ENTRIES"]}[operator]
     with pytest.MonkeyPatch.context() as mp:
         for cap in caps:
             mp.setattr(QpWorkspace, cap, 0)
         ws = cls(qp)
-    assert ws._loop == loop
+    assert step_operator(ws) == operator
     return ws
 
 
@@ -58,6 +61,11 @@ def xspace_workspace(qp):
 
 def sparse_workspace(qp):
     return forced_workspace(qp, "sparse")
+
+
+def sparse_reference(qp):
+    """The sparse factor step's bit-for-bit reference."""
+    return forced_workspace(qp, "sparse", ReferenceXspaceWorkspace)
 
 
 def keep_loop_output(ws):
@@ -109,6 +117,31 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         QuadraticProgram(d=np.ones(1), q=np.zeros(1),
                          lo=np.array([1.0]), hi=np.array([0.0]))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a_eq", np.nan), ("a_in", np.nan), ("b_eq", np.nan), ("b_in", np.nan),
+    ("lo", np.nan), ("hi", np.nan), ("lo", np.inf), ("hi", -np.inf),
+    ("b_in", -np.inf), ("b_eq", np.inf), ("a_in", -np.inf),
+])
+def test_non_finite_data_is_rejected_by_name(name, value):
+    # each of these once passed, and the first rho adaptation then raised
+    # "Factor is exactly singular" from SuperLU
+    qp, _ = random_feasible_qp(np.random.default_rng(26))
+    data = {f: getattr(qp, f) for f in ("d", "q", "a_eq", "b_eq", "a_in", "b_in",
+                                         "lo", "hi")}
+    data[name] = with_entry(data[name], value)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        QuadraticProgram(**data)
+
+
+def test_infinite_inequality_bound_is_a_free_row():
+    qp, _ = random_feasible_qp(np.random.default_rng(26))
+    free = replace(qp, b_in=with_entry(qp.b_in, np.inf))
+    dropped = replace(qp, a_in=qp.a_in[1:], b_in=qp.b_in[1:])
+    a, b = solve_qp(free, tol=1e-8), solve_qp(dropped, tol=1e-8)
+    assert a.status == b.status == "solved"
+    assert float(np.max(np.abs(a.v - b.v))) <= 1e-6
 
 
 def test_matches_projected_gradient_reference():
@@ -187,10 +220,10 @@ def test_infeasible_detected():
     assert solve_qp(qp, max_iters=20000).status == "infeasible-detected"
     assert xspace_workspace(qp).solve(qp.q, max_iters=20000).status == \
         "infeasible-detected"
-    # the reference spells out the sparse loop, so compare bits there
+    # the factor step's plain-expression reference gives the same bits
     s = sparse_workspace(qp).solve(qp.q, max_iters=20000)
     assert s.status == "infeasible-detected"
-    assert_same_solution(s, ReferenceQpWorkspace(qp).solve(qp.q, max_iters=20000))
+    assert_same_solution(s, sparse_reference(qp).solve(qp.q, max_iters=20000))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -252,7 +285,7 @@ def test_max_iters_exit_is_bit_identical_to_reference():
     # it == max_iters one, and x and z leave the loop mid-way between checks
     qp, _ = random_feasible_qp(np.random.default_rng(21))
     fast = sparse_workspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
-    ref = ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-12, max_iters=37)
+    ref = sparse_reference(qp).solve(qp.q, tol=1e-12, max_iters=37)
     assert fast.status == "max-iters" and fast.iterations == 37
     assert_same_solution(fast, ref)
 
@@ -260,8 +293,7 @@ def test_max_iters_exit_is_bit_identical_to_reference():
 @pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
 def test_cold_start_is_the_start_at_zero(loop):
     # one start rule: no warm start, and a bare point at zero, give the same
-    # bits; a bare point elsewhere starts the sparse loop as it starts the
-    # reference
+    # bits; a bare point v elsewhere is the start at z = clip(A v), lam = 0
     rng = np.random.default_rng(4)
     qp, v0 = random_feasible_qp(rng)
     cold = forced_workspace(qp, loop).solve(qp.q, tol=1e-8)
@@ -269,21 +301,34 @@ def test_cold_start_is_the_start_at_zero(loop):
                                                warm=WarmStart(np.zeros(qp.n)))
     assert_same_solution(cold, at_zero)
     if loop == "sparse":
-        start = WarmStart(v0)
-        assert_same_solution(sparse_workspace(qp).solve(qp.q, tol=1e-8, warm=start),
-                             ReferenceQpWorkspace(qp).solve(qp.q, tol=1e-8, warm=start))
+        ref = sparse_reference(qp)
+        start = SimpleNamespace(v=v0, z=np.clip(ref.a_csr @ v0, ref.l, ref.u),
+                                lam=np.zeros(ref.m_total))
+        assert_same_solution(sparse_workspace(qp).solve(qp.q, tol=1e-8,
+                                                        warm=WarmStart(v0)),
+                             ref.solve(qp.q, tol=1e-8, warm=start))
+
+
+def with_entry(a, value):
+    """A copy of ``a`` with its first (stored) entry set to ``value``."""
+    a = a.copy()
+    (a.data if sp.issparse(a) else a)[0] = value
+    return a
 
 
 @pytest.mark.parametrize("cls", [QpWorkspace, ReferenceQpWorkspace])
 @pytest.mark.parametrize("name, malformed", [
     ("lam", lambda s: replace(s, lam=None)),
     ("lam", lambda s: replace(s, lam=s.lam[:-1])),
+    ("lam", lambda s: replace(s, lam=with_entry(s.lam, np.nan))),
     ("z", lambda s: replace(s, z=None)),
     ("z", lambda s: replace(s, z=s.z[1:])),
+    ("z", lambda s: replace(s, z=with_entry(s.z, np.nan))),
     ("v", lambda s: WarmStart(s.v[:-1])),
     ("v", lambda s: replace(s, v=s.v[:-1])),
-], ids=["lam-missing", "lam-short", "z-missing", "z-short", "v-short",
-        "v-short-with-state"])
+    ("v", lambda s: WarmStart(with_entry(s.v, np.nan))),
+], ids=["lam-missing", "lam-short", "lam-nan", "z-missing", "z-short", "z-nan",
+        "v-short", "v-short-with-state", "v-nan"])
 def test_malformed_warm_start_names_the_array(cls, name, malformed):
     inst = random_instance(6, 0.5, 0)
     qp = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
@@ -337,12 +382,13 @@ def test_nan_residual_after_polish_is_not_solved(position, monkeypatch):
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fast_path_is_bit_identical_to_reference(seed):
-    # the sparse loop's in-place iteration, the templated KKT matrices and
-    # the reused residuals reproduce the straightforward solver bit for bit,
-    # cold and warm, across rho adaptation
+    # the factor step's in-place iteration, the templated KKT matrices and
+    # the reused residuals reproduce the plain-expression step, the sp.bmat
+    # iteration matrix and the plain residuals bit for bit, cold and warm,
+    # across rho adaptation
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
-    ws, ref = sparse_workspace(qp), ReferenceQpWorkspace(qp)
+    ws, ref = sparse_workspace(qp), sparse_reference(qp)
     cold = ws.solve(qp.q, tol=1e-8)
     cold_ref = ref.solve(qp.q, tol=1e-8)
     assert_same_solution(cold, cold_ref)
@@ -589,33 +635,35 @@ def test_feasible_qp_does_not_stall():
     assert s.status == "solved"
 
 
-def assert_loops_agree(fast, sparse, tol):
-    assert fast.status == sparse.status
+def assert_loops_agree(fast, plain, tol):
+    assert fast.status == plain.status
     if fast.status == "solved":
-        assert fast.max_residual <= tol and sparse.max_residual <= tol
+        assert fast.max_residual <= tol and plain.max_residual <= tol
 
 
-def assert_agrees_with_sparse_loop(make, seed):
-    # a loop that is the sparse iteration in other rounding: the same exits,
-    # cold and warm, across rho adaptation, with iterates that agree to
-    # rounding when both run out of iterations
+def assert_agrees_with_plain_iteration(make, seed):
+    # an operator that is the plain (z, lam) iteration of
+    # ReferenceQpWorkspace in other rounding: the same exits, cold and warm,
+    # across rho adaptation, with iterates that agree to rounding when both
+    # run out of iterations
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
-    fast, sparse = make(qp), sparse_workspace(qp)
+    fast, plain = make(qp), ReferenceQpWorkspace(qp)
     tol = 1e-8
-    cold = fast.solve(qp.q, tol=tol), sparse.solve(qp.q, tol=tol)
+    cold = fast.solve(qp.q, tol=tol), plain.solve(qp.q, tol=tol)
     assert_loops_agree(*cold, tol)
     if seed == 0:
         assert fast._rho_base != fast.RHO0
-    assert fast._rho_base == pytest.approx(sparse._rho_base, rel=1e-3)
+    assert fast._rho_base == pytest.approx(plain._rho_base, rel=1e-3)
     q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
     assert_loops_agree(fast.solve(q2, tol=tol, warm=cold[0]),
-                       sparse.solve(q2, tol=tol, warm=cold[1]), tol)
+                       plain.solve(q2, tol=tol, warm=cold[1]), tol)
 
-    # 137 iterations cross the rho adaptation at the fourth check
-    pair = make(qp), sparse_workspace(qp)
-    capped = [keep_loop_output(ws).solve(qp.q, tol=1e-15, max_iters=137)
-              for ws in pair]
+    # 137 iterations cross the rho adaptation at the fourth check; the
+    # reference's own polish hands back (x, z, lam) alone
+    pair = keep_loop_output(make(qp)), ReferenceQpWorkspace(qp)
+    pair[1]._polish = lambda x, z, lam, q: (x, z, lam)
+    capped = [ws.solve(qp.q, tol=1e-15, max_iters=137) for ws in pair]
     assert [sol.status for sol in capped] == ["max-iters"] * 2
     if seed == 0:
         assert pair[0]._rho_base != pair[0].RHO0
@@ -630,21 +678,28 @@ def assert_agrees_with_sparse_loop(make, seed):
         b_in=np.concatenate([qp.b_in, qp.b_eq[:1] - 0.5]), lo=qp.lo, hi=qp.hi,
     )
     assert_loops_agree(make(bad).solve(bad.q),
-                       sparse_workspace(bad).solve(bad.q), 1e-6)
+                       ReferenceQpWorkspace(bad).solve(bad.q), 1e-6)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_dense_loop_agrees_with_sparse_loop(seed):
-    assert_agrees_with_sparse_loop(dense_workspace, seed)
+def test_dense_loop_agrees_with_plain_iteration(seed):
+    assert_agrees_with_plain_iteration(dense_workspace, seed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_xspace_loop_agrees_with_sparse_loop(seed):
-    assert_agrees_with_sparse_loop(xspace_workspace, seed)
+def test_xspace_loop_agrees_with_plain_iteration(seed):
+    assert_agrees_with_plain_iteration(xspace_workspace, seed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparse_factor_step_agrees_with_plain_iteration(seed):
+    assert_agrees_with_plain_iteration(sparse_workspace, seed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -687,11 +742,11 @@ def test_failed_refactor_keeps_the_old_penalty():
 def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop):
     # the benchmark's distributed n=8 subproblems run the dense map, its
     # central n=10 ones, with two commodities, the x-space map, and n=30
-    # subproblems the sparse loop
+    # subproblems the x-space loop's sparse factor step
     for seed in range(seeds):
         inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
         ws = QpWorkspace(relaxed_qp(inst, 1.0, np.zeros(inst.dim_total)))
-        assert ws._loop == loop
+        assert step_operator(ws) == loop
 
 
 # every value the clip can meet: NaN, signed zeros, infinite bounds and finite
@@ -725,18 +780,16 @@ def test_clip_ufunc_is_max_then_min_bit_for_bit(triples, equal, offset):
     assert np.all(state[:offset] == 7.0) and np.all(state[offset + len(w):] == 7.0)
 
 
-@pytest.mark.parametrize("seed, rho", [(0, 0.1), (1, 10.0), (4, 0.1)])
-def test_xspace_loop_is_its_plain_step_on_n10_cells(seed, rho, monkeypatch):
-    # every subproblem of 12 central steps on an n=10 instance with two
-    # commodities, solved by the x-space loop and by its plain-expression
-    # reference; these runs warm-start, adapt rho and both keep and reject
-    # polishes
+def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch):
+    # every subproblem of 12 central steps, solved by the x-space loop and
+    # by its plain-expression reference; these runs warm-start, adapt rho
+    # and both keep and reject polishes
     solves = []
 
     class Twin(QpWorkspace):
         def __init__(self, qp):
             super().__init__(qp)
-            assert self._loop == "xspace"
+            assert step_operator(self) == operator
             self.ref = ReferenceXspaceWorkspace(qp)
 
         def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
@@ -748,7 +801,19 @@ def test_xspace_loop_is_its_plain_step_on_n10_cells(seed, rho, monkeypatch):
             return sol
 
     monkeypatch.setattr(central, "QpWorkspace", Twin)
-    inst = random_instance(10, 0.5, seed=seed, n_commodities=2)
+    inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
     counters = solve_central(inst, SolverConfig(rho=rho, max_iters=12)).counters
     assert len(solves) == counters.solves == 12
     assert counters.refactors and counters.polish_kept and counters.polish_rejected
+
+
+@pytest.mark.parametrize("seed, rho", [(0, 0.1), (1, 10.0), (4, 0.1)])
+def test_xspace_loop_is_its_plain_step_on_n10_cells(seed, rho, monkeypatch):
+    # n=10 instances with two commodities run the map V
+    assert_plain_step_on_cells(10, 2, seed, rho, "xspace", monkeypatch)
+
+
+@pytest.mark.parametrize("seed, rho", [(2, 0.1), (3, 1.0)])
+def test_sparse_factor_step_is_its_plain_step_on_n20_cells(seed, rho, monkeypatch):
+    # n=20 instances run the x-space loop's sparse factor step
+    assert_plain_step_on_cells(20, None, seed, rho, "sparse", monkeypatch)
