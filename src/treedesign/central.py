@@ -159,8 +159,6 @@ class CentralState:
     mu: np.ndarray
     eta: np.ndarray
     k: int = 0
-    qp_iterations: int = 0
-    qp_status: str = "init"
 
 
 def init_state(inst, cfg):
@@ -208,8 +206,6 @@ def step(state, inst, cfg, _runtime=None):
         mu=mu_next,
         eta=eta_next,
         k=state.k + 1,
-        qp_iterations=sol.iterations,
-        qp_status=sol.status,
     )
 
 
@@ -316,13 +312,14 @@ def solve_central(inst, cfg):
 
     def record(prev, state, trace):
         residual = residual_central(prev, state)
+        sol = runtime.last[None]
         trace.append(CentralTraceRow(
             k=state.k,
             objective_w=objective(inst, state.w),
             objective_z=objective(inst, state.z.vector),
             residual=residual,
-            qp_iters=state.qp_iterations,
-            qp_status=state.qp_status,
+            qp_iters=sol.iterations,
+            qp_status=sol.status,
             # the loop checked the tree before recording
             feasible_now=check_flows(inst, state.z, state.y).feasible,
         ))

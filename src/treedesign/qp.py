@@ -29,25 +29,26 @@ lam/rho = w - p at every step, and the KKT step solves
 
 then p <- clip(w, l, u). Every update is linear in [x; w; p] plus a
 constant, so one step on the state [x; w; p; 1] is [x; w] <- M [x; w; p; 1]
-followed by the clip. For a KKT system of size N = n + m whose map has at
-most 2^16 entries, the dense loop builds M once per factorization from the
-inverse KKT matrix, and an iteration is one matrix-vector product and one
-clip: at that size a product is cheaper than the fixed cost of one sparse
-triangular solve.
+followed by the clip. By K's second block row z~ = A x~, so the step's x
+part is an affine map of rank n,
+
+    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q],
+
+built from the x rows of K^-1, and M is V composed with [I; A]: its x rows
+are V's plus (1 - alpha) x, its w rows A times V's plus w - alpha p. For a
+KKT system of size N = n + m whose map M has at most 2^16 entries, the
+dense loop builds V and then M once per factorization, and an iteration is
+one matrix-vector product and one clip: at that size a product is cheaper
+than the fixed cost of one sparse triangular solve.
 
 Past that size the x-space loop keeps the state (x, w, p) and takes alpha
-[x~; z~] on its own. By K's second block row z~ = A x~, an affine map of
-rank n:
-
-    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q]
-
-Structures whose n x (N + 1) map V, built from the x rows of K^-1, has at
-most 2^16 entries take alpha x~ from one product with V and alpha z~ from
-one with the dense constraint rows (the box rows of A are the identity), as
-nearly every n=10 relaxed subproblem with two commodities does. Larger ones
-take alpha [x~; z~] from one triangular solve with the cached sparse factor
-and one multiply. The operators are exact algebra on the same step, so
-their iterates differ only in rounding.
+[x~; z~] on its own. Structures whose n x (N + 1) map V has at most 2^16
+entries take alpha x~ from one product with V and alpha z~ from one with
+the dense constraint rows (the box rows of A are the identity), as nearly
+every n=10 relaxed subproblem with two commodities does. Larger ones take
+alpha [x~; z~] from one triangular solve with the cached sparse factor and
+one multiply. The operators are exact algebra on the same step, so their
+iterates differ only in rounding.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -143,16 +144,15 @@ class QuadraticProgram:
             raise ValueError("d must be finite and nonnegative")
         if not np.isfinite(self.q).all():
             raise ValueError("q must be finite")
-        if self.a_eq is None:
-            self.a_eq, self.b_eq = _empty_system(n)
-        else:
-            self.a_eq = sp.csr_matrix(self.a_eq)
-            self.b_eq = np.asarray(self.b_eq, dtype=float)
-        if self.a_in is None:
-            self.a_in, self.b_in = _empty_system(n)
-        else:
-            self.a_in = sp.csr_matrix(self.a_in)
-            self.b_in = np.asarray(self.b_in, dtype=float)
+        for rows, rhs in (("a_eq", "b_eq"), ("a_in", "b_in")):
+            a, b = getattr(self, rows), getattr(self, rhs)
+            if (a is None) != (b is None):
+                raise ValueError(f"{rows} and {rhs} go together, but "
+                                 f"{rows if a is None else rhs} is missing")
+            a, b = _empty_system(n) if a is None else \
+                (sp.csr_matrix(a), np.asarray(b, dtype=float))
+            setattr(self, rows, a)
+            setattr(self, rhs, b)
         if self.a_eq.shape[1] != n or self.a_in.shape[1] != n:
             raise ValueError("constraint matrices must have n columns")
         if self.a_eq.shape[0] != len(self.b_eq) or self.a_in.shape[0] != len(self.b_in):
@@ -255,21 +255,21 @@ class QpWorkspace:
     The inner loop (``_loop``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
     ``DENSE_MAX_ENTRIES`` runs the dense loop on the iteration map ``M`` of
-    shape (N, N + m + 1); every other one runs the x-space loop, which keeps
-    the x-space map ``V`` of shape (n, N + 1) and a dense copy of the
-    constraint rows when n (N + 1) <= ``XSPACE_MAX_ENTRIES``, and otherwise
-    no map (``_map`` is None) and steps with the sparse factor. Either map
-    is ``_map``, rebuilt in place from K^-1 at every factorization. In terms
-    of the blocks of K^-1 and R = diag(rho), M is
+    shape (N, N + m + 1); every other one runs the x-space loop on the map
+    ``V`` of shape (n, N + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``, and
+    otherwise on the sparse factor (``_map`` is None). Either map is
+    ``_map``, rebuilt in place at every factorization, and comes with the
+    dense constraint rows ``_a_con``. V = [V_x, V_v, c_x] comes from the x
+    rows of K^-1, which K's symmetry makes its first n columns, and each
+    solve writes c_x = -alpha K_xx q from one triangular solve. M is built
+    on V written into its x rows: K's second block row gives R^-1 K_zx =
+    A K_xx and R^-1 K_zz = A K_xz - I, with R = diag(rho), so with a = alpha
 
-        x rows: [a s K_xx + (1-a) I,  -a K_xz,                 2a K_xz,          c_x]
-        w rows: [a s R^-1 K_zx,  (1-a) I - a R^-1 K_zz,  a I + 2a R^-1 K_zz,  c_w]
+        x rows: [V_x + (1-a) I,  -V_v,       2 V_v,          c_x]
+        w rows: [A V_x,          I - A V_v,  2 A V_v - a I,  A c_x]
 
-    and V is [a s K_xx, a K_xz, c_x], with a = alpha, s = sigma, and
-    [c_x; c_w] = -a [K_xx q; R^-1 K_zx q] written by each solve from one
-    triangular solve. V needs only the first n columns of K^-1, which K's
-    symmetry makes its x rows. Both loops stop, check residuals, detect
-    infeasibility and adapt rho alike.
+    Both loops stop, check residuals, detect infeasibility and adapt rho
+    alike.
     """
 
     SIGMA = 1e-6
@@ -344,11 +344,9 @@ class QpWorkspace:
         self._slack = np.empty(len(self._report_rhs))
         self._sign = np.empty(m_in)
         big = n + m_total
-        self._loop, self._map, self._map_scale = "dense", None, None
+        self._loop, self._map = "dense", None
         if big * (big + m_total + 1) <= self.DENSE_MAX_ENTRIES:
             self._map = np.empty((big, big + m_total + 1))
-            # [alpha 1; alpha / rho], the row scale of every K^-1 block in M
-            self._map_scale = np.full(big, self.ALPHA)
         else:
             self._loop = "xspace"
             # the step's coefficients of its stacked [p; x]
@@ -356,10 +354,9 @@ class QpWorkspace:
                                              np.full(n, 1.0 - self.ALPHA)])
             if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
                 self._map = np.empty((n, big + 1))
-                # alpha 1, the row scale of V's offset column
-                self._map_scale = np.full(n, self.ALPHA)
-                # the constraint rows of A; its box rows are the identity
-                self._a_con = self.a_csr[:m_eq + m_in].toarray()
+        if self._map is not None:
+            # the constraint rows of A; its box rows are the identity
+            self._a_con = self.a_csr[:m_eq + m_in].toarray()
         self.refactors = 0
         self._refactor(self.RHO0)
 
@@ -399,52 +396,56 @@ class QpWorkspace:
         data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
                                                     -1.0 / rho])
         lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
-        if self._loop == "dense":
-            self._build_map(lu, rho)
-        elif self._map is not None:
+        if self._map is not None:
             self._build_xspace_map(lu)
+            if self._loop == "dense":
+                self._build_map()
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
-    def _build_map(self, lu, rho):
-        """Write every column of the dense map but the last, in place."""
-        n, big, alpha = self.n, self.n + self.m_total, self.ALPHA
-        m_map, scale = self._map, self._map_scale
-        np.divide(alpha, rho, out=scale[n:])
-        scale = scale[:, None]
-        # M[:, :N] starts as diag(scale) K^-1, solved for 32 unit columns at
-        # a time: given a hundred or more right-hand sides at once, SuperLU
-        # calls threaded BLAS-3, which at these sizes is about 30 times
-        # slower and leaves a BLAS thread spinning against this one
-        for j in range(0, big, self._MAP_BLOCK):
-            block = m_map[:, j:min(j + self._MAP_BLOCK, big)]
-            np.multiply(lu.solve(np.eye(big, block.shape[1], -j)), scale, out=block)
-        x_cols, w_cols, p_cols = m_map[:, :n], m_map[:, n:big], m_map[:, big:-1]
-        np.multiply(x_cols, self.SIGMA, out=x_cols)
-        np.multiply(w_cols, 2.0, out=p_cols)
-        np.negative(w_cols, out=w_cols)
-        diag = np.arange(big)
-        m_map[diag, diag] += 1.0 - alpha
-        m_map[diag[n:], diag[n:] + self.m_total] += alpha
-
     def _build_xspace_map(self, lu):
-        """Write every column of the x-space map but the last, in place."""
+        """Write V but its last column, in place, into the map's x rows."""
         n, big = self.n, self.n + self.m_total
-        v_map = self._map
-        # the first n columns of K^-1, 32 at a time as in _build_map; K is
-        # symmetric, so their transposes are the x rows of K^-1
+        m_map = self._map
+        # the first n columns of K^-1, 32 at a time: given a hundred or more
+        # right-hand sides at once, SuperLU calls threaded BLAS-3, which at
+        # these sizes is about 30 times slower and leaves a BLAS thread
+        # spinning against this one. K is symmetric, so their transposes
+        # are the x rows of K^-1
         for j in range(0, n, self._MAP_BLOCK):
             k = min(j + self._MAP_BLOCK, n)
             np.multiply(lu.solve(np.eye(big, k - j, -j)).T, self.ALPHA,
-                        out=v_map[j:k, :big])
-        np.multiply(v_map[:, :n], self.SIGMA, out=v_map[:, :n])
+                        out=m_map[j:k, :big])
+        np.multiply(m_map[:n, :n], self.SIGMA, out=m_map[:n, :n])
+
+    def _build_map(self):
+        """Write every column of the dense map but the last, in place, from
+        V in its x rows."""
+        n, m_total, alpha = self.n, self.m_total, self.ALPHA
+        big, m_map = n + m_total, self._map
+        v = m_map[:n, :big]
+        # the w rows start as A V: the constraint rows' product in rows n to
+        # m_total (n + m_eq + m_in = m_total), then the box rows, which copy V
+        m_map[n:m_total, :big] = self._a_con @ v
+        m_map[m_total:, :big] = v
+        w_cols, p_cols = m_map[:, n:big], m_map[:, big:-1]
+        np.multiply(w_cols, 2.0, out=p_cols)
+        np.negative(w_cols, out=w_cols)
+        x_rows, w_rows = np.arange(n), np.arange(n, big)
+        m_map[x_rows, x_rows] += 1.0 - alpha
+        m_map[w_rows, w_rows] += 1.0
+        m_map[w_rows, w_rows + m_total] -= alpha
 
     def _set_map_offset(self, q):
-        """Write the map's last column: -alpha [K_xx q; R^-1 K_zx q], or
-        only its x rows for the x-space map."""
-        rhs = np.zeros(self.n + self.m_total)
-        np.negative(q, out=rhs[:self.n])
-        sol = self._lu.solve(rhs)
-        np.multiply(self._map_scale, sol[:len(self._map_scale)], out=self._map[:, -1])
+        """Write the map's last column: c_x = -alpha K_xx q, and for the
+        dense map A c_x below it."""
+        n, m_total = self.n, self.m_total
+        rhs = np.zeros(n + m_total)
+        np.negative(q, out=rhs[:n])
+        c = self._map[:, -1]
+        np.multiply(self._lu.solve(rhs)[:n], self.ALPHA, out=c[:n])
+        if self._loop == "dense":
+            c[n:m_total] = self._a_con @ c[:n]
+            c[m_total:] = c[:n]
 
     # -- main iteration ----------------------------------------------------
 

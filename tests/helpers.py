@@ -263,6 +263,30 @@ def iteration_kkt_reference(ws, rho):
     )
 
 
+def dense_map_reference(ws, q):
+    """The dense iteration map M of ``ws`` at its penalty, offset ``q``
+    included, formed from the inverse KKT matrix as a whole.
+
+    M[:, :N] starts as diag([alpha; alpha / rho]) K^-1, from N unit columns
+    solved 32 at a time with the factor of the ``sp.bmat`` iteration
+    matrix; its last column is -alpha [K_xx q; R^-1 K_zx q], the same row
+    scale times K^-1 [-q; 0].
+    """
+    n, m_total, alpha = ws.n, ws.m_total, ws.ALPHA
+    big = n + m_total
+    lu = factor_kkt(iteration_kkt_reference(ws, ws.rho))
+    k_inv = np.hstack([lu.solve(np.eye(big, min(32, big - j), -j))
+                       for j in range(0, big, 32)])
+    scale = np.concatenate([np.full(n, alpha), alpha / ws.rho])[:, None]
+    k_inv = scale * k_inv
+    m_ref = np.hstack([ws.SIGMA * k_inv[:, :n], -k_inv[:, n:], 2.0 * k_inv[:, n:],
+                       scale * lu.solve(np.concatenate([-q, np.zeros(m_total)]))[:, None]])
+    diag = np.arange(big)
+    m_ref[diag, diag] += 1.0 - alpha
+    m_ref[diag[n:], diag[n:] + m_total] += alpha
+    return m_ref
+
+
 def polish_kkt_reference(ws, active):
     """The polish KKT matrix assembled directly from the active rows."""
     a_act = ws.a_csr[active]

@@ -28,6 +28,7 @@ from helpers import (
     ReferenceQpWorkspace,
     ReferenceXspaceWorkspace,
     assert_same_csc,
+    dense_map_reference,
     iteration_kkt_reference,
     polish_kkt_reference,
     projected_gradient_qp,
@@ -117,6 +118,13 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         QuadraticProgram(d=np.ones(1), q=np.zeros(1),
                          lo=np.array([1.0]), hi=np.array([0.0]))
+    # half of a constraint pair once dropped the rows silently (a stray
+    # right-hand side) or raised a TypeError (rows without one)
+    row = sp.csr_matrix(np.ones((1, 1)))
+    for given, missing in (({"b_eq": [1.0]}, "a_eq"), ({"b_in": [1.0]}, "a_in"),
+                           ({"a_eq": row}, "b_eq"), ({"a_in": row}, "b_in")):
+        with pytest.raises(ValueError, match=f"{missing} is missing$"):
+            QuadraticProgram(d=np.ones(1), q=np.zeros(1), **given)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -220,10 +228,15 @@ def test_infeasible_detected():
     assert solve_qp(qp, max_iters=20000).status == "infeasible-detected"
     assert xspace_workspace(qp).solve(qp.q, max_iters=20000).status == \
         "infeasible-detected"
-    # the factor step's plain-expression reference gives the same bits
+    # the factor step's plain-expression reference gives the same bits, for
+    # the polished point and for the loop's own
     s = sparse_workspace(qp).solve(qp.q, max_iters=20000)
     assert s.status == "infeasible-detected"
     assert_same_solution(s, sparse_reference(qp).solve(qp.q, max_iters=20000))
+    loop, loop_ref = (keep_loop_output(make(qp)).solve(qp.q, max_iters=20000)
+                      for make in (sparse_workspace, sparse_reference))
+    assert loop.status == "infeasible-detected"
+    assert_same_solution(loop, loop_ref)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -288,6 +301,12 @@ def test_max_iters_exit_is_bit_identical_to_reference():
     ref = sparse_reference(qp).solve(qp.q, tol=1e-12, max_iters=37)
     assert fast.status == "max-iters" and fast.iterations == 37
     assert_same_solution(fast, ref)
+    # the polish recomputes its point from the active set alone, so the
+    # loop's own output is compared too
+    loop, loop_ref = (keep_loop_output(make(qp)).solve(qp.q, tol=1e-12, max_iters=37)
+                      for make in (sparse_workspace, sparse_reference))
+    assert not loop.polished and loop.iterations == 37
+    assert_same_solution(loop, loop_ref)
 
 
 @pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
@@ -718,6 +737,21 @@ def test_non_finite_cost_is_rejected_and_leaves_the_workspace_intact(make, bad):
     assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_map_is_the_scaled_inverse_kkt_matrix(seed):
+    # M, built from V and the constraint rows, is the map formed from all
+    # of K^-1 at every penalty rho adaptation reaches, offset included; the
+    # equality rows' penalties run from 1e-3 to 1e6
+    qp, _ = random_feasible_qp(np.random.default_rng(seed))
+    ws = dense_workspace(qp)
+    for rho_base in (ws.RHO_MIN, ws.RHO0, 1.0, ws.RHO_MAX):
+        ws._refactor(rho_base)
+        ws._set_map_offset(qp.q)
+        ref = dense_map_reference(ws, qp.q)
+        gap = float(np.max(np.abs(ws._map - ref)))
+        assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(ref)))), (rho_base, gap)
+
+
 def test_failed_refactor_keeps_the_old_penalty():
     # a factorization that raises must leave rho, the factor and the map
     # as they were, so later solves are those of an untouched workspace
@@ -732,6 +766,16 @@ def test_failed_refactor_keeps_the_old_penalty():
             ws._refactor(float("nan"))
         assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
         assert np.array_equal(ws._map[:, :-1], m_map)
+        if make is dense_workspace:
+            # the dense map is built on V in its x rows, and they still hold
+            # V as the x-space map has it at this penalty: -V_v and 2 V_v
+            # exactly, and V_x off the diagonal
+            n, big = ws.n, ws.n + ws.m_total
+            v_map = xspace_workspace(qp)._map
+            off = ~np.eye(n, dtype=bool)
+            assert np.array_equal(ws._map[:n, :n][off], v_map[:, :n][off])
+            assert np.array_equal(-ws._map[:n, n:big], v_map[:, n:big])
+            assert np.array_equal(ws._map[:n, big:-1], 2.0 * v_map[:, n:big])
         assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
 
 
