@@ -152,11 +152,15 @@ def sync_round(world, cfg, _runtime=None, order=None):
 
     Phase 1 reads only the round-k states of each agent and its graph
     neighbors, phase 2 only phase-1 output, so any processing order gives
-    bit-identical results.
+    bit-identical results. ``order``, when given, must list every agent id
+    once; any other raises ValueError.
     """
     inst = world.inst
     agents = world.agents
     order = list(range(inst.n)) if order is None else list(order)
+    if sorted(order) != list(range(inst.n)):
+        raise ValueError(f"order {order} is not a permutation of the agent "
+                         f"ids 0 to {inst.n - 1}")
     staged = [None] * inst.n
     for i in order:
         snapshots = [agents[j] for j in world.partners[i]]

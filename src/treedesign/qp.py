@@ -10,11 +10,14 @@ assembles one KKT template and factors the iteration's KKT matrix once, and
 each solve takes a new q (the only thing an outer ADMM iteration changes),
 optionally warm-started from an earlier solution's (v, z, lam) or from a
 bare point v (a WarmStart). A final active-set polish tightens residuals
-well below the iteration tolerance; its KKT matrix is cut out of the
-template rather than assembled, and the residuals it computes to accept or
-reject the polished point are the ones reported. Both KKT matrices are
-symmetric quasi-definite, so SuperLU factors them under a symmetric
-fill-reducing ordering without pivoting.
+well below the iteration tolerance, and the residuals it computes to accept
+or reject the polished point are the ones reported. The iteration's KKT
+matrix is symmetric quasi-definite, so SuperLU factors it under a symmetric
+fill-reducing ordering without pivoting. So does the polish of structures
+too large for either map below, with its KKT matrix cut out of the
+template rather than assembled; the others polish through one dense
+Cholesky factor of the Schur complement of the active constraint rows,
+after eliminating the active box rows exactly.
 
 Each solve runs one of two inner loops, chosen by size alone. With rho
 fixed, the iteration is an affine map followed by a clip. Put w = z_pre +
@@ -62,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 from scipy.sparse import _sparsetools
 
 # _clip(w, l, u[, out]) is the clip ufunc that np.clip runs for float bounds:
@@ -247,10 +251,15 @@ class QpWorkspace:
     variables and the active rows. Every structure is entry for entry what
     assembling it with ``sp.vstack`` and ``sp.bmat`` gives.
 
-    Both matrices are factored by :func:`factor_kkt` without pivoting. That
-    is safe because both are quasi-definite: the iteration matrix has
-    ``d + sigma > 0`` on its leading diagonal and ``-1/rho < 0`` on its
-    trailing one, the polish matrix ``d + delta`` and ``-delta``.
+    The iteration matrix is factored by :func:`factor_kkt` without
+    pivoting. That is safe because it is quasi-definite, with ``d + sigma >
+    0`` on its leading diagonal and ``-1/rho < 0`` on its trailing one. So
+    is the polish matrix, with ``d + delta`` and ``-delta``, and the factor
+    branch (``_map`` None) factors it the same way. A workspace that holds
+    the dense constraint rows solves the same polish system densely
+    instead (``_schur_solver``): at those sizes one LAPACK Cholesky factor
+    of a k x k matrix, k the active constraint rows, is far cheaper than
+    cutting and factoring the sparse matrix.
 
     The inner loop (``_loop``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
@@ -721,6 +730,56 @@ class QpWorkspace:
         return sp.csc_matrix((t.data[entries], renumber[t.indices[entries]], indptr),
                              shape=(size, size))
 
+    def _schur_solver(self, active):
+        """A solver of the polish system ``[[D, A_act'], [A_act, -delta I]]``,
+        D = diag(d) + delta I, from one dense Cholesky factor; None when
+        LAPACK finds the factored matrix not positive definite.
+
+        The active box rows are the identity and sit last, so each one
+        eliminates exactly: its variable's diagonal gains 1/delta and its
+        right-hand side r_b/delta, giving D~. What is left is S nu_C =
+        A_C D~^-1 r~ - r_C with S = A_C D~^-1 A_C' + delta I over the k
+        active constraint rows, which is positive definite. The box
+        multipliers come from their variables' stationarity rows, not from
+        (x_j - r_j)/delta, whose difference cancels. The solver takes and
+        returns [x; nu] in the system's order.
+        """
+        n, m_con, delta = self.n, self.m_eq + self.m_in, self.POLISH_DELTA
+        box = active[m_con:]
+        a_c = self._a_con[active[:m_con]]
+        k = len(a_c)
+        # the diagonal of D~, then its inverse
+        inv = self.qp.d + delta
+        d_box = inv[box]
+        inv[box] += 1.0 / delta
+        np.divide(1.0, inv, out=inv)
+        if k:
+            # the lower triangle of S, read by LAPACK as the upper one of
+            # its transpose, with no copy
+            s = (a_c * inv) @ a_c.T
+            s.flat[::k + 1] += delta
+            chol, info = _potrf(s.T, overwrite_a=True, clean=False)
+            if info:
+                return None
+
+        def solve(rhs):
+            r_x, r_c = rhs[:n], rhs[n:n + k]
+            sol = np.empty(len(rhs))
+            x, nu_c, nu_b = sol[:n], sol[n:n + k], sol[n + k:]
+            # x holds r~ until it becomes D~^-1 (r~ - A_C' nu_C)
+            x[:] = r_x
+            x[box] += rhs[n + k:] / delta
+            if k:
+                np.subtract(a_c @ (x * inv), r_c, out=nu_c)
+                nu_c[:] = _potrs(chol, nu_c)[0]
+            at_nu = nu_c @ a_c  # zeros when no constraint row is active
+            x -= at_nu
+            x *= inv
+            np.subtract(r_x[box], d_box * x[box] + at_nu[box], out=nu_b)
+            return sol
+
+        return solve
+
     def _polish(self, x, z, lam, q):
         """Solve the KKT system on the detected active set; keep it only if
         the worst residual (on the full constraint data) improves.
@@ -735,15 +794,20 @@ class QpWorkspace:
         if not active.any():
             return x, z, lam, old
         b_act = np.where(lam > 1e-12, self.u, self.l)[active]
-        try:
-            lu = factor_kkt(self._polish_kkt(active))
-        except RuntimeError:
-            return x, z, lam, old
+        if self._map is None:
+            try:
+                solve = factor_kkt(self._polish_kkt(active)).solve
+            except RuntimeError:
+                return x, z, lam, old
+        else:
+            solve = self._schur_solver(active)
+            if solve is None:
+                return x, z, lam, old
         n = self.n
         rhs = np.empty(n + len(b_act))
         np.negative(q, out=rhs[:n])
         rhs[n:] = b_act
-        sol = lu.solve(rhs)
+        sol = solve(rhs)
         x_p = sol[:n]
         lam_p = np.zeros(self.m_total)
         lam_p[active] = sol[n:]
@@ -755,7 +819,7 @@ class QpWorkspace:
         np.subtract(res_top, np.multiply(self.qp.d, x_p, out=self._grad), out=res_top)
         np.subtract(res_top, _matvec(self.a_t, lam_p, self._atl), out=res_top)
         np.subtract(b_act, _matvec(self.a_csr, x_p, self._ax)[active], out=rhs[n:])
-        corr = lu.solve(rhs)
+        corr = solve(rhs)
         x_p = x_p + corr[:n]
         lam_p[active] = sol[n:] + corr[n:]
         # np.max, unlike Python's max, keeps a NaN in any position

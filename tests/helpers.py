@@ -10,7 +10,14 @@ from treedesign.distributed import AgentState, init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
 from treedesign.mcf import Commodity, FeasibilityReport, Instance, half_incident_costs
 from treedesign.projection import project_binary, project_tree
-from treedesign.qp import QpSolution, QpWorkspace, QuadraticProgram, factor_kkt
+from treedesign.qp import (
+    QpSolution,
+    QpWorkspace,
+    QuadraticProgram,
+    _potrf,
+    _potrs,
+    factor_kkt,
+)
 from treedesign.report import DistributedTraceRow
 
 
@@ -300,15 +307,102 @@ def polish_kkt_reference(ws, active):
     )
 
 
+def superlu_polish_solver(ws, active):
+    """The polish system's solver from SuperLU's factor of the ``sp.bmat``
+    polish matrix, as the factor branch solves it; None when SuperLU finds
+    the matrix singular."""
+    try:
+        return factor_kkt(polish_kkt_reference(ws, active)).solve
+    except RuntimeError:
+        return None
+
+
+def schur_polish_solver(ws, active):
+    """``QpWorkspace._schur_solver`` as plain expressions, one fresh array
+    per operation and the same LAPACK calls."""
+    n, m_con, delta = ws.n, ws.m_eq + ws.m_in, ws.POLISH_DELTA
+    box = active[m_con:]
+    a_c = ws._a_con[active[:m_con]]
+    k = len(a_c)
+    d_tilde = ws.qp.d + delta
+    d_box = d_tilde[box]
+    d_tilde[box] = d_box + 1.0 / delta
+    inv = 1.0 / d_tilde
+    chol = None
+    if k:
+        s = (a_c * inv) @ a_c.T
+        s[np.diag_indices(k)] = s[np.diag_indices(k)] + delta
+        chol, info = _potrf(s.T, clean=False)
+        if info:
+            return None
+
+    def solve(rhs):
+        r_x, r_c, r_b = rhs[:n], rhs[n:n + k], rhs[n + k:]
+        y = r_x.copy()
+        y[box] = y[box] + r_b / delta
+        nu_c = _potrs(chol, a_c @ (y * inv) - r_c)[0] if k else np.zeros(0)
+        at_nu = nu_c @ a_c
+        x = (y - at_nu) * inv
+        return np.concatenate([x, nu_c, r_x[box] - (d_box * x[box] + at_nu[box])])
+
+    return solve
+
+
+def polish_solver_reference(ws, active):
+    """The polish system's solver the workspace's branch uses: the dense
+    Schur complement where it holds the dense constraint rows, SuperLU
+    otherwise."""
+    if ws._map is None:
+        return superlu_polish_solver(ws, active)
+    return schur_polish_solver(ws, active)
+
+
+def polish_reference(ws, x, z, lam, q, solver=polish_solver_reference):
+    """The polish as plain expressions, its system solved by ``solver``.
+
+    Returns the kept (x, z, lam), its reported residuals, and the worst
+    residual of the polished candidate (inf when ``solver`` gives none).
+    Every residual of the candidate is computed before the decision.
+    """
+    old = ws._report_residuals(x, lam, q)
+    act_low = (lam < -1e-12) & ~ws._is_eq
+    act_up = (lam > 1e-12) & ~ws._is_eq
+    active = ws._is_eq | act_low | act_up
+    if not active.any():
+        return x, z, lam, old, np.inf
+    b_act = np.where(act_up[active], ws.u[active], ws.l[active])
+    b_act = np.where(ws._is_eq[active], ws.u[active], b_act)
+    solve = solver(ws, active)
+    if solve is None:
+        return x, z, lam, old, np.inf
+    n = ws.n
+    sol = solve(np.concatenate([-q, b_act]))
+    x_p = sol[:n]
+    lam_p = np.zeros(ws.m_total)
+    lam_p[active] = sol[n:]
+    res_top = -q - ws.qp.d * x_p - ws.a_t @ lam_p
+    res_bot = b_act - (ws.a_csr @ x_p)[active]
+    corr = solve(np.concatenate([res_top, res_bot]))
+    x_p = x_p + corr[:n]
+    lam_p[active] = sol[n:] + corr[n:]
+    new = ws._report_residuals(x_p, lam_p, q)
+    worst = np.max(new)
+    if not np.isfinite(worst) or worst >= np.max(old):
+        return x, z, lam, old, worst
+    z_p = np.clip(ws.a_csr @ x_p, ws.l, ws.u)
+    return x_p, z_p, lam_p, new, worst
+
+
 class PlainResidualsMixin:
     """QpWorkspace's periodic check, residuals, infeasibility test and polish
     as plain expressions, kept as a reference.
 
     Every sparse product is an ``@``, every norm an ``np.max``, each check
-    computes both residuals, and the polish cuts its KKT matrix with
-    ``sp.bmat`` and computes every residual of the polished point before it
-    decides. Mixed in ahead of QpWorkspace, it must change no bit of any
-    solve of any loop.
+    computes both residuals, and the polish (``polish_reference``) cuts its
+    KKT matrix with ``sp.bmat`` or forms its Schur complement with plain
+    expressions, as the workspace's branch does, and computes every
+    residual of the polished point before it decides. Mixed in ahead of
+    QpWorkspace, it must change no bit of any solve of any loop.
     """
 
     def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):
@@ -364,40 +458,14 @@ class PlainResidualsMixin:
         return eq_res, in_vio, stat
 
     def _polish(self, x, z, lam, q):
-        old = self._report_residuals(x, lam, q)
-        act_low = (lam < -1e-12) & ~self._is_eq
-        act_up = (lam > 1e-12) & ~self._is_eq
-        active = self._is_eq | act_low | act_up
-        if not active.any():
-            return x, z, lam, old
-        b_act = np.where(act_up[active], self.u[active], self.l[active])
-        b_act = np.where(self._is_eq[active], self.u[active], b_act)
-        try:
-            lu = factor_kkt(polish_kkt_reference(self, active))
-        except RuntimeError:
-            return x, z, lam, old
-        n = self.n
-        sol = lu.solve(np.concatenate([-q, b_act]))
-        x_p = sol[:n]
-        lam_p = np.zeros(self.m_total)
-        lam_p[active] = sol[n:]
-        res_top = -q - self.qp.d * x_p - self.a_t @ lam_p
-        res_bot = b_act - (self.a_csr @ x_p)[active]
-        corr = lu.solve(np.concatenate([res_top, res_bot]))
-        x_p = x_p + corr[:n]
-        lam_p[active] = sol[n:] + corr[n:]
-        new = self._report_residuals(x_p, lam_p, q)
-        worst = np.max(new)
-        if not np.isfinite(worst) or worst >= np.max(old):
-            return x, z, lam, old
-        z_p = np.clip(self.a_csr @ x_p, self.l, self.u)
-        return x_p, z_p, lam_p, new
+        return polish_reference(self, x, z, lam, q)[:4]
 
 
 class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
     """The straightforward form of QpWorkspace's solve, kept as a reference.
 
-    Assembles every KKT matrix with ``sp.bmat``, allocates fresh arrays on
+    Assembles every KKT matrix with ``sp.bmat`` (the polish's only where
+    the workspace polishes through SuperLU), allocates fresh arrays on
     every iteration, transposes the constraint matrix on every product and
     recomputes the final residuals after polish. Its infeasibility test is
     the plain one of PlainResidualsMixin. The fast path must produce the
@@ -509,16 +577,15 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
         a_act = self.a_csr[active]
         b_act = np.where(act_up[active], self.u[active], self.l[active])
         b_act = np.where(self._is_eq[active], self.u[active], b_act)
-        try:
-            lu = factor_kkt(polish_kkt_reference(self, active))
-        except RuntimeError:
+        solve = polish_solver_reference(self, active)
+        if solve is None:
             return x, z, lam
         rhs = np.concatenate([-q, b_act])
-        sol = lu.solve(rhs)
+        sol = solve(rhs)
         x_p, nu_p = sol[:self.n], sol[self.n:]
         res_top = -q - self.qp.d * x_p - a_act.T @ nu_p
         res_bot = b_act - a_act @ x_p
-        corr = lu.solve(np.concatenate([res_top, res_bot]))
+        corr = solve(np.concatenate([res_top, res_bot]))
         x_p = x_p + corr[:self.n]
         nu_p = nu_p + corr[self.n:]
         lam_p = np.zeros(self.m_total)

@@ -127,6 +127,19 @@ def test_round_is_order_independent():
         assert agents_equal(a, b)
 
 
+@pytest.mark.parametrize("order", [[0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+                                   list(range(7)), [0, 1, 2, 3, 4]])
+def test_round_rejects_an_order_that_is_not_a_permutation(order):
+    # a repeated or missing id once raised AttributeError on the agent left
+    # unstaged, and an id past the last agent an IndexError
+    inst = random_instance(6, 0.7, seed=3)
+    cfg = SolverConfig(rho=0.3)
+    world = init_world(inst, cfg)
+    with pytest.raises(ValueError, match=rf"^order \[{order[0]}, .* not a permutation"):
+        sync_round(world, cfg, order=order)
+    assert sync_round(world, cfg, order=reversed(range(inst.n))).k == 1
+
+
 def test_symmetric_two_agent_world_stays_symmetric():
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)

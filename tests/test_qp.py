@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treedesign import central
+from treedesign import qp as qp_module
 from treedesign.central import SolverConfig, solve_central
-from treedesign.mcf import random_instance, relaxed_qp
+from treedesign.mcf import random_instance, relaxed_qp, shortest_path_point
 from treedesign.qp import (
     QpSolution,
     QpWorkspace,
@@ -31,9 +33,11 @@ from helpers import (
     dense_map_reference,
     iteration_kkt_reference,
     polish_kkt_reference,
+    polish_reference,
     projected_gradient_qp,
     random_feasible_qp,
     step_operator,
+    superlu_polish_solver,
     workspace_structures_reference,
 )
 
@@ -783,14 +787,113 @@ def test_failed_refactor_keeps_the_old_penalty():
                          [(8, None, 5, "dense"), (10, 2, 5, "xspace"),
                           (30, None, 1, "sparse")],
                          ids=["dist-n8", "sweep-n10", "n30"])
-def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop):
+def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop,
+                                          monkeypatch):
     # the benchmark's distributed n=8 subproblems run the dense map, its
     # central n=10 ones, with two commodities, the x-space map, and n=30
-    # subproblems the x-space loop's sparse factor step
+    # subproblems the x-space loop's sparse factor step. The polish follows
+    # the same rule: only the factor branch factors a sparse polish matrix
+    factored = []
+    monkeypatch.setattr(qp_module, "factor_kkt",
+                        lambda kkt: factored.append(kkt) or factor_kkt(kkt))
     for seed in range(seeds):
         inst = random_instance(n, 0.5, seed=seed, n_commodities=commodities)
-        ws = QpWorkspace(relaxed_qp(inst, 1.0, np.zeros(inst.dim_total)))
+        q = np.random.default_rng(seed).normal(size=inst.dim_total)
+        ws = QpWorkspace(relaxed_qp(inst, 1.0, q))
         assert step_operator(ws) == loop
+        sol = keep_loop_output(ws).solve(q, max_iters=50)
+        factored.clear()
+        QpWorkspace._polish(ws, sol.v, sol.z, sol.lam, q)
+        # the equality rows are always active, so every polish solves
+        assert len(factored) == (loop == "sparse")
+
+
+def assert_polish_agrees_with_superlu(ws, sol, q):
+    """The workspace's polish of a loop's own point against the SuperLU
+    polish of the factor branch: the same keep or reject decision, unless
+    the kept candidate's worst residual is strictly below SuperLU's, and
+    the same kept x within 1e-12. Says whether the polish was kept."""
+    x = sol.v
+    got = QpWorkspace._polish(ws, x, sol.z, sol.lam, q)
+    ref = polish_reference(ws, x, sol.z, sol.lam, q, solver=superlu_polish_solver)
+    kept, ref_kept = got[0] is not x, ref[0] is not x
+    if kept != ref_kept:
+        assert kept and np.max(got[3]) < ref[4], (np.max(got[3]), ref[4])
+    elif kept:
+        assert float(np.max(np.abs(got[0] - ref[0]))) <= 1e-12
+    return kept
+
+
+def loop_points(qp, loop, **kwargs):
+    """A workspace of ``qp`` on ``loop`` and its loop's own solutions: one
+    converged, one stopped early."""
+    ws = keep_loop_output(forced_workspace(qp, loop))
+    return ws, [ws.solve(qp.q, **kwargs), ws.solve(qp.q, tol=1e-15, max_iters=60)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), relaxed=st.booleans())
+def test_schur_polish_agrees_with_superlu_polish(seed, relaxed):
+    # the dense and V-map branches polish through the Schur complement of
+    # the active rows, the factor branch through SuperLU; both solve the
+    # same regularized system
+    if relaxed:
+        qp, _ = relaxed_subproblem(seed)
+    else:
+        qp, _ = random_feasible_qp(np.random.default_rng(seed))
+    for loop in ("dense", "xspace"):
+        ws, sols = loop_points(qp, loop, tol=1e-8)
+        for sol in sols:
+            assert_polish_agrees_with_superlu(ws, sol, qp.q)
+
+
+@pytest.mark.parametrize("loop", ["dense", "xspace"])
+def test_schur_polish_of_a_duplicated_equality_row(loop):
+    # a repeated equality row makes the active constraint rows rank
+    # deficient; the delta term keeps their Schur complement definite
+    for seed in range(3):
+        qp, _ = random_feasible_qp(np.random.default_rng(seed))
+        dup = replace(qp, a_eq=sp.vstack([qp.a_eq, qp.a_eq[0]], format="csr"),
+                      b_eq=np.concatenate([qp.b_eq, qp.b_eq[:1]]))
+        ws, (sol, capped) = loop_points(dup, loop, tol=1e-8)
+        assert sol.status == "solved"
+        assert ws._schur_solver(ws._is_eq | (np.abs(sol.lam) > 1e-12)) is not None
+        assert assert_polish_agrees_with_superlu(ws, sol, dup.q)
+        assert_polish_agrees_with_superlu(ws, capped, dup.q)
+
+
+@pytest.mark.parametrize("loop", ["dense", "xspace"])
+def test_schur_polish_of_a_box_only_active_set(loop):
+    # no constraint row is active, so nothing is factored: the box rows
+    # alone are eliminated
+    rng = np.random.default_rng(3)
+    n = 8
+    qp = QuadraticProgram(d=rng.uniform(1.0, 2.0, n), q=rng.normal(0.0, 3.0, n),
+                          a_in=sp.csr_matrix(np.ones((1, n))), b_in=[n + 1.0],
+                          lo=np.zeros(n), hi=np.ones(n))
+    ws, (sol, _) = loop_points(qp, loop, tol=1e-8)
+    active = ws._is_eq | (np.abs(sol.lam) > 1e-12)
+    assert not active[:ws.m_in].any() and active[ws.m_in:].sum() >= 2
+    assert assert_polish_agrees_with_superlu(ws, sol, qp.q)
+
+
+@pytest.mark.parametrize("n, commodities, seed",
+                         [(8, None, 1), (8, None, 2), (10, 2, 0)])
+def test_schur_polish_falls_back_on_the_zero_diagonal_probe(n, commodities, seed):
+    # the feasibility probe has no diagonal, so S is definite only through
+    # delta, and its redundant conservation rows make it singular to
+    # working precision: LAPACK reports it and the loop's point stays,
+    # with no warning on the way
+    inst = random_instance(n, 0.5, seed, n_commodities=commodities)
+    probe = relaxed_qp(inst, 0.0, np.zeros(inst.dim_total))
+    ws = keep_loop_output(QpWorkspace(probe))
+    assert step_operator(ws) != "sparse"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = ws.solve(probe.q, tol=1e-6, warm=WarmStart(shortest_path_point(inst)))
+        assert sol.status == "solved"
+        assert ws._schur_solver(ws._is_eq | (np.abs(sol.lam) > 1e-12)) is None
+        assert not assert_polish_agrees_with_superlu(ws, sol, probe.q)
 
 
 # every value the clip can meet: NaN, signed zeros, infinite bounds and finite
