@@ -13,11 +13,11 @@ bare point v (a WarmStart). A final active-set polish tightens residuals
 well below the iteration tolerance, and the residuals it computes to accept
 or reject the polished point are the ones reported. The iteration's KKT
 matrix is symmetric quasi-definite, so SuperLU factors it under a symmetric
-fill-reducing ordering without pivoting. So does the polish of structures
-too large for either map below, with its KKT matrix cut out of the
-template rather than assembled; the others polish through one dense
-Cholesky factor of the Schur complement of the active constraint rows,
-after eliminating the active box rows exactly.
+fill-reducing ordering without pivoting. The polish eliminates the active
+box rows exactly and factors the Schur complement of the active constraint
+rows, which is positive definite: densely with one Cholesky factor where a
+map below holds the constraint rows dense, and sparsely with SuperLU, again
+without pivoting, for structures too large for either map.
 
 Each solve runs one of two inner loops, chosen by size alone. With rho
 fixed, the iteration is an affine map followed by a clip. Put w = z_pre +
@@ -247,19 +247,17 @@ class QpWorkspace:
     one CSC template ``[[diag(d) + delta I, A'], [A, -delta I]]`` over all
     scaled rows, by index arithmetic alone. The iteration's KKT matrix is
     the template with its diagonal overwritten (``d + sigma`` and
-    ``-1/rho``); the polish matrix is the template restricted to the
-    variables and the active rows. Every structure is entry for entry what
-    assembling it with ``sp.vstack`` and ``sp.bmat`` gives.
+    ``-1/rho``). Every structure is entry for entry what assembling it with
+    ``sp.vstack`` and ``sp.bmat`` gives.
 
     The iteration matrix is factored by :func:`factor_kkt` without
     pivoting. That is safe because it is quasi-definite, with ``d + sigma >
-    0`` on its leading diagonal and ``-1/rho < 0`` on its trailing one. So
-    is the polish matrix, with ``d + delta`` and ``-delta``, and the factor
-    branch (``_map`` None) factors it the same way. A workspace that holds
-    the dense constraint rows solves the same polish system densely
-    instead (``_schur_solver``): at those sizes one LAPACK Cholesky factor
-    of a k x k matrix, k the active constraint rows, is far cheaper than
-    cutting and factoring the sparse matrix.
+    0`` on its leading diagonal and ``-1/rho < 0`` on its trailing one. The
+    polish (``_schur_solver``) solves the regularized system on the active
+    rows through the k x k Schur complement of its k active constraint
+    rows: one LAPACK Cholesky factor where the workspace holds those rows
+    dense, and :func:`factor_kkt` on the sparse complement on the factor
+    branch (``_map`` None).
 
     The inner loop (``_loop``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
@@ -325,15 +323,6 @@ class QpWorkspace:
         self._is_eq = np.zeros(m_total, dtype=bool)
         self._is_eq[:m_eq] = True
         self._template, self._template_diag = self._assemble_template()
-        # every template entry off the diagonal has its row or its column
-        # among the variables, which the polish always keeps, so the entry
-        # survives exactly when its larger index does
-        t = self._template
-        self._template_key = np.maximum(
-            t.indices, np.repeat(np.arange(n + m_total), np.diff(t.indptr)))
-        # which template columns a polish keeps, then the end of the last
-        # one; the variables' entries stay True
-        self._keep = np.ones(n + m_total + 1, dtype=bool)
         # the reported residuals' rows in original units: one product with
         # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack.
         # The caller's rows are stacked in canonical form with stored zeros
@@ -363,9 +352,11 @@ class QpWorkspace:
                                              np.full(n, 1.0 - self.ALPHA)])
             if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
                 self._map = np.empty((n, big + 1))
+        # the constraint rows of A, dense where a map is built from them;
+        # its box rows are the identity
+        self._a_con = self.a_csr[:m_eq + m_in]
         if self._map is not None:
-            # the constraint rows of A; its box rows are the identity
-            self._a_con = self.a_csr[:m_eq + m_in].toarray()
+            self._a_con = self._a_con.toarray()
         self.refactors = 0
         self._refactor(self.RHO0)
 
@@ -712,34 +703,22 @@ class QpWorkspace:
 
     # -- polish --------------------------------------------------------------
 
-    def _polish_kkt(self, active):
-        """``[[diag(d) + delta I, A_act'], [A_act, -delta I]]`` in CSC form.
-
-        The template's entries whose row and column both survive, renumbered;
-        the template's columns are sorted, so the result is the canonical
-        matrix ``sp.bmat`` would assemble from the active rows. A kept
-        column's pointer counts the kept entries before its first one.
-        """
-        t, n, keep = self._template, self.n, self._keep
-        keep[n:-1] = active
-        entries = np.flatnonzero(keep[self._template_key])
-        size = n + int(np.count_nonzero(active))
-        indptr = np.searchsorted(entries, t.indptr[keep]).astype(t.indptr.dtype)
-        renumber = np.empty(len(keep) - 1, dtype=t.indices.dtype)
-        renumber[keep[:-1]] = np.arange(size, dtype=t.indices.dtype)
-        return sp.csc_matrix((t.data[entries], renumber[t.indices[entries]], indptr),
-                             shape=(size, size))
-
     def _schur_solver(self, active):
         """A solver of the polish system ``[[D, A_act'], [A_act, -delta I]]``,
-        D = diag(d) + delta I, from one dense Cholesky factor; None when
-        LAPACK finds the factored matrix not positive definite.
+        D = diag(d) + delta I, through the Schur complement of the active
+        constraint rows; None when its factor finds that complement not
+        positive definite.
 
         The active box rows are the identity and sit last, so each one
         eliminates exactly: its variable's diagonal gains 1/delta and its
         right-hand side r_b/delta, giving D~. What is left is S nu_C =
         A_C D~^-1 r~ - r_C with S = A_C D~^-1 A_C' + delta I over the k
-        active constraint rows, which is positive definite. The box
+        active constraint rows, which is positive definite. A workspace
+        with a map holds the constraint rows dense and factors S with one
+        LAPACK Cholesky; the factor branch (``_map`` None) holds them sparse
+        and factors a sparse S with :func:`factor_kkt`, whose pivots are
+        then a Cholesky's squared diagonal, so an exactly singular S or a
+        pivot that is not positive stands for LAPACK's ``info``. The box
         multipliers come from their variables' stationarity rows, not from
         (x_j - r_j)/delta, whose difference cancels. The solver takes and
         returns [x; nu] in the system's order.
@@ -747,13 +726,22 @@ class QpWorkspace:
         n, m_con, delta = self.n, self.m_eq + self.m_in, self.POLISH_DELTA
         box = active[m_con:]
         a_c = self._a_con[active[:m_con]]
-        k = len(a_c)
+        k = a_c.shape[0]
         # the diagonal of D~, then its inverse
         inv = self.qp.d + delta
         d_box = inv[box]
         inv[box] += 1.0 / delta
         np.divide(1.0, inv, out=inv)
-        if k:
+        if k and self._map is None:
+            s = a_c.multiply(inv) @ a_c.T + delta * sp.identity(k)
+            try:
+                lu = factor_kkt(s.tocsc())
+            except RuntimeError:
+                return None
+            if not (lu.U.diagonal() > 0.0).all():
+                return None
+            back = lu.solve
+        elif k:
             # the lower triangle of S, read by LAPACK as the upper one of
             # its transpose, with no copy
             s = (a_c * inv) @ a_c.T
@@ -761,6 +749,9 @@ class QpWorkspace:
             chol, info = _potrf(s.T, overwrite_a=True, clean=False)
             if info:
                 return None
+
+            def back(r):
+                return _potrs(chol, r)[0]
 
         def solve(rhs):
             r_x, r_c = rhs[:n], rhs[n:n + k]
@@ -771,7 +762,7 @@ class QpWorkspace:
             x[box] += rhs[n + k:] / delta
             if k:
                 np.subtract(a_c @ (x * inv), r_c, out=nu_c)
-                nu_c[:] = _potrs(chol, nu_c)[0]
+                nu_c[:] = back(nu_c)
             at_nu = nu_c @ a_c  # zeros when no constraint row is active
             x -= at_nu
             x *= inv
@@ -794,15 +785,9 @@ class QpWorkspace:
         if not active.any():
             return x, z, lam, old
         b_act = np.where(lam > 1e-12, self.u, self.l)[active]
-        if self._map is None:
-            try:
-                solve = factor_kkt(self._polish_kkt(active)).solve
-            except RuntimeError:
-                return x, z, lam, old
-        else:
-            solve = self._schur_solver(active)
-            if solve is None:
-                return x, z, lam, old
+        solve = self._schur_solver(active)
+        if solve is None:
+            return x, z, lam, old
         n = self.n
         rhs = np.empty(n + len(b_act))
         np.negative(q, out=rhs[:n])

@@ -163,8 +163,6 @@ def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
         "a_t": a_csr.T.tocsr(),
         "row_scale": np.concatenate([scale_eq, scale_in, np.ones(n)]),
         "_template": template,
-        # an entry survives a polish cut when its row and its column do
-        "_template_key": np.maximum(template.indices, template_cols),
         "_template_diag": np.flatnonzero(template.indices == template_cols),
         "_report_rows": sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr"),
     }
@@ -308,9 +306,9 @@ def polish_kkt_reference(ws, active):
 
 
 def superlu_polish_solver(ws, active):
-    """The polish system's solver from SuperLU's factor of the ``sp.bmat``
-    polish matrix, as the factor branch solves it; None when SuperLU finds
-    the matrix singular."""
+    """The polish system's solver from SuperLU's factor of the full
+    ``sp.bmat`` polish matrix, the reference every branch's Schur polish is
+    checked against; None when SuperLU finds the matrix singular."""
     try:
         return factor_kkt(polish_kkt_reference(ws, active)).solve
     except RuntimeError:
@@ -319,28 +317,42 @@ def superlu_polish_solver(ws, active):
 
 def schur_polish_solver(ws, active):
     """``QpWorkspace._schur_solver`` as plain expressions, one fresh array
-    per operation and the same LAPACK calls."""
+    per operation and the same factor calls: LAPACK's on the dense rows of
+    a workspace with a map, :func:`factor_kkt` on the sparse rows of the
+    factor branch."""
     n, m_con, delta = ws.n, ws.m_eq + ws.m_in, ws.POLISH_DELTA
     box = active[m_con:]
-    a_c = ws._a_con[active[:m_con]]
-    k = len(a_c)
+    a_c = ws.a_csr[:m_con][active[:m_con]]
+    if ws._map is not None:
+        a_c = a_c.toarray()
+    k = a_c.shape[0]
     d_tilde = ws.qp.d + delta
     d_box = d_tilde[box]
     d_tilde[box] = d_box + 1.0 / delta
     inv = 1.0 / d_tilde
-    chol = None
-    if k:
+    if k and ws._map is None:
+        try:
+            lu = factor_kkt((a_c.multiply(inv) @ a_c.T + delta * sp.identity(k)).tocsc())
+        except RuntimeError:
+            return None
+        if not np.all(lu.U.diagonal() > 0.0):
+            return None
+        back = lu.solve
+    elif k:
         s = (a_c * inv) @ a_c.T
         s[np.diag_indices(k)] = s[np.diag_indices(k)] + delta
         chol, info = _potrf(s.T, clean=False)
         if info:
             return None
 
+        def back(r):
+            return _potrs(chol, r)[0]
+
     def solve(rhs):
         r_x, r_c, r_b = rhs[:n], rhs[n:n + k], rhs[n + k:]
         y = r_x.copy()
         y[box] = y[box] + r_b / delta
-        nu_c = _potrs(chol, a_c @ (y * inv) - r_c)[0] if k else np.zeros(0)
+        nu_c = back(a_c @ (y * inv) - r_c) if k else np.zeros(0)
         at_nu = nu_c @ a_c
         x = (y - at_nu) * inv
         return np.concatenate([x, nu_c, r_x[box] - (d_box * x[box] + at_nu[box])])
@@ -348,16 +360,7 @@ def schur_polish_solver(ws, active):
     return solve
 
 
-def polish_solver_reference(ws, active):
-    """The polish system's solver the workspace's branch uses: the dense
-    Schur complement where it holds the dense constraint rows, SuperLU
-    otherwise."""
-    if ws._map is None:
-        return superlu_polish_solver(ws, active)
-    return schur_polish_solver(ws, active)
-
-
-def polish_reference(ws, x, z, lam, q, solver=polish_solver_reference):
+def polish_reference(ws, x, z, lam, q, solver=schur_polish_solver):
     """The polish as plain expressions, its system solved by ``solver``.
 
     Returns the kept (x, z, lam), its reported residuals, and the worst
@@ -398,10 +401,10 @@ class PlainResidualsMixin:
     as plain expressions, kept as a reference.
 
     Every sparse product is an ``@``, every norm an ``np.max``, each check
-    computes both residuals, and the polish (``polish_reference``) cuts its
-    KKT matrix with ``sp.bmat`` or forms its Schur complement with plain
-    expressions, as the workspace's branch does, and computes every
-    residual of the polished point before it decides. Mixed in ahead of
+    computes both residuals, and the polish (``polish_reference``) forms
+    the Schur complement of its active rows with plain expressions, dense
+    or sparse as the workspace's branch does, and computes every residual
+    of the polished point before it decides. Mixed in ahead of
     QpWorkspace, it must change no bit of any solve of any loop.
     """
 
@@ -464,9 +467,9 @@ class PlainResidualsMixin:
 class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
     """The straightforward form of QpWorkspace's solve, kept as a reference.
 
-    Assembles every KKT matrix with ``sp.bmat`` (the polish's only where
-    the workspace polishes through SuperLU), allocates fresh arrays on
-    every iteration, transposes the constraint matrix on every product and
+    Assembles the iteration's KKT matrix with ``sp.bmat``, polishes
+    through ``schur_polish_solver``, allocates fresh arrays on every
+    iteration, transposes the constraint matrix on every product and
     recomputes the final residuals after polish. Its infeasibility test is
     the plain one of PlainResidualsMixin. The fast path must produce the
     same bits.
@@ -577,7 +580,7 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
         a_act = self.a_csr[active]
         b_act = np.where(act_up[active], self.u[active], self.l[active])
         b_act = np.where(self._is_eq[active], self.u[active], b_act)
-        solve = polish_solver_reference(self, active)
+        solve = schur_polish_solver(self, active)
         if solve is None:
             return x, z, lam
         rhs = np.concatenate([-q, b_act])

@@ -394,6 +394,47 @@ def test_instance_text_round_trip(tmp_path):
     assert format_instance(back) == path.read_text(encoding="utf-8")
 
 
+# edge costs the format must carry bit for bit: any finite nonnegative
+# float, plus -0.0, which the instance accepts, and the subnormal and
+# extreme values spelled out
+_COSTS = st.floats(min_value=0.0, allow_infinity=False) \
+    | st.sampled_from([-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308])
+
+
+@st.composite
+def instances(draw):
+    """An instance on a connected graph: a random spanning tree on
+    relabeled nodes plus any further edges, with drawn costs, commodities
+    and hop bound."""
+    n = draw(st.integers(2, 8))
+    label = draw(st.permutations(range(n)))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=12)))
+    graph = UndirectedGraph(n, {tuple(sorted((label[u], label[v]))) for u, v in edges})
+    costs = draw(st.lists(_COSTS, min_size=graph.m, max_size=graph.m))
+    commodities = []
+    for origin, step in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.integers(1, n - 1)),
+                                      min_size=1, max_size=4)):
+        commodities.append(Commodity(origin, (origin + step) % n))
+    return Instance(graph, costs, commodities, draw(st.integers(1, 2 * n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inst=instances())
+def test_instance_text_round_trip_property(inst):
+    # parsing the text gives the same instance, costs bit for bit, and
+    # formatting it again gives the same bytes
+    text = format_instance(inst)
+    back = parse_instance(text)
+    assert back.n == inst.n and back.graph.edges == inst.graph.edges
+    assert back.costs.tobytes() == inst.costs.tobytes()
+    assert back.commodities == inst.commodities
+    assert back.hop_bound == inst.hop_bound
+    assert format_instance(back) == text
+
+
 def test_parse_rejects_unknown_records():
     with pytest.raises(ValueError, match="unknown record"):
         parse_instance("nodes 2\nedgy 0 1 1.0\nhopbound 1\n")

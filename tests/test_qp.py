@@ -32,7 +32,6 @@ from helpers import (
     assert_same_csc,
     dense_map_reference,
     iteration_kkt_reference,
-    polish_kkt_reference,
     polish_reference,
     projected_gradient_qp,
     random_feasible_qp,
@@ -405,10 +404,11 @@ def test_nan_residual_after_polish_is_not_solved(position, monkeypatch):
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fast_path_is_bit_identical_to_reference(seed):
-    # the factor step's in-place iteration, the templated KKT matrices and
-    # the reused residuals reproduce the plain-expression step, the sp.bmat
-    # iteration matrix and the plain residuals bit for bit, cold and warm,
-    # across rho adaptation
+    # the factor step's in-place iteration, the templated KKT matrix, the
+    # sparse Schur polish and the reused residuals reproduce the
+    # plain-expression step, the sp.bmat iteration matrix, the plain Schur
+    # polish and the plain residuals bit for bit, cold and warm, across rho
+    # adaptation
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
     ws, ref = sparse_workspace(qp), sparse_reference(qp)
@@ -422,12 +422,6 @@ def test_fast_path_is_bit_identical_to_reference(seed):
     q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
     assert_same_solution(ws.solve(q2, tol=1e-8, warm=cold),
                          ref.solve(q2, tol=1e-8, warm=cold_ref))
-
-    active = ws._is_eq | (np.abs(cold.lam) > 1e-12)
-    assert_same_csc(ws._polish_kkt(active), polish_kkt_reference(ws, active))
-    for _ in range(3):
-        active = ws._is_eq | (rng.random(ws.m_total) < 0.3)
-        assert_same_csc(ws._polish_kkt(active), polish_kkt_reference(ws, active))
 
 
 class PlainQpWorkspace(PlainResidualsMixin, QpWorkspace):
@@ -630,14 +624,16 @@ def assert_solves_agree(kkt, rhs, rtol):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_kkt_factorization_agrees_with_colamd(seed):
-    # the symmetric ordering without pivoting solves both KKT systems as
-    # the default SuperLU factorization does. The iteration matrices are
-    # well conditioned at every penalty the adaptation can reach; the
-    # polish matrices carry the -delta = -1e-9 block, so rows that are
-    # dependent on the active set leave them conditioned near 1/delta
+    # the symmetric ordering without pivoting solves the iteration's KKT
+    # system and the factor branch's polish Schur complement S = A_C D~^-1
+    # A_C' + delta I as the default SuperLU factorization does. The
+    # iteration matrices are well conditioned at every penalty the
+    # adaptation can reach; S is definite through delta = 1e-9 alone along
+    # rows that are dependent on the active set, so it is conditioned near
+    # 1/delta
     rng = np.random.default_rng(seed)
     qp, _ = random_feasible_qp(rng)
-    ws = QpWorkspace(qp)
+    ws = sparse_workspace(qp)
     size = qp.n + ws.m_total
     for rho_base in (ws.RHO_MIN, 0.1, ws.RHO_MAX):
         rho = np.full(ws.m_total, rho_base)
@@ -647,9 +643,13 @@ def test_kkt_factorization_agrees_with_colamd(seed):
     sol = ws.solve(qp.q, tol=1e-8)
     active_sets = [ws._is_eq | (np.abs(sol.lam) > 1e-12)]
     active_sets += [ws._is_eq | (rng.random(ws.m_total) < 0.3) for _ in range(2)]
+    m_con, delta = ws.m_eq + ws.m_in, ws.POLISH_DELTA
     for active in active_sets:
-        kkt = ws._polish_kkt(active)
-        assert_solves_agree(kkt, rng.normal(size=kkt.shape[0]), rtol=1e-5)
+        a_c = ws.a_csr[:m_con][active[:m_con]]
+        d_tilde = qp.d + delta + np.where(active[m_con:], 1.0 / delta, 0.0)
+        k = a_c.shape[0]
+        s = a_c @ sp.diags(1.0 / d_tilde) @ a_c.T + delta * sp.identity(k)
+        assert_solves_agree(s.tocsc(), rng.normal(size=k), rtol=1e-5)
 
 
 def test_feasible_qp_does_not_stall():
@@ -792,7 +792,8 @@ def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop,
     # the benchmark's distributed n=8 subproblems run the dense map, its
     # central n=10 ones, with two commodities, the x-space map, and n=30
     # subproblems the x-space loop's sparse factor step. The polish follows
-    # the same rule: only the factor branch factors a sparse polish matrix
+    # the same rule: only the factor branch factors its k x k Schur
+    # complement, k the active constraint rows, with factor_kkt
     factored = []
     monkeypatch.setattr(qp_module, "factor_kkt",
                         lambda kkt: factored.append(kkt) or factor_kkt(kkt))
@@ -804,8 +805,11 @@ def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop,
         sol = keep_loop_output(ws).solve(q, max_iters=50)
         factored.clear()
         QpWorkspace._polish(ws, sol.v, sol.z, sol.lam, q)
-        # the equality rows are always active, so every polish solves
+        # the equality rows are always active, so every polish factors
         assert len(factored) == (loop == "sparse")
+        active = ws._is_eq | (np.abs(sol.lam) > 1e-12)
+        k = np.count_nonzero(active[:ws.m_eq + ws.m_in])
+        assert all(s.shape == (k, k) for s in factored)
 
 
 def assert_polish_agrees_with_superlu(ws, sol, q):
@@ -834,20 +838,20 @@ def loop_points(qp, loop, **kwargs):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), relaxed=st.booleans())
 def test_schur_polish_agrees_with_superlu_polish(seed, relaxed):
-    # the dense and V-map branches polish through the Schur complement of
-    # the active rows, the factor branch through SuperLU; both solve the
-    # same regularized system
+    # every branch polishes through the Schur complement of the active
+    # rows, dense or sparse, and SuperLU's factor of the full polish KKT
+    # matrix solves the same regularized system
     if relaxed:
         qp, _ = relaxed_subproblem(seed)
     else:
         qp, _ = random_feasible_qp(np.random.default_rng(seed))
-    for loop in ("dense", "xspace"):
+    for loop in ("dense", "xspace", "sparse"):
         ws, sols = loop_points(qp, loop, tol=1e-8)
         for sol in sols:
             assert_polish_agrees_with_superlu(ws, sol, qp.q)
 
 
-@pytest.mark.parametrize("loop", ["dense", "xspace"])
+@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
 def test_schur_polish_of_a_duplicated_equality_row(loop):
     # a repeated equality row makes the active constraint rows rank
     # deficient; the delta term keeps their Schur complement definite
@@ -862,7 +866,7 @@ def test_schur_polish_of_a_duplicated_equality_row(loop):
         assert_polish_agrees_with_superlu(ws, capped, dup.q)
 
 
-@pytest.mark.parametrize("loop", ["dense", "xspace"])
+@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
 def test_schur_polish_of_a_box_only_active_set(loop):
     # no constraint row is active, so nothing is factored: the box rows
     # alone are eliminated
@@ -878,21 +882,34 @@ def test_schur_polish_of_a_box_only_active_set(loop):
 
 
 @pytest.mark.parametrize("n, commodities, seed",
-                         [(8, None, 1), (8, None, 2), (10, 2, 0)])
-def test_schur_polish_falls_back_on_the_zero_diagonal_probe(n, commodities, seed):
+                         [(8, None, 1), (8, None, 2), (10, 2, 0), (20, None, 0),
+                          (20, None, 1), (20, None, 2), (30, None, 0)])
+def test_schur_polish_falls_back_on_the_zero_diagonal_probe(n, commodities, seed,
+                                                            monkeypatch):
     # the feasibility probe has no diagonal, so S is definite only through
     # delta, and its redundant conservation rows make it singular to
-    # working precision: LAPACK reports it and the loop's point stays,
-    # with no warning on the way
+    # working precision: LAPACK reports it on the dense rows, and on the
+    # factor branch (n >= 20) SuperLU meets pivots that are not positive.
+    # Either way the loop's point stays, with no warning on the way. Only
+    # on n=20, seed 1 does the sparse S factor, and the polish is rejected
+    sparse, factors = n >= 20, (n, seed) == (20, 1)
+    factored = []
+    monkeypatch.setattr(qp_module, "factor_kkt",
+                        lambda kkt: factored.append(factor_kkt(kkt)) or factored[-1])
     inst = random_instance(n, 0.5, seed, n_commodities=commodities)
     probe = relaxed_qp(inst, 0.0, np.zeros(inst.dim_total))
     ws = keep_loop_output(QpWorkspace(probe))
-    assert step_operator(ws) != "sparse"
+    assert (step_operator(ws) == "sparse") == sparse
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = ws.solve(probe.q, tol=1e-6, warm=WarmStart(shortest_path_point(inst)))
         assert sol.status == "solved"
-        assert ws._schur_solver(ws._is_eq | (np.abs(sol.lam) > 1e-12)) is None
+        factored.clear()
+        solver = ws._schur_solver(ws._is_eq | (np.abs(sol.lam) > 1e-12))
+        assert (solver is not None) == factors
+        assert len(factored) == sparse
+        if sparse:
+            assert (factored[0].U.diagonal() <= 0.0).any() != factors
         assert not assert_polish_agrees_with_superlu(ws, sol, probe.q)
 
 
