@@ -12,6 +12,11 @@ spanning tree), rounds the flows, and ascends the scaled duals:
 
 The penalty rho appears only inside the subproblem objective; the dual
 updates are in scaled form. The driver is single-threaded and owns its state.
+
+That per-copy update is :func:`relaxed_start`, :func:`primal_step` and
+:func:`local_duals`, inside :func:`run_outer_loop`; the distributed driver
+runs the same update for each agent in the same loop, adding only its
+consensus terms.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import InvalidTreeError, is_spanning_tree
+from .graphs import InvalidTreeError, TreeIndicator, is_spanning_tree
 from .mcf import (
     centralized_linear_cost,
     check_feasible,
@@ -149,7 +155,7 @@ class CentralState:
     """One centralized trajectory point: primal blocks, tree, flows, duals.
 
     ``z`` is a TreeIndicator from iteration 1 onward; the initial state
-    carries the relaxed anchor vector w0 instead (see :func:`init_state`).
+    carries the relaxed anchor vector w0 instead (see :func:`relaxed_start`).
     """
 
     w: np.ndarray
@@ -161,8 +167,18 @@ class CentralState:
     k: int = 0
 
 
-def init_state(inst, cfg):
-    """Relaxed start: w0 = 1, flows and duals at zero.
+class Primals(NamedTuple):
+    """One copy's new primals: relaxation (w, u), tree z and rounded flows y."""
+
+    w: np.ndarray
+    u: np.ndarray
+    z: TreeIndicator
+    y: np.ndarray
+
+
+def relaxed_start(inst):
+    """The starting (w, u, z, y, mu, eta) of every copy: w0 = 1, flows and
+    duals at zero.
 
     The first subproblem's tree anchor is w0 itself rather than a projected
     tree: with w0 = 1 every spanning tree ties in the projection, and seeding
@@ -171,7 +187,7 @@ def init_state(inst, cfg):
     projection see a cost-graded relaxation; every iterate from k = 1 onward
     is an exact spanning tree.
     """
-    return CentralState(
+    return dict(
         w=np.ones(inst.dim_w),
         u=np.zeros(inst.dim_u),
         z=np.ones(inst.dim_w),
@@ -181,32 +197,41 @@ def init_state(inst, cfg):
     )
 
 
+def primal_step(runtime, key, inst, diag, q, cfg, mu, eta):
+    """One copy's primal update: the subproblem solve under ``key`` (in a
+    fresh :class:`SubproblemRuntime` when ``runtime`` is None), then the
+    tree projection of w against ``mu`` and the rounding of u - ``eta``."""
+    runtime = runtime if runtime is not None else SubproblemRuntime()
+    sol = runtime.solve(key, inst, diag, q, cfg)
+    w, u = inst.split(sol.v)
+    w, u = w.copy(), u.copy()
+    return Primals(w, u, project_tree(w, mu, inst.graph),
+                   project_binary(u - eta))
+
+
+def local_duals(mu, eta, primals):
+    """The scaled tree and flow duals ascended by the new primals' own
+    consensus residuals: mu + (z - w) and eta + (y - u)."""
+    return (mu + (primals.z.vector - primals.w),
+            eta + (primals.y - primals.u))
+
+
+def init_state(inst, cfg):
+    """The centralized start, :func:`relaxed_start`."""
+    return CentralState(**relaxed_start(inst))
+
+
 def step(state, inst, cfg, _runtime=None):
     """One ADMM iteration; returns the next state.
 
     The projections consume the pre-update duals: z uses mu_k and y uses
     eta_k, then both duals ascend by their new consensus residuals.
     """
-    runtime = _runtime if _runtime is not None else SubproblemRuntime()
     q = centralized_linear_cost(inst, state.z, state.y, state.mu, state.eta,
                                 cfg.rho)
-    sol = runtime.solve(None, inst, cfg.rho, q, cfg)
-    w_next, u_next = inst.split(sol.v)
-    w_next = w_next.copy()
-    u_next = u_next.copy()
-    z_next = project_tree(w_next, state.mu, inst.graph)
-    y_next = project_binary(u_next - state.eta)
-    mu_next = state.mu + (z_next.vector - w_next)
-    eta_next = state.eta + (y_next - u_next)
-    return CentralState(
-        w=w_next,
-        u=u_next,
-        z=z_next,
-        y=y_next,
-        mu=mu_next,
-        eta=eta_next,
-        k=state.k + 1,
-    )
+    new = primal_step(_runtime, None, inst, cfg.rho, q, cfg, state.mu, state.eta)
+    mu, eta = local_duals(state.mu, state.eta, new)
+    return CentralState(*new, mu=mu, eta=eta, k=state.k + 1)
 
 
 def change_norm(prev, curr, fields):

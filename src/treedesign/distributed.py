@@ -5,8 +5,11 @@ tie its own tree and flow roundings to its relaxation, nu/xi drive neighbor
 consensus. A round is two-phase: phase 1 solves every agent's subproblem and
 projections from the round-k snapshots; after a barrier, phase 2 ascends
 nu/xi with the fresh round-(k+1) neighbor primals, then mu/eta locally.
-Agents within a phase are data-independent -- results are identical for any
-processing order, which is tested.
+Each agent's start, primal step and local duals are the centralized
+driver's per-copy update (:func:`central.relaxed_start`,
+:func:`central.primal_step`, :func:`central.local_duals`). Agents within a
+phase are data-independent -- results are identical for any processing
+order, which is tested.
 
 Message passing is simulated in-process (snapshot arrays), not a network
 stack; determinism outranks realism at desk scale.
@@ -27,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import SubproblemRuntime, change_norm, run_outer_loop
-from .graphs import TreeIndicator
+from .central import (SubproblemRuntime, change_norm, local_duals, primal_step,
+                      relaxed_start, run_outer_loop)
 from .mcf import agent_diagonal, agent_linear_cost, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
 from .mcf import build_agent_subproblem, check_feasible, route_on_tree  # noqa: F401
-from .projection import project_binary, project_tree
+from .projection import project_binary, project_tree  # noqa: F401
 from .report import DistributedTraceRow
 
 __all__ = [
@@ -54,8 +57,8 @@ class AgentState:
     """One agent's full variable copies and duals.
 
     ``z`` is a TreeIndicator from round 1 onward; the identical initial
-    states carry the relaxed anchor vector w0 instead (same rationale as the
-    centralized initial state).
+    states carry the relaxed anchor vector w0 instead (see
+    :func:`central.relaxed_start`).
     """
 
     u: np.ndarray
@@ -66,16 +69,6 @@ class AgentState:
     eta: np.ndarray
     nu: np.ndarray
     xi: np.ndarray
-
-
-@dataclass
-class _Staged:
-    """Phase-1 output: round-(k+1) primals before the dual ascent."""
-
-    u: np.ndarray
-    w: np.ndarray
-    z: TreeIndicator
-    y: np.ndarray
 
 
 class World:
@@ -90,46 +83,32 @@ class World:
             tuple(j for _, j in inst.graph.incident(i)) for i in range(inst.n))
 
 
-def _initial_agent(inst):
-    return AgentState(
-        u=np.zeros(inst.dim_u),
-        w=np.ones(inst.dim_w),
-        z=np.ones(inst.dim_w),  # relaxed anchor; real trees appear from round 1 on
-        y=np.zeros(inst.dim_u, dtype=np.int8),
-        mu=np.zeros(inst.dim_w),
-        eta=np.zeros(inst.dim_u),
-        nu=np.zeros(inst.dim_u),
-        xi=np.zeros(inst.dim_w),
-    )
-
-
 def init_world(inst, cfg):
     """All agents start identical (relaxed w0, zero duals)."""
-    return World(inst, [_initial_agent(inst) for _ in range(inst.n)])
+    return World(inst, [
+        AgentState(**relaxed_start(inst), nu=np.zeros(inst.dim_u),
+                   xi=np.zeros(inst.dim_w))
+        for _ in range(inst.n)
+    ])
 
 
 def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
-    """Phase 1 for one agent: subproblem solve plus both projections.
+    """Phase 1 for one agent: :func:`central.primal_step` on its own linear
+    cost, which returns its round-(k+1) primals.
 
     ``neighbor_snapshots`` holds the round-k state of each graph neighbor.
     """
-    runtime = _runtime if _runtime is not None else SubproblemRuntime()
     diag = agent_diagonal(cfg.rho, len(neighbor_snapshots))
     q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho)
-    sol = runtime.solve(agent, inst, diag, q, cfg)
-    w_next, u_next = inst.split(sol.v)
-    w_next, u_next = w_next.copy(), u_next.copy()
-    z_next = project_tree(w_next, own.mu, inst.graph)
-    y_next = project_binary(u_next - own.eta)
-    return _Staged(u_next, w_next, z_next, y_next)
+    return primal_step(_runtime, agent, inst, diag, q, cfg, own.mu, own.eta)
 
 
 def agent_dual_step(own, staged, staged_partners):
     """Phase 2 for one agent: consensus duals from fresh neighbor primals,
-    then the local tree/flow duals.
+    then the local tree/flow duals of :func:`central.local_duals`.
 
-    In place, with the operands and order of nu += u - u_other,
-    xi += w - w_other, mu = mu + (z - w) and eta = eta + (y - u).
+    The consensus duals run in place, with the operands and order of
+    nu += u - u_other and xi += w - w_other.
     """
     nu = own.nu.copy()
     xi = own.xi.copy()
@@ -137,10 +116,7 @@ def agent_dual_step(own, staged, staged_partners):
     for other in staged_partners:
         np.add(nu, np.subtract(staged.u, other.u, out=d_u), out=nu)
         np.add(xi, np.subtract(staged.w, other.w, out=d_w), out=xi)
-    mu = np.subtract(staged.z.vector, staged.w)
-    np.add(own.mu, mu, out=mu)
-    eta = np.subtract(staged.y, staged.u)
-    np.add(own.eta, eta, out=eta)
+    mu, eta = local_duals(own.mu, own.eta, staged)
     return AgentState(
         u=staged.u, w=staged.w, z=staged.z, y=staged.y,
         mu=mu, eta=eta, nu=nu, xi=xi,

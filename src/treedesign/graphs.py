@@ -3,7 +3,7 @@
 All containers are immutable after construction and safe to share across
 concurrent computations. Edge indices are dense and ordered lexicographically
 by (min endpoint, max endpoint), which fixes tie-breaking everywhere
-downstream.
+downstream. A path query raises ValueError for a node outside the graph.
 """
 
 from __future__ import annotations
@@ -148,7 +148,13 @@ class UndirectedGraph:
 
     def shortest_path(self, s, t):
         """Nodes of a fewest-edge path from s to t, s first (BFS, which
-        reaches each node first from the earliest-listed neighbor)."""
+        reaches each node first from the earliest-listed neighbor).
+
+        Raises ValueError when s or t is not a node of the graph.
+        """
+        for node in (s, t):
+            if not 0 <= node < self.n:
+                raise ValueError(f"node {node} is not in the graph (n={self.n})")
         parent = {s: None}
         queue = deque([s])
         while queue and t not in parent:
@@ -292,32 +298,12 @@ def is_spanning_tree(g, z):
 def tree_path(g, z, s, t):
     """The unique s-to-t path in a spanning tree, as directed (u, v) arcs.
 
-    Raises InvalidTreeError when z is not a spanning tree of g.
+    Raises InvalidTreeError when z is not a spanning tree of g, and
+    ValueError when s or t is not a node of g.
     """
     vec = indicator_vector(z, g.m)
     if not is_spanning_tree(g, vec):
         raise InvalidTreeError("indicator is not a spanning tree")
-    if s == t:
-        return []
-    adj = [[] for _ in range(g.n)]
-    for k in np.flatnonzero(vec):
-        u, v = g.edges[k]
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        i = queue.popleft()
-        if i == t:
-            break
-        for j in adj[i]:
-            if j not in parent:
-                parent[j] = i
-                queue.append(j)
-    path = []
-    node = t
-    while parent[node] is not None:
-        path.append((parent[node], node))
-        node = parent[node]
-    path.reverse()
-    return path
+    tree = UndirectedGraph(g.n, [g.edges[k] for k in np.flatnonzero(vec)])
+    nodes = tree.shortest_path(s, t)
+    return list(zip(nodes, nodes[1:]))

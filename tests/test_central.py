@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treedesign import central
 from treedesign.central import (
     CentralState,
     SolverConfig,
@@ -16,9 +17,10 @@ from treedesign.central import (
     step,
 )
 from treedesign.distributed import solve_distributed
-from treedesign.graphs import UndirectedGraph, is_spanning_tree
+from treedesign.graphs import (InvalidTreeError, TreeIndicator, UndirectedGraph,
+                               is_spanning_tree)
 from treedesign.mcf import Commodity, Instance, check_feasible, objective, random_instance
-from treedesign.qp import QpSolution, QpWorkspace
+from treedesign.qp import InfeasibleSubproblemError, QpSolution, QpWorkspace
 from treedesign.report import QpCounters
 
 from helpers import k3_instance
@@ -189,18 +191,54 @@ def test_runtime_key_is_bound_to_instance_and_rho():
         step(init_state(other_inst, cfg), other_inst, cfg, _runtime=rt)
 
 
-def test_runtime_rejects_nan_residual_of_a_max_iters_solve(monkeypatch):
+def test_runtime_rejects_nan_residual_of_a_max_iters_solve(monkeypatch, caplog):
     inst = single_edge_instance()
     cfg = SolverConfig(rho=1.0)
+    stalled_at = float("nan")
 
-    def nan_solve(self, q, tol=1e-6, max_iters=20000, warm=None):
-        return QpSolution(np.zeros(len(q)), 1e-9, 0.0, float("nan"),
+    def stalled_solve(self, q, tol=1e-6, max_iters=20000, warm=None):
+        return QpSolution(np.zeros(len(q)), 1e-9, 0.0, stalled_at,
                           max_iters, "max-iters")
 
-    monkeypatch.setattr(QpWorkspace, "solve", nan_solve)
+    def solve():
+        return SubproblemRuntime().solve(None, inst, cfg.rho,
+                                         np.zeros(inst.dim_total), cfg)
+
+    monkeypatch.setattr(QpWorkspace, "solve", stalled_solve)
     with pytest.raises(RuntimeError, match="stalled at residual nan"):
-        SubproblemRuntime().solve(None, inst, cfg.rho,
-                                  np.zeros(inst.dim_total), cfg)
+        solve()
+    # within QP_ACCEPT_RESIDUAL a max-iters solve is kept as degraded
+    stalled_at = 5e-5
+    assert solve().status == "max-iters"
+    assert "accepting degraded inner solve (residual 5.000e-05)" in caplog.text
+    stalled_at = 2e-4
+    with pytest.raises(RuntimeError, match="stalled at residual 2.000e-04"):
+        solve()
+
+
+@pytest.mark.parametrize("solve, who", [(solve_central, ""),
+                                        (solve_distributed, "agent 0: ")],
+                         ids=["central", "distributed"])
+def test_drivers_raise_on_an_empty_relaxed_set(solve, who):
+    # the hop bound is one below the commodity's shortest path of 2 hops
+    base = random_instance(8, 0.5, 5)
+    inst = Instance(base.graph, base.costs, base.commodities, 1)
+    with pytest.raises(InfeasibleSubproblemError,
+                       match=f"^{who}continuous subproblem infeasible"):
+        solve(inst, SolverConfig())
+
+
+@pytest.mark.parametrize("solve", [solve_central, solve_distributed],
+                         ids=["central", "distributed"])
+def test_drivers_raise_on_a_projection_that_is_not_a_tree(solve, monkeypatch):
+    # both drivers project through central.primal_step, so one patch
+    # reaches every copy
+    inst = random_instance(6, 0.5, 2)
+    monkeypatch.setattr(central, "project_tree",
+                        lambda w, mu, graph: TreeIndicator(np.zeros(graph.m)))
+    with pytest.raises(InvalidTreeError,
+                       match=r"^iterate 1, copy 0: not a spanning tree$"):
+        solve(inst, SolverConfig())
 
 
 # (n, seed, rho, max_iters) on random_instance(n, 0.5, seed, hop_slack=0):

@@ -187,6 +187,25 @@ def test_shortest_path_needs_a_connection():
         g.shortest_path(0, 3)
 
 
+PATH_QUERIES = {
+    "shortest_path": lambda g, z, s, t: g.shortest_path(s, t),
+    "shortest_path_hops": lambda g, z, s, t: g.shortest_path_hops(s, t),
+    "tree_path": tree_path,
+}
+
+
+@pytest.mark.parametrize("query", PATH_QUERIES)
+@pytest.mark.parametrize("node", [-1, 4])
+@pytest.mark.parametrize("end", ["s", "t"])
+def test_path_queries_reject_a_node_outside_the_graph(query, node, end):
+    # on the path 0-1-2-3, -1 once wrapped to node 3 (shortest_path(-1, 1)
+    # gave [-1, 2, 1]), and 4 raised IndexError or KeyError
+    g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    s, t = (node, 1) if end == "s" else (1, node)
+    with pytest.raises(ValueError, match=rf"^node {node} is not in the graph"):
+        PATH_QUERIES[query](g, np.ones(3, dtype=int), s, t)
+
+
 def test_directed_arc_set_validation():
     with pytest.raises(ValueError):
         DirectedArcSet(2, [(0, 0)])

@@ -128,6 +128,13 @@ def test_validation_errors():
                            ({"a_eq": row}, "b_eq"), ({"a_in": row}, "b_in")):
         with pytest.raises(ValueError, match=f"{missing} is missing$"):
             QuadraticProgram(d=np.ones(1), q=np.zeros(1), **given)
+    for given, message in (
+            ({"a_eq": np.ones((1, 2)), "b_eq": [1.0]}, "must have n columns"),
+            ({"a_in": np.ones((1, 1)), "b_in": [1.0, 2.0]}, "rhs length must match"),
+            ({"lo": np.zeros(2)}, "box bounds must have length n"),
+            ({"hi": np.ones(2)}, "box bounds must have length n")):
+        with pytest.raises(ValueError, match=message):
+            QuadraticProgram(d=np.ones(1), q=np.zeros(1), **given)
 
 
 @pytest.mark.parametrize("name, value", [
