@@ -38,7 +38,7 @@ world = init_world(inst, cfg)
 runtime = SubproblemRuntime()
 print("\nround   consensus gap   per-agent objectives")
 for r in range(1, 101):
-    world = sync_round(world, cfg, _runtime=runtime)
+    world = sync_round(world, cfg, runtime)
     if r in (1, 2, 5, 10, 20, 40, 80, 100):
         objs = " ".join(f"{objective(inst, a.w):6.3f}" for a in world.agents)
         print(f"{r:>5d}   {consensus_gap(world):13.3e}   {objs}")
@@ -56,8 +56,8 @@ cond = init_world(inst, cfg_ref)
 ref = init_full_dual_world(inst, cfg_ref)
 rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
 for _ in range(10):
-    cond = sync_round(cond, cfg_ref, _runtime=rt1)
-    ref = full_dual_step(ref, cfg_ref, _runtime=rt2)
+    cond = sync_round(cond, cfg_ref, rt1)
+    ref = full_dual_step(ref, cfg_ref, rt2)
 nu_agg, xi_agg = consensus_dual_aggregates(ref)
 worst = 0.0
 for i in range(inst.n):

@@ -16,7 +16,8 @@ updates are in scaled form. The driver is single-threaded and owns its state.
 That per-copy update is :func:`relaxed_start`, :func:`primal_step` and
 :func:`local_duals`, inside :func:`run_outer_loop`; the distributed driver
 runs the same update for each agent in the same loop, adding only its
-consensus terms.
+consensus terms. The loop owns the run's :class:`SubproblemRuntime` and
+passes it to every step.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import InvalidTreeError, TreeIndicator, is_spanning_tree
-from .mcf import (
-    centralized_linear_cost,
-    check_feasible,
-    check_flows,
-    objective,
-    relaxed_qp,
-    route_on_tree,
-)
-# not called here; the patch table in perfbench/tracing.py looks it up here
-from .mcf import build_centralized_subproblem  # noqa: F401
+from .mcf import (centralized_linear_cost, check_flows, objective, relaxed_qp,
+                  route_on_tree)
+# not called here; the patch table in perfbench/tracing.py looks them up here
+from .mcf import build_centralized_subproblem, check_feasible  # noqa: F401
 from .projection import project_binary, project_tree
 from .qp import InfeasibleSubproblemError, QpWorkspace
 from .report import CentralTraceRow, QpCounters, SolveReport
@@ -198,10 +193,9 @@ def relaxed_start(inst):
 
 
 def primal_step(runtime, key, inst, diag, q, cfg, mu, eta):
-    """One copy's primal update: the subproblem solve under ``key`` (in a
-    fresh :class:`SubproblemRuntime` when ``runtime`` is None), then the
-    tree projection of w against ``mu`` and the rounding of u - ``eta``."""
-    runtime = runtime if runtime is not None else SubproblemRuntime()
+    """One copy's primal update: the subproblem solve under ``key`` in
+    ``runtime``, then the tree projection of w against ``mu`` and the
+    rounding of u - ``eta``."""
     sol = runtime.solve(key, inst, diag, q, cfg)
     w, u = inst.split(sol.v)
     w, u = w.copy(), u.copy()
@@ -221,15 +215,16 @@ def init_state(inst, cfg):
     return CentralState(**relaxed_start(inst))
 
 
-def step(state, inst, cfg, _runtime=None):
-    """One ADMM iteration; returns the next state.
+def step(state, inst, cfg, runtime):
+    """One ADMM iteration, solving the subproblem in ``runtime``; returns
+    the next state.
 
     The projections consume the pre-update duals: z uses mu_k and y uses
     eta_k, then both duals ascend by their new consensus residuals.
     """
     q = centralized_linear_cost(inst, state.z, state.y, state.mu, state.eta,
                                 cfg.rho)
-    new = primal_step(_runtime, None, inst, cfg.rho, q, cfg, state.mu, state.eta)
+    new = primal_step(runtime, None, inst, cfg.rho, q, cfg, state.mu, state.eta)
     mu, eta = local_duals(state.mu, state.eta, new)
     return CentralState(*new, mu=mu, eta=eta, k=state.k + 1)
 
@@ -260,20 +255,23 @@ def residual_central(prev, curr):
 def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
     """The outer loop and answer extraction shared by both drivers.
 
-    ``init(inst, cfg)`` gives the starting state and ``advance(state)`` the
-    next iterate; a state counts its iterations in ``k``. ``copies(state)``
-    lists the variable copies an iterate holds (the central state itself, or
-    every agent), each with a tree ``z``, flows ``y`` and relaxation ``w``.
-    After each iteration every copy's tree is checked, then
-    ``record(prev, state, trace)`` appends the iterate's trace rows and
-    returns its residual; the run stops once that drops below ``cfg.tol``.
+    The loop owns the run's one :class:`SubproblemRuntime` and reports its
+    counters. ``init(inst, cfg)`` gives the starting state and
+    ``advance(state, runtime)`` the next; a state counts its iterations in
+    ``k``. ``copies(state)`` lists the variable copies an iterate holds (the
+    central state itself, or every agent), each with a tree ``z``, flows
+    ``y`` and relaxation ``w``. After each iteration every copy's tree is
+    checked, then ``record(prev, state, trace, runtime)`` appends the
+    iterate's trace rows and returns its residual; the run stops once that
+    drops below ``cfg.tol``.
 
-    The answer comes from the first copy: its (tree, flows) when they pass
-    the feasibility check; otherwise the flows are re-derived by routing on
-    its tree, and if even that breaks the hop bound the run is reported
-    infeasible rather than repaired further.
+    The answer is the first copy's tree with every commodity routed on it:
+    "iterate" when that routing equals the copy's flows (feasible binary
+    flows on a spanning tree are that routing), "rerouted" otherwise, and
+    no flows when it breaks the hop bound.
     """
     t0 = time.perf_counter()
+    runtime = SubproblemRuntime()
     state = init(inst, cfg)
     trace = []
     trees_validated = 0
@@ -281,13 +279,13 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
     residual = math.inf
     for _ in range(cfg.max_iters):
         prev = state
-        state = advance(state)
+        state = advance(state, runtime)
         for i, copy in enumerate(copies(state)):
             if not is_spanning_tree(inst.graph, copy.z):
                 raise InvalidTreeError(
                     f"iterate {state.k}, copy {i}: not a spanning tree")
             trees_validated += 1
-        residual = record(prev, state, trace)
+        residual = record(prev, state, trace, runtime)
         if residual < cfg.tol:
             status = "converged"
             break
@@ -302,17 +300,16 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
     else:
         tree = reporter.z
         final_objective = objective(inst, tree.vector)
-        if check_feasible(inst, tree, reporter.y).feasible:
-            flows, extraction, feasible = reporter.y, "iterate", True
+        routed = route_on_tree(inst, tree)
+        if routed.feasible:
+            flows, feasible = routed.flows, True
+            extraction = ("iterate" if np.array_equal(routed.flows, reporter.y)
+                          else "rerouted")
         else:
-            routed = route_on_tree(inst, tree)
-            if routed.feasible:
-                flows, extraction, feasible = routed.flows, "rerouted", True
-            else:
-                logger.warning(
-                    "no feasible extraction: commodities %s exceed the hop "
-                    "bound on the final tree", routed.over_limit,
-                )
+            logger.warning(
+                "no feasible extraction: commodities %s exceed the hop "
+                "bound on the final tree", routed.over_limit,
+            )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveReport(
         mode=mode,
@@ -327,15 +324,15 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
         trace=trace,
         extraction=extraction,
         trees_validated=trees_validated,
+        counters=runtime.counters(),
     )
 
 
 def solve_central(inst, cfg):
     """Run the centralized method until the residual drops below tolerance;
     :func:`run_outer_loop` checks each tree and extracts the answer."""
-    runtime = SubproblemRuntime()
 
-    def record(prev, state, trace):
+    def record(prev, state, trace, runtime):
         residual = residual_central(prev, state)
         sol = runtime.last[None]
         trace.append(CentralTraceRow(
@@ -350,10 +347,8 @@ def solve_central(inst, cfg):
         ))
         return residual
 
-    report = run_outer_loop(
+    return run_outer_loop(
         inst, cfg, "central", init_state,
-        lambda state: step(state, inst, cfg, _runtime=runtime),
+        lambda state, runtime: step(state, inst, cfg, runtime),
         lambda state: (state,), record,
     )
-    report.counters = runtime.counters()
-    return report

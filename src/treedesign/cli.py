@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .central import SolverConfig, solve_central
+from .central import SolverConfig, relaxed_start, solve_central
 from .distributed import solve_distributed
 from .mcf import (
-    build_centralized_subproblem,
+    centralized_linear_cost,
     format_instance,
     random_instance,
     read_instance,
+    relaxed_qp,
     write_instance,
     write_solution,
 )
@@ -304,11 +305,10 @@ def _cmd_project(args):
 
 def _cmd_dump_qp(args):
     inst = _load_instance(args)
-    from .central import init_state
     cfg = SolverConfig(rho=args.rho)
-    state = init_state(inst, cfg)
-    qp = build_centralized_subproblem(inst, state.z, state.y, state.mu,
-                                      state.eta, cfg.rho)
+    start = relaxed_start(inst)
+    qp = relaxed_qp(inst, cfg.rho, centralized_linear_cost(
+        inst, start["z"], start["y"], start["mu"], start["eta"], cfg.rho))
     lines = [f"variables {qp.n}"]
     lines.append("diag " + " ".join(repr(float(x)) for x in qp.d))
     lines.append("linear " + " ".join(repr(float(x)) for x in qp.q))

@@ -7,9 +7,10 @@ projections from the round-k snapshots; after a barrier, phase 2 ascends
 nu/xi with the fresh round-(k+1) neighbor primals, then mu/eta locally.
 Each agent's start, primal step and local duals are the centralized
 driver's per-copy update (:func:`central.relaxed_start`,
-:func:`central.primal_step`, :func:`central.local_duals`). Agents within a
-phase are data-independent -- results are identical for any processing
-order, which is tested.
+:func:`central.primal_step`, :func:`central.local_duals`), solving in the
+runtime that :func:`central.run_outer_loop` passes to each round. Agents
+within a phase are data-independent -- results are identical for any
+processing order, which is tested.
 
 Message passing is simulated in-process (snapshot arrays), not a network
 stack; determinism outranks realism at desk scale.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import (SubproblemRuntime, change_norm, local_duals, primal_step,
-                      relaxed_start, run_outer_loop)
+from .central import (change_norm, local_duals, primal_step, relaxed_start,
+                      run_outer_loop)
 from .mcf import agent_diagonal, agent_linear_cost, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
@@ -92,15 +93,15 @@ def init_world(inst, cfg):
     ])
 
 
-def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, _runtime=None):
+def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, runtime):
     """Phase 1 for one agent: :func:`central.primal_step` on its own linear
-    cost, which returns its round-(k+1) primals.
+    cost in ``runtime``, which returns its round-(k+1) primals.
 
     ``neighbor_snapshots`` holds the round-k state of each graph neighbor.
     """
     diag = agent_diagonal(cfg.rho, len(neighbor_snapshots))
     q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho)
-    return primal_step(_runtime, agent, inst, diag, q, cfg, own.mu, own.eta)
+    return primal_step(runtime, agent, inst, diag, q, cfg, own.mu, own.eta)
 
 
 def agent_dual_step(own, staged, staged_partners):
@@ -123,8 +124,8 @@ def agent_dual_step(own, staged, staged_partners):
     )
 
 
-def sync_round(world, cfg, _runtime=None, order=None):
-    """One synchronous round over all agents.
+def sync_round(world, cfg, runtime, order=None):
+    """One synchronous round over all agents, solving in ``runtime``.
 
     Phase 1 reads only the round-k states of each agent and its graph
     neighbors, phase 2 only phase-1 output, so any processing order gives
@@ -141,7 +142,7 @@ def sync_round(world, cfg, _runtime=None, order=None):
     for i in order:
         snapshots = [agents[j] for j in world.partners[i]]
         staged[i] = agent_primal_step(inst, i, agents[i], snapshots, cfg,
-                                      _runtime=_runtime)
+                                      runtime)
     new_agents = [None] * inst.n
     for i in order:
         staged_partners = [staged[j] for j in world.partners[i]]
@@ -197,30 +198,27 @@ def solve_distributed(inst, cfg):
     trace carries one row per (round, agent): its objective, its residual
     contribution, the world consensus gap, and its inner iteration count.
     """
-    runtime = SubproblemRuntime()
     gap = 0.0  # every agent starts from the same point
 
-    def record(prev, world, trace):
+    def record(prev, world, trace, runtime):
         nonlocal gap
         changes = _agent_changes(prev, world)
         gap = consensus_gap(world)
         for i, (agent, (dual, primal)) in enumerate(zip(world.agents, changes)):
-            last = runtime.last.get(i)
             trace.append(DistributedTraceRow(
                 k=world.k,
                 agent=i,
                 objective_w=objective(inst, agent.w),
                 residual_contrib=dual + primal,
                 consensus_gap=gap,
-                qp_iters=last.iterations if last is not None else 0,
+                qp_iters=runtime.last[i].iterations,
             ))
         return _mean_residual(changes)
 
     report = run_outer_loop(
         inst, cfg, "distributed", init_world,
-        lambda world: sync_round(world, cfg, _runtime=runtime),
+        lambda world, runtime: sync_round(world, cfg, runtime),
         lambda world: world.agents, record,
     )
     report.final_consensus_gap = gap
-    report.counters = runtime.counters()
     return report

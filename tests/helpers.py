@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from treedesign.central import SubproblemRuntime
 from treedesign.distributed import AgentState, init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
 from treedesign.mcf import Commodity, FeasibilityReport, Instance, half_incident_costs
@@ -742,7 +741,7 @@ def init_full_dual_world(inst, cfg):
     return FullDualWorld(inst, agents, t, s, alpha, beta, gamma, delta)
 
 
-def full_dual_step(world, cfg, _runtime=None):
+def full_dual_step(world, cfg, runtime):
     """One synchronous round of the un-condensed updates, written literally.
 
     Phase 1 minimizes each agent's local Lagrangian with the per-arc linear
@@ -754,7 +753,6 @@ def full_dual_step(world, cfg, _runtime=None):
     arcs = world.arcs
     rho = cfg.rho
     agents = world.agents
-    runtime = _runtime if _runtime is not None else SubproblemRuntime()
     staged = []
     for i, own in enumerate(agents):
         z_vec = indicator_vector(own.z, inst.dim_w).astype(float)

@@ -124,8 +124,8 @@ def test_criterion_03_condensed_equals_arc_dual_reference():
         ref = init_full_dual_world(inst, cfg)
         rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(20):
-            world = sync_round(world, cfg, _runtime=rt1)
-            ref = full_dual_step(ref, cfg, _runtime=rt2)
+            world = sync_round(world, cfg, rt1)
+            ref = full_dual_step(ref, cfg, rt2)
             for a in range(len(ref.arcs.arcs)):
                 assert np.all(ref.alpha[a] + ref.beta[a] == 0.0)
                 assert np.all(ref.gamma[a] + ref.delta[a] == 0.0)
@@ -151,7 +151,7 @@ def test_criterion_04_every_iterate_is_a_spanning_tree():
         cfg = SolverConfig(rho=rho, tol=1e-10, max_iters=0)
         state = init_state(inst, cfg)
         for _ in range(25):
-            state = step(state, inst, cfg)
+            state = step(state, inst, cfg, SubproblemRuntime())
             assert is_spanning_tree(inst.graph, state.z)
             checked += 1
     # distributed: round-level inspection of every agent
@@ -161,7 +161,7 @@ def test_criterion_04_every_iterate_is_a_spanning_tree():
         world = init_world(inst, cfg)
         rt = SubproblemRuntime()
         for _ in range(15):
-            world = sync_round(world, cfg, _runtime=rt)
+            world = sync_round(world, cfg, rt)
             for agent in world.agents:
                 assert is_spanning_tree(inst.graph, agent.z)
                 checked += 1

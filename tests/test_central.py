@@ -70,7 +70,7 @@ def test_dual_update_arithmetic():
     inst = single_edge_instance()
     cfg = SolverConfig(rho=1.0)
     st = init_state(inst, cfg)
-    nxt = step(st, inst, cfg)
+    nxt = step(st, inst, cfg, SubproblemRuntime())
     assert np.allclose(nxt.mu, nxt.z.vector - nxt.w, atol=1e-12)
     assert np.allclose(nxt.eta, nxt.y - nxt.u, atol=1e-12)
 
@@ -79,8 +79,8 @@ def test_fixed_point_keeps_duals():
     inst = single_edge_instance()
     cfg = SolverConfig(rho=1.0, tol=1e-4, max_iters=10)
     st = init_state(inst, cfg)
-    s1 = step(st, inst, cfg)
-    s2 = step(s1, inst, cfg)
+    s1 = step(st, inst, cfg, SubproblemRuntime())
+    s2 = step(s1, inst, cfg, SubproblemRuntime())
     # the single-edge instance reaches its fixed point after one iteration
     assert np.allclose(s2.w, s1.w, atol=1e-6)
     assert np.allclose(s2.mu, s1.mu, atol=1e-6)
@@ -93,7 +93,7 @@ def test_step_tree_invariant_and_dual_exactness():
     st = init_state(inst, cfg)
     for _ in range(12):
         prev = st
-        st = step(st, inst, cfg)
+        st = step(st, inst, cfg, SubproblemRuntime())
         assert is_spanning_tree(inst.graph, st.z)
         assert int(st.z.vector.sum()) == inst.n - 1
         # dual ascent is exactly the stated formula, bitwise
@@ -180,15 +180,15 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(6, 0.5, seed=2)
     cfg = SolverConfig(rho=1.0)
     rt = SubproblemRuntime()
-    state = step(init_state(inst, cfg), inst, cfg, _runtime=rt)
-    step(state, inst, cfg, _runtime=rt)  # same instance and rho: reused
+    state = step(init_state(inst, cfg), inst, cfg, rt)
+    step(state, inst, cfg, rt)  # same instance and rho: reused
     assert len(rt.workspaces) == 1
     other_rho = SolverConfig(rho=0.5)
     with pytest.raises(ValueError, match="bound to another"):
-        step(init_state(inst, other_rho), inst, other_rho, _runtime=rt)
+        step(init_state(inst, other_rho), inst, other_rho, rt)
     other_inst = random_instance(6, 0.5, seed=3)
     with pytest.raises(ValueError, match="bound to another"):
-        step(init_state(other_inst, cfg), other_inst, cfg, _runtime=rt)
+        step(init_state(other_inst, cfg), other_inst, cfg, rt)
 
 
 def test_runtime_rejects_nan_residual_of_a_max_iters_solve(monkeypatch, caplog):

@@ -5,11 +5,12 @@ import sys
 from argparse import Namespace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treedesign
 
-from treedesign.central import SolverConfig, solve_central
+from treedesign.central import SolverConfig, init_state, solve_central
 from treedesign.cli import (
     SweepSpec,
     _trace_rows_distributed,
@@ -19,7 +20,7 @@ from treedesign.cli import (
     run_experiment,
 )
 from treedesign.distributed import solve_distributed
-from treedesign.mcf import random_instance, read_instance
+from treedesign.mcf import build_centralized_subproblem, random_instance, read_instance
 from treedesign.report import DISTRIBUTED_TRACE_COLUMNS, SUMMARY_COLUMNS, write_csv
 
 from helpers import read_csv, trace_rows_distributed_reference
@@ -134,6 +135,47 @@ def test_gen_solve_oracle_project_cli(tmp_path, capsys):
     dump = (tmp_path / "qp.txt").read_text(encoding="utf-8")
     assert dump.startswith("variables ")
     assert "eq " in dump and "le " in dump
+
+
+def _parse_qp_dump(text):
+    """The diag, linear, eq and le lines of a dump-qp file, as arrays."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    parsed = {"eq": ([], []), "le": ([], [])}
+    for line in lines[1:]:
+        label, *tokens = line.split()
+        if label in ("diag", "linear"):
+            parsed[label] = np.array([float(t) for t in tokens])
+        elif label in parsed:
+            row = np.zeros(n)
+            for term in tokens[:-2]:
+                col, value = term.split(":")
+                row[int(col)] = float(value)
+            parsed[label][0].append(row)
+            parsed[label][1].append(float(tokens[-1]))
+    return parsed
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 10.0])
+def test_dump_qp_is_the_first_centralized_subproblem(tmp_path, rho):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "6", "--p", "0.5", "--seed", "0",
+                 "--out", str(inst_path)]) == 0
+    assert main(["dump-qp", "--instance", str(inst_path), "--rho", repr(rho),
+                 "--out", str(tmp_path / "qp.txt")]) == 0
+    parsed = _parse_qp_dump((tmp_path / "qp.txt").read_text(encoding="utf-8"))
+    inst = read_instance(inst_path)
+    cfg = SolverConfig(rho=rho)
+    state = init_state(inst, cfg)
+    qp = build_centralized_subproblem(inst, state.z, state.y, state.mu,
+                                      state.eta, cfg.rho)
+    # repr floats round-trip, so every value compares bit for bit
+    assert parsed["diag"].tobytes() == qp.d.tobytes()
+    assert parsed["linear"].tobytes() == qp.q.tobytes()
+    for label, mat, rhs in (("eq", qp.a_eq, qp.b_eq), ("le", qp.a_in, qp.b_in)):
+        rows, values = parsed[label]
+        assert np.array(rows).tobytes() == mat.toarray().tobytes()
+        assert np.array(values).tobytes() == np.asarray(rhs, float).tobytes()
 
 
 def test_solve_dist_cli_aggregate_trace(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treedesign.central import SolverConfig, SubproblemRuntime, solve_central
+from treedesign.central import (SolverConfig, SubproblemRuntime, init_state,
+                                solve_central, step)
 from treedesign.distributed import (
     AgentState,
     World,
@@ -58,7 +59,7 @@ def test_agent_step_without_neighbors_keeps_consensus_duals():
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
     own = world.agents[0]
-    staged = agent_primal_step(inst, 0, own, [], cfg)
+    staged = agent_primal_step(inst, 0, own, [], cfg, SubproblemRuntime())
     nxt = agent_dual_step(own, staged, [])
     assert not np.any(nxt.nu)
     assert not np.any(nxt.xi)
@@ -115,13 +116,28 @@ def test_dual_arithmetic_single_neighbor():
     assert np.array_equal(nxt.nu, np.array([1.0, 0.0]))
 
 
+def test_steps_require_a_runtime():
+    # the drivers' outer loop owns each run's runtime; no step makes its own
+    inst = two_node_instance()
+    cfg = SolverConfig(rho=1.0)
+    world = init_world(inst, cfg)
+    with pytest.raises(TypeError, match="runtime"):
+        step(init_state(inst, cfg), inst, cfg)
+    with pytest.raises(TypeError, match="runtime"):
+        agent_primal_step(inst, 0, world.agents[0], [], cfg)
+    with pytest.raises(TypeError, match="runtime"):
+        sync_round(world, cfg)
+
+
 def test_round_is_order_independent():
     inst = random_instance(5, 0.7, seed=3)
     cfg = SolverConfig(rho=0.3)
     world = init_world(inst, cfg)
-    world = sync_round(world, cfg)  # desynchronize trees a little
-    fwd = sync_round(world, cfg, order=range(inst.n))
-    rev = sync_round(world, cfg, order=reversed(range(inst.n)))
+    # desynchronize trees a little
+    world = sync_round(world, cfg, SubproblemRuntime())
+    fwd = sync_round(world, cfg, SubproblemRuntime(), order=range(inst.n))
+    rev = sync_round(world, cfg, SubproblemRuntime(),
+                     order=reversed(range(inst.n)))
     assert fwd.k == rev.k
     for a, b in zip(fwd.agents, rev.agents):
         assert agents_equal(a, b)
@@ -136,8 +152,9 @@ def test_round_rejects_an_order_that_is_not_a_permutation(order):
     cfg = SolverConfig(rho=0.3)
     world = init_world(inst, cfg)
     with pytest.raises(ValueError, match=rf"^order \[{order[0]}, .* not a permutation"):
-        sync_round(world, cfg, order=order)
-    assert sync_round(world, cfg, order=reversed(range(inst.n))).k == 1
+        sync_round(world, cfg, SubproblemRuntime(), order=order)
+    assert sync_round(world, cfg, SubproblemRuntime(),
+                      order=reversed(range(inst.n))).k == 1
 
 
 def test_symmetric_two_agent_world_stays_symmetric():
@@ -145,7 +162,7 @@ def test_symmetric_two_agent_world_stays_symmetric():
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
     for _ in range(5):
-        world = sync_round(world, cfg)
+        world = sync_round(world, cfg, SubproblemRuntime())
         assert agents_equal(world.agents[0], world.agents[1])
 
 
@@ -229,13 +246,13 @@ def test_full_dual_identities_and_averages():
     fd = init_full_dual_world(inst, cfg)
     rt = SubproblemRuntime()
     prev_agents = [a.u.copy() for a in fd.agents]
-    fd = full_dual_step(fd, cfg, _runtime=rt)
+    fd = full_dual_step(fd, cfg, rt)
     # averages are the midpoints of the fresh primals
     for a, (i, j) in enumerate(fd.arcs.arcs):
         assert np.array_equal(fd.t[a], (fd.agents[i].u + fd.agents[j].u) / 2.0)
         assert np.array_equal(fd.s[a], (fd.agents[i].w + fd.agents[j].w) / 2.0)
     for r in range(4):
-        fd = full_dual_step(fd, cfg, _runtime=rt)
+        fd = full_dual_step(fd, cfg, rt)
         for a in range(len(fd.arcs.arcs)):
             assert np.all(fd.alpha[a] + fd.beta[a] == 0.0)
             assert np.all(fd.gamma[a] + fd.delta[a] == 0.0)
@@ -250,8 +267,8 @@ def test_condensed_matches_full_dual_any_rho():
         fd = init_full_dual_world(inst, cfg)
         rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(6):
-            world = sync_round(world, cfg, _runtime=rt1)
-            fd = full_dual_step(fd, cfg, _runtime=rt2)
+            world = sync_round(world, cfg, rt1)
+            fd = full_dual_step(fd, cfg, rt2)
         nu_agg, xi_agg = consensus_dual_aggregates(fd)
         for i in range(inst.n):
             a, b = world.agents[i], fd.agents[i]
@@ -269,14 +286,14 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(5, 0.6, seed=4)
     cfg = SolverConfig(rho=1.0)
     rt = SubproblemRuntime()
-    world = sync_round(init_world(inst, cfg), cfg, _runtime=rt)
-    sync_round(world, cfg, _runtime=rt)  # same instance and rho: reused
+    world = sync_round(init_world(inst, cfg), cfg, rt)
+    sync_round(world, cfg, rt)  # same instance and rho: reused
     other_rho = SolverConfig(rho=2.0)
     with pytest.raises(ValueError, match="bound to another"):
-        sync_round(init_world(inst, other_rho), other_rho, _runtime=rt)
+        sync_round(init_world(inst, other_rho), other_rho, rt)
     twin = random_instance(5, 0.6, seed=4)
     with pytest.raises(ValueError, match="bound to another"):
-        sync_round(init_world(twin, cfg), cfg, _runtime=rt)
+        sync_round(init_world(twin, cfg), cfg, rt)
 
 
 def random_agent(inst, rng, tree):

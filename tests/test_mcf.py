@@ -303,6 +303,28 @@ def test_routing_passes_check_iff_within_hops():
                 == routing.feasible
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+       hop_slack=st.integers(0, 2),
+       flows=st.sampled_from(["routed", "flipped", "binary"]))
+def test_feasible_flows_on_a_tree_are_its_routing(seed, n, hop_slack, flows):
+    # binary flows that meet conservation and coupling on a spanning tree
+    # use each tree edge in one direction at most, so they are the unique
+    # tree routing; the drivers extract their answer on this equivalence
+    inst = random_instance(n, 0.5, seed, hop_slack=hop_slack)
+    rng = np.random.default_rng([seed, 2])
+    tree = mst_kruskal(inst.graph, rng.random(inst.m))
+    routed = route_on_tree(inst, tree)
+    if flows == "binary":
+        y = rng.integers(0, 2, inst.dim_u).astype(np.int8)
+    else:
+        y = routed.flows.copy()
+        if flows == "flipped":
+            y[rng.integers(inst.dim_u)] ^= 1
+    assert check_feasible(inst, tree, y).feasible == \
+        (routed.feasible and np.array_equal(routed.flows, y))
+
+
 def test_binary_feasible_point_satisfies_relaxed_rows():
     inst = random_instance(6, 0.6, seed=9)
     from treedesign.oracle import exact_solve
