@@ -91,65 +91,61 @@ def _write_trace(report, path, per_agent):
                   _trace_rows_distributed(report, per_agent))
 
 
+_SOLVERS = {"central": solve_central, "dist": solve_distributed}
+_SOLVE_MODES = {"solve-central": "central", "solve-dist": "dist"}
+
+
 def run_experiment(spec):
-    """Run every sweep cell; returns summary rows sorted by (n, seed, rho, mode).
+    """Run every sweep cell; returns summary rows in (n, seed, rho, mode) order.
 
     Cell failures are recorded in the row's status column and the sweep
-    continues. Instances and oracle solutions are shared across the rho/mode
-    cells of the same (n, seed).
+    continues. Each (n, seed) instance and its oracle solution are built once
+    and shared by that instance's rho/mode cells.
     """
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    instances = {}
-    oracles = {}
+    cells = [(rho, mode) for rho in sorted(spec.rhos) for mode in sorted(spec.modes)]
     rows = []
     for n in sorted(spec.ns):
         for seed in sorted(spec.seeds):
-            key = (n, seed)
             try:
-                instances[key] = random_instance(
+                inst = random_instance(
                     n, spec.p, seed, n_commodities=spec.commodities,
                     hop_slack=spec.hop_slack,
                 )
             except Exception as exc:  # cell failures must not kill the sweep
                 logger.error("instance (n=%d, seed=%d) failed: %s", n, seed, exc)
-                instances[key] = exc
+                rows.extend(_error_row(n, "", seed, rho, mode, exc)
+                            for rho, mode in cells)
                 continue
+            oracle_result = None
             if spec.oracle:
                 try:
-                    oracles[key] = exact_solve(instances[key], spec.oracle_budget)
+                    oracle_result = exact_solve(inst, spec.oracle_budget)
                 except BudgetExceededError:
-                    oracles[key] = None
-    for n in sorted(spec.ns):
-        for seed in sorted(spec.seeds):
-            inst = instances[(n, seed)]
-            for rho in sorted(spec.rhos):
-                for mode in sorted(spec.modes):
-                    rows.append(_run_cell(spec, inst, oracles.get((n, seed)),
-                                          n, seed, rho, mode))
-    rows.sort(key=lambda r: (r[0], r[2], r[3], r[4]))
+                    pass
+            rows.extend(_run_cell(spec, inst, oracle_result, n, seed, rho, mode)
+                        for rho, mode in cells)
     return rows
+
+
+def _error_row(n, m, seed, rho, mode, exc):
+    return (n, m, seed, float(rho), mode, "", "", False, None, None,
+            f"error: {exc}", 0.0, "")
 
 
 def _run_cell(spec, inst, oracle_result, n, seed, rho, mode):
     trace_name = f"trace_n{n}_s{seed}_rho{rho:g}_{mode}.csv"
     trace_path = spec.out_dir / trace_name
-    if isinstance(inst, Exception):
-        return (n, "", seed, float(rho), mode, "", "", False, None, None,
-                f"error: {inst}", 0.0, "")
     cfg = SolverConfig(rho=rho, tol=spec.tol, max_iters=spec.max_iters)
     t0 = time.perf_counter()
     try:
-        if mode == "central":
-            report = solve_central(inst, cfg)
-        elif mode == "dist":
-            report = solve_distributed(inst, cfg)
-        else:
+        if mode not in _SOLVERS:
             raise ValueError(f"unknown mode {mode!r}")
+        report = _SOLVERS[mode](inst, cfg)
     except Exception as exc:
         logger.error("cell (n=%d, seed=%d, rho=%g, %s) failed: %s",
                      n, seed, rho, mode, exc)
-        return (n, inst.m, seed, float(rho), mode, "", "", False, None, None,
-                f"error: {exc}", 0.0, "")
+        return _error_row(n, inst.m, seed, rho, mode, exc)
     wall_ms = (time.perf_counter() - t0) * 1000.0 if spec.wall_time else 0.0
     _write_trace(report, trace_path, per_agent=spec.trace_per_agent)
     gap = None
@@ -224,12 +220,8 @@ def _load_instance(args):
     return _generate(args)
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _parse_ints(text):
-    return [int(tok) for tok in text.split(",") if tok]
+def _parse_list(text, kind):
+    return [kind(tok) for tok in text.split(",") if tok]
 
 
 def _print_report(report, inst):
@@ -258,13 +250,11 @@ def _cmd_gen(args):
     return 0
 
 
-def _cmd_solve(args, mode):
+def _cmd_solve(args):
+    mode = _SOLVE_MODES[args.command]
     inst = _load_instance(args)
     cfg = SolverConfig(rho=args.rho, tol=args.tol, max_iters=args.max_iters)
-    if mode == "central":
-        report = solve_central(inst, cfg)
-    else:
-        report = solve_distributed(inst, cfg)
+    report = _SOLVERS[mode](inst, cfg)
     _print_report(report, inst)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -293,8 +283,8 @@ def _cmd_oracle(args):
 
 def _cmd_project(args):
     inst = _load_instance(args)
-    w = np.array(_parse_floats(args.w)) if args.w else np.ones(inst.m)
-    mu = np.array(_parse_floats(args.mu)) if args.mu else np.zeros(inst.m)
+    w = np.array(_parse_list(args.w, float)) if args.w else np.ones(inst.m)
+    mu = np.array(_parse_list(args.mu, float)) if args.mu else np.zeros(inst.m)
     h = projection_weights(w, mu)
     tree = mst_kruskal(inst.graph, h)
     print("h:", " ".join(repr(float(x)) for x in h))
@@ -332,8 +322,8 @@ def _cmd_sweep(args):
     spec = SweepSpec(
         ns=args.n,
         seeds=list(range(args.seeds)) if args.seed_list is None
-        else _parse_ints(args.seed_list),
-        rhos=_parse_floats(args.rhos),
+        else _parse_list(args.seed_list, int),
+        rhos=_parse_list(args.rhos, float),
         modes=["central", "dist"] if args.modes == "both" else [args.modes],
         p=args.p,
         commodities=args.commodities,
@@ -350,8 +340,18 @@ def _cmd_sweep(args):
     summary = spec.out_dir / "summary.csv"
     write_csv(summary, SUMMARY_COLUMNS, rows)
     print(f"wrote {summary} ({len(rows)} rows)")
-    expected = len(spec.ns) * len(spec.seeds) * len(spec.rhos) * len(spec.modes)
-    return 0 if len(rows) == expected else 1
+    return 0
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "solve-central": _cmd_solve,
+    "solve-dist": _cmd_solve,
+    "oracle": _cmd_oracle,
+    "project": _cmd_project,
+    "dump-qp": _cmd_dump_qp,
+    "sweep": _cmd_sweep,
+}
 
 
 def build_parser():
@@ -367,7 +367,7 @@ def build_parser():
     _add_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--out", type=Path, default=None)
 
-    for mode, name in (("central", "solve-central"), ("dist", "solve-dist")):
+    for name, mode in _SOLVE_MODES.items():
         p = sub.add_parser(name, help=f"run the {mode} solver")
         _add_flags(p, _INSTANCE_FLAGS + ("--rho",) + _STOPPING_FLAGS)
         p.add_argument("--out", type=Path, default=None,
@@ -415,21 +415,7 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "solve-central":
-        return _cmd_solve(args, "central")
-    if args.command == "solve-dist":
-        return _cmd_solve(args, "dist")
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "project":
-        return _cmd_project(args)
-    if args.command == "dump-qp":
-        return _cmd_dump_qp(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    raise SystemExit(f"unknown command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ deterministic. All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .graphs import DirectedArcSet, TreeIndicator, UndirectedGraph, UnionFind
@@ -148,16 +146,6 @@ def mwra_edmonds(arcs, root, h):
         raise ValueError("weights must be finite")
     if not (0 <= root < arcs.n):
         raise ValueError(f"root {root} out of range")
-    reachable = {root}
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for _, j in arcs.out_arcs(i):
-            if j not in reachable:
-                reachable.add(j)
-                queue.append(j)
-    if len(reachable) < arcs.n:
-        raise NoArborescenceError("no arborescence exists")
     records = [
         _Arc(tail, head, float(h[k]), k, None)
         for k, (tail, head) in enumerate(arcs.arcs)

@@ -71,8 +71,34 @@ def test_sweep_cell_error_is_recorded(tmp_path):
         max_iters=5, out_dir=tmp_path, wall_time=False, oracle=False,
     )
     rows = run_experiment(spec)
-    assert len(rows) == 1
-    assert rows[0][10].startswith("error:")
+    assert rows == [(6, random_instance(6, 0.5, 0).m, 0, 1.0, "bogus", "", "",
+                     False, None, None, "error: unknown mode 'bogus'", 0.0, "")]
+
+
+def test_sweep_records_an_instance_that_fails_to_build(tmp_path):
+    def sweep(ns, out):
+        return run_experiment(SweepSpec(
+            ns=ns, seeds=[0], rhos=[1.0, 0.1], modes=["dist", "central"],
+            oracle=True, max_iters=40, out_dir=out, wall_time=False,
+        ))
+
+    rows = sweep([6, 1], tmp_path / "mixed")
+    alone = sweep([6], tmp_path / "alone")
+    with pytest.raises(ValueError) as exc:
+        random_instance(1, 0.5, 0)
+    # the n=1 cells sort first, one error row each with no edge count
+    assert rows[:4] == [
+        (1, "", 0, rho, mode, "", "", False, None, None, f"error: {exc.value}",
+         0.0, "")
+        for rho in (0.1, 1.0) for mode in ("central", "dist")
+    ]
+    assert rows[4:] == alone
+    traces = sorted(p.name for p in (tmp_path / "mixed").iterdir())
+    assert traces == sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert len(traces) == 4
+    for name in traces:
+        assert ((tmp_path / "mixed" / name).read_bytes()
+                == (tmp_path / "alone" / name).read_bytes())
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):

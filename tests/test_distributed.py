@@ -245,7 +245,6 @@ def test_full_dual_identities_and_averages():
     cfg = SolverConfig(rho=0.7, tol=1e-6, max_iters=10)
     fd = init_full_dual_world(inst, cfg)
     rt = SubproblemRuntime()
-    prev_agents = [a.u.copy() for a in fd.agents]
     fd = full_dual_step(fd, cfg, rt)
     # averages are the midpoints of the fresh primals
     for a, (i, j) in enumerate(fd.arcs.arcs):
@@ -256,7 +255,6 @@ def test_full_dual_identities_and_averages():
         for a in range(len(fd.arcs.arcs)):
             assert np.all(fd.alpha[a] + fd.beta[a] == 0.0)
             assert np.all(fd.gamma[a] + fd.delta[a] == 0.0)
-    del prev_agents
 
 
 def test_condensed_matches_full_dual_any_rho():

@@ -94,6 +94,11 @@ def test_mwra_unreachable_node():
     arcs = DirectedArcSet(3, [(0, 1), (1, 0)])
     with pytest.raises(NoArborescenceError, match="no arborescence"):
         mwra_edmonds(arcs, 0, np.zeros(2))
+    # every node has an in-arc, so only contracting the cycle 2 <-> 3 finds
+    # that the root cannot reach it
+    arcs = DirectedArcSet(4, [(0, 1), (2, 3), (3, 2)])
+    with pytest.raises(NoArborescenceError, match="no arborescence"):
+        mwra_edmonds(arcs, 0, np.zeros(3))
 
 
 def test_mwra_matches_enumeration_on_random_digraphs():
