@@ -136,11 +136,11 @@ def _error_row(n, m, seed, rho, mode, exc):
 def _run_cell(spec, inst, oracle_result, n, seed, rho, mode):
     trace_name = f"trace_n{n}_s{seed}_rho{rho:g}_{mode}.csv"
     trace_path = spec.out_dir / trace_name
-    cfg = SolverConfig(rho=rho, tol=spec.tol, max_iters=spec.max_iters)
     t0 = time.perf_counter()
     try:
         if mode not in _SOLVERS:
             raise ValueError(f"unknown mode {mode!r}")
+        cfg = SolverConfig(rho=rho, tol=spec.tol, max_iters=spec.max_iters)
         report = _SOLVERS[mode](inst, cfg)
     except Exception as exc:
         logger.error("cell (n=%d, seed=%d, rho=%g, %s) failed: %s",

@@ -156,8 +156,14 @@ def mwra_edmonds(arcs, root, h):
 
 
 def projection_weights(w_next, mu):
-    """Linear weights reducing the nearest-tree problem to MST/MWRA."""
-    return np.asarray(mu, dtype=float) - np.asarray(w_next, dtype=float)
+    """Linear weights reducing the nearest-tree problem to MST/MWRA.
+    ``w_next`` and ``mu`` must have one length; neither is broadcast."""
+    w_next = np.asarray(w_next, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    if w_next.shape != mu.shape:
+        raise ValueError(f"w_next has length {w_next.size} but mu has "
+                         f"length {mu.size}")
+    return mu - w_next
 
 
 def project_tree(w_next, mu, topology):

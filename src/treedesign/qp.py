@@ -19,10 +19,10 @@ rows, which is positive definite: densely with one Cholesky factor where a
 map below holds the constraint rows dense, and sparsely with SuperLU, again
 without pivoting, for structures too large for either map.
 
-Each solve runs one of two inner loops, chosen by size alone. With rho
-fixed, the iteration is an affine map followed by a clip. Put w = z_pre +
-lam/rho, the point the clip projects, and p = clip(w, l, u), the new z; the
-multiplier update lam + rho (z_pre - p) is then exactly rho (w - p), so
+Each solve runs one inner loop on one of two steps, chosen by size. With
+rho fixed, the iteration is an affine map followed by a clip. Put w = z_pre
++ lam/rho, the point the clip projects, and p = clip(w, l, u), the new z;
+the multiplier update lam + rho (z_pre - p) is then exactly rho (w - p), so
 lam/rho = w - p at every step, and the KKT step solves
 
     K [x~; nu] = [sigma x - q; v],   v = 2p - w,   z~ = v + nu/rho
@@ -40,11 +40,11 @@ part is an affine map of rank n,
 built from the x rows of K^-1, and M is V composed with [I; A]: its x rows
 are V's plus (1 - alpha) x, its w rows A times V's plus w - alpha p. For a
 KKT system of size N = n + m whose map M has at most 2^16 entries, the
-dense loop builds V and then M once per factorization, and an iteration is
-one matrix-vector product and one clip: at that size a product is cheaper
-than the fixed cost of one sparse triangular solve.
+dense branch builds V and then M once per factorization, and a step is one
+matrix-vector product and one clip: at that size a product is cheaper than
+the fixed cost of one sparse triangular solve.
 
-Past that size the x-space loop keeps the state (x, w, p) and takes alpha
+Past that size the x-space branch keeps the state (x, w, p) and takes alpha
 [x~; z~] on its own. Structures whose n x (N + 1) map V has at most 2^16
 entries take alpha x~ from one product with V and alpha z~ from one with
 the dense constraint rows (the box rows of A are the identity), as nearly
@@ -60,6 +60,8 @@ deterministic: identical inputs produce identical iterate sequences.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,12 +261,12 @@ class QpWorkspace:
     dense, and :func:`factor_kkt` on the sparse complement on the factor
     branch (``_map`` None).
 
-    The inner loop (``_loop``) is chosen once, by size. With N = n + m
+    The step (``_branch``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
-    ``DENSE_MAX_ENTRIES`` runs the dense loop on the iteration map ``M`` of
-    shape (N, N + m + 1); every other one runs the x-space loop on the map
+    ``DENSE_MAX_ENTRIES`` steps with the iteration map ``M`` of shape
+    (N, N + m + 1); every other one takes the x-space step with the map
     ``V`` of shape (n, N + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``, and
-    otherwise on the sparse factor (``_map`` is None). Either map is
+    otherwise with the sparse factor (``_map`` is None). Either map is
     ``_map``, rebuilt in place at every factorization, and comes with the
     dense constraint rows ``_a_con``. V = [V_x, V_v, c_x] comes from the x
     rows of K^-1, which K's symmetry makes its first n columns, and each
@@ -275,8 +277,8 @@ class QpWorkspace:
         x rows: [V_x + (1-a) I,  -V_v,       2 V_v,          c_x]
         w rows: [A V_x,          I - A V_v,  2 A V_v - a I,  A c_x]
 
-    Both loops stop, check residuals, detect infeasibility and adapt rho
-    alike.
+    One loop, :meth:`_iterate`, stops, checks residuals, detects
+    infeasibility and adapts rho; each branch's ``_*_steps`` only steps.
     """
 
     SIGMA = 1e-6
@@ -342,11 +344,11 @@ class QpWorkspace:
         self._slack = np.empty(len(self._report_rhs))
         self._sign = np.empty(m_in)
         big = n + m_total
-        self._loop, self._map = "dense", None
+        self._branch, self._map = "dense", None
         if big * (big + m_total + 1) <= self.DENSE_MAX_ENTRIES:
             self._map = np.empty((big, big + m_total + 1))
         else:
-            self._loop = "xspace"
+            self._branch = "xspace"
             # the step's coefficients of its stacked [p; x]
             self._px_scale = np.concatenate([np.full(m_total, self.ALPHA),
                                              np.full(n, 1.0 - self.ALPHA)])
@@ -398,7 +400,7 @@ class QpWorkspace:
         lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
         if self._map is not None:
             self._build_xspace_map(lu)
-            if self._loop == "dense":
+            if self._branch == "dense":
                 self._build_map()
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
@@ -443,7 +445,7 @@ class QpWorkspace:
         np.negative(q, out=rhs[:n])
         c = self._map[:, -1]
         np.multiply(self._lu.solve(rhs)[:n], self.ALPHA, out=c[:n])
-        if self._loop == "dense":
+        if self._branch == "dense":
             c[n:m_total] = self._a_con @ c[:n]
             c[m_total:] = c[:n]
 
@@ -457,17 +459,23 @@ class QpWorkspace:
         ``warm`` is None) with z = clip(A x) and lam = 0, unless ``warm``
         carries z and lam, which are then taken as they are; so a cold start
         is the start at x = 0. A start array of the wrong length, or z
-        without lam (or lam without z), raises ValueError.
+        without lam (or lam without z), raises ValueError, and so do a
+        ``tol`` that is not finite and positive and a ``max_iters`` that is
+        not a nonnegative integer, the rule of ``SolverConfig``.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (self.n,):
             raise ValueError("q must have one entry per variable")
         if not np.isfinite(q).all():
             raise ValueError("q must be finite")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, "
+                             f"got {max_iters!r}")
         x, z, lam = self._start(warm)
-        loop = getattr(self, f"_{self._loop}_loop")
-        # the loops return fresh arrays, never views into their state
-        x_loop, z, lam, status, iterations = loop(q, x, z, lam, tol, max_iters)
+        x_loop, z, lam, status, iterations = self._iterate(q, x, z, lam, tol,
+                                                           max_iters)
         # a rejected polish hands back the loop's own arrays
         x, z, lam, (eq_res, in_vio, stat) = self._polish(x_loop, z, lam, q)
         # np.max, unlike Python's max, keeps a NaN in any position
@@ -496,40 +504,54 @@ class QpWorkspace:
             return x, z, np.zeros(m_total)
         return x, _fitted("z", warm.z, m_total), _fitted("lam", warm.lam, m_total)
 
-    def _dense_loop(self, q, x0, z0, lam, tol, max_iters):
+    def _iterate(self, q, x0, z0, lam, tol, max_iters):
+        """The stop policy around the branch's steps. Returns fresh (x, z,
+        lam), never views into the state, then the status and count."""
+        x, w, p, steps = getattr(self, f"_{self._branch}_steps")(q)
+        x[:], p[:], lam = x0, z0, lam.copy()
+        rho, it, window, lam_snapshot = None, 0, [], lam
+        while it < max_iters:
+            if self.rho is not rho:
+                # the start, and the re-base once a check adapts rho: lam
+                # carries over to the new penalty
+                rho = self.rho
+                np.add(p, lam / rho, w)
+                if self._map is not None:
+                    self._set_map_offset(q)
+            k = min(self.CHECK_EVERY, max_iters - it)
+            steps(k)
+            it += k
+            lam = rho * (w - p)
+            status = self._check(it, x, p, lam, q, tol, window, lam_snapshot)
+            if status is not None:
+                return x.copy(), p.copy(), lam, status, it
+            lam_snapshot = lam
+        return x.copy(), p.copy(), lam, "max-iters", it
+
+    def _dense_steps(self, q):
+        """The dense branch's views (x, w, p) and its ``steps(k)``."""
         n, big = self.n, self.n + self.m_total
         l, u, m_map = self.l, self.u, self._map
         # two states [x; w; p; 1]: a step writes the other state's [x; w]
-        # with one product and clips its w into its p, then they swap
+        # with one product and clips its w into its p, then they swap. The
+        # views are state 0's, so an odd count copies state 1 back
         states = np.empty((2, big + self.m_total + 1))
         states[:, -1] = 1.0
-        cur, nxt = [(st, st[:big], st[n:big], st[big:-1]) for st in states]
-        cur[0][:n] = x0
-        cur[3][:] = z0
-        lam = lam.copy()
-        rho = None
-        window, lam_snapshot = [], lam
-        for it in range(1, max_iters + 1):
-            if self.rho is not rho:
-                # the start, and the re-base once rho adapts: lam carries
-                # over to the new penalty
-                rho = self.rho
-                np.add(cur[3], lam / rho, cur[2])
-                self._set_map_offset(q)
-            np.dot(m_map, cur[0], out=nxt[1])
-            _clip(nxt[2], l, u, nxt[3])
-            cur, nxt = nxt, cur
+        views = [(st, st[:big], st[n:big], st[big:-1]) for st in states]
 
-            if it % self.CHECK_EVERY == 0 or it == max_iters:
-                s, _, w, p = cur
-                lam = rho * (w - p)
-                status = self._check(it, s[:n], p, lam, q, tol, window, lam_snapshot)
-                if status is not None:
-                    return s[:n].copy(), p.copy(), lam, status, it
-                lam_snapshot = lam
-        return cur[0][:n].copy(), cur[3].copy(), lam, "max-iters", max_iters
+        def steps(k):
+            cur, nxt = views
+            for _ in range(k):
+                np.dot(m_map, cur[0], out=nxt[1])
+                _clip(nxt[2], l, u, nxt[3])
+                cur, nxt = nxt, cur
+            if k % 2:
+                states[0] = states[1]
 
-    def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
+        return states[0, :n], views[0][2], views[0][3], steps
+
+    def _xspace_steps(self, q):
+        """The x-space branch's views (x, w, p) and its ``steps(k)``."""
         n, m_total, alpha, sigma = self.n, self.m_total, self.ALPHA, self.SIGMA
         l, u, v_map, px_scale = self.l, self.u, self._map, self._px_scale
         # one buffer [p; x; v; 1]: one multiply by [alpha 1; (1 - alpha) 1]
@@ -544,55 +566,42 @@ class QpWorkspace:
             rhs = np.empty(n + m_total)
             r, v = rhs[:n], rhs[n:]
         else:
-            # zt holds alpha z~ = A (alpha x~), and the box rows of A are the
-            # identity and sit last, so the product with V writes alpha x~
-            # straight into zt's box slice
+            # zt_v holds alpha z~ = A (alpha x~), and the box rows of A are
+            # the identity and sit last, so the product with V writes alpha
+            # x~ straight into zt_v's box slice
             a_con = self._a_con
-            zt = np.empty(m_total)
-            zt_con, xt = zt[:m_total - n], zt[m_total - n:]
-        x[:] = x0
-        p[:] = z0
-        lam = lam.copy()
-        rho = None
-        window, lam_snapshot = [], lam
-        for it in range(1, max_iters + 1):
-            if self.rho is not rho:
-                # the start, and the re-base once rho adapts
-                rho, lu = self.rho, self._lu
-                np.add(p, lam / rho, w)
-                if v_map is not None:
-                    self._set_map_offset(q)
-            np.multiply(p, 2.0, v)
-            np.subtract(v, w, v)
-            if v_map is None:
-                np.multiply(x, sigma, r)
-                np.subtract(r, q, r)
-                step = lu.solve(rhs)
-                xt, zt = step[:n], step[n:]
-                np.divide(zt, rho, zt)
-                np.add(v, zt, zt)
-                np.multiply(step, alpha, step)
-            else:
-                np.dot(v_map, y, out=xt)
-                np.dot(a_con, xt, out=zt_con)
-            # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha x~;
-            # p is free until the clip rewrites it
-            np.multiply(px, px_scale, px)
-            np.subtract(w, p, w)
-            np.add(w, zt, w)
-            np.add(x, xt, x)
-            _clip(w, l, u, p)
+            zt_v = np.empty(m_total)
+            zt_con, xt_v = zt_v[:m_total - n], zt_v[m_total - n:]
 
-            if it % self.CHECK_EVERY == 0 or it == max_iters:
-                lam = rho * (w - p)
-                status = self._check(it, x, p, lam, q, tol, window, lam_snapshot)
-                if status is not None:
-                    return x.copy(), p.copy(), lam, status, it
-                lam_snapshot = lam
-        return x.copy(), p.copy(), lam, "max-iters", max_iters
+        def steps(k):
+            rho, lu = self.rho, self._lu
+            for _ in range(k):
+                np.multiply(p, 2.0, v)
+                np.subtract(v, w, v)
+                if v_map is None:
+                    np.multiply(x, sigma, r)
+                    np.subtract(r, q, r)
+                    step = lu.solve(rhs)
+                    xt, zt = step[:n], step[n:]
+                    np.divide(zt, rho, zt)
+                    np.add(v, zt, zt)
+                    np.multiply(step, alpha, step)
+                else:
+                    xt, zt = xt_v, zt_v
+                    np.dot(v_map, y, out=xt)
+                    np.dot(a_con, xt, out=zt_con)
+                # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha
+                # x~; p is free until the clip rewrites it
+                np.multiply(px, px_scale, px)
+                np.subtract(w, p, w)
+                np.add(w, zt, w)
+                np.add(x, xt, x)
+                _clip(w, l, u, p)
+
+        return x, w, p, steps
 
     def _check(self, it, x, z, lam, q, tol, window, lam_snapshot):
-        """The periodic test of every loop: a status to stop with, or None.
+        """The periodic test of the loop: a status to stop with, or None.
 
         ``window`` keeps the last 12 primal residuals and ``lam_snapshot``
         is lam at the previous check. Every fourth check may adapt rho. The

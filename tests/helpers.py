@@ -601,16 +601,17 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
 
 
 class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
-    """QpWorkspace with its x-space loop written as plain expressions.
+    """QpWorkspace's inner loop around its x-space step, written as plain
+    expressions.
 
     One fresh array per operation, ``np.dot`` for each product with the map
     V, one solve with the factor of the ``sp.bmat`` iteration matrix (as
     ReferenceQpWorkspace factors it) where there is no map, and ``np.clip``
     for the clip, in the operands and order of the x-space step. The start
     comes before the loop and the re-base after the check that adapts rho.
-    ReferenceQpWorkspace runs the (z, lam) iteration, which the x-space loop
-    matches only up to rounding; this is the x-space loop's bit-for-bit
-    reference.
+    ReferenceQpWorkspace runs the (z, lam) iteration, which the x-space step
+    matches only up to rounding; this is the bit-for-bit reference of the
+    loop on the x-space step.
     """
 
     def _refactor(self, rho_base):
@@ -618,7 +619,7 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
         if self._map is not None:
             self._build_xspace_map(self._lu)
 
-    def _xspace_loop(self, q, x0, z0, lam, tol, max_iters):
+    def _iterate(self, q, x0, z0, lam, tol, max_iters):
         n, alpha, beta = self.n, self.ALPHA, 1.0 - self.ALPHA
         v_map, l, u = self._map, self.l, self.u
         x, p = x0.copy(), z0.copy()
@@ -654,10 +655,10 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
 
 
 def step_operator(ws):
-    """How a workspace takes its step: "dense" (the dense loop's map M),
-    "xspace" (the x-space loop's map V) or "sparse" (the x-space loop's
+    """How a workspace takes its step: "dense" (the dense step's map M),
+    "xspace" (the x-space step's map V) or "sparse" (the x-space step's
     triangular solve with the sparse KKT factor)."""
-    if ws._loop == "dense":
+    if ws._branch == "dense":
         return "dense"
     return "sparse" if ws._map is None else "xspace"
 

@@ -75,6 +75,28 @@ def test_sweep_cell_error_is_recorded(tmp_path):
                      False, None, None, "error: unknown mode 'bogus'", 0.0, "")]
 
 
+def test_sweep_records_a_rejected_rho_as_an_error_row(tmp_path):
+    # the settings are checked inside the cell, so a rejected rho is that
+    # cell's error row and the other cells run as they would alone
+    def sweep(rhos, out):
+        return run_experiment(SweepSpec(
+            ns=[6], seeds=[0], rhos=rhos, modes=["central"], oracle=False,
+            max_iters=5, out_dir=out, wall_time=False,
+        ))
+
+    rows = sweep([0.0, 1.0], tmp_path / "mixed")
+    alone = sweep([1.0], tmp_path / "alone")
+    assert rows[0] == (6, random_instance(6, 0.5, 0).m, 0, 0.0, "central", "",
+                       "", False, None, None,
+                       "error: rho must be finite and positive, got 0.0", 0.0, "")
+    assert rows[1:] == alone
+    traces = sorted(p.name for p in (tmp_path / "mixed").iterdir())
+    assert traces == sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert traces == ["trace_n6_s0_rho1_central.csv"]
+    assert ((tmp_path / "mixed" / traces[0]).read_bytes()
+            == (tmp_path / "alone" / traces[0]).read_bytes())
+
+
 def test_sweep_records_an_instance_that_fails_to_build(tmp_path):
     def sweep(ns, out):
         return run_experiment(SweepSpec(
@@ -155,6 +177,10 @@ def test_gen_solve_oracle_project_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("h:")
     assert "tree edges:" in out
+    # a single --w value is not one weight per edge, and is not broadcast
+    m = read_instance(inst_path).m
+    with pytest.raises(ValueError, match=f"^w_next has length 1 but mu has length {m}$"):
+        main(["project", "--instance", str(inst_path), "--w", "0.5"])
 
     assert main(["dump-qp", "--instance", str(inst_path),
                  "--out", str(tmp_path / "qp.txt")]) == 0

@@ -181,6 +181,17 @@ def test_project_tree_directed_dispatch():
         project_tree(w, np.zeros(4), "nope")
 
 
+@pytest.mark.parametrize("lengths", ["1, m", "m, 1", "m, m+1"])
+def test_project_tree_rejects_weights_of_the_wrong_length(lengths):
+    # w_next and mu have one entry per edge each; neither is broadcast
+    arcs = DirectedArcSet(3, [(0, 1), (0, 2), (2, 1), (1, 2)])
+    for topology, m in ((k3(), 3), ((arcs, 0), 4)):
+        w_len, mu_len = {"1, m": (1, m), "m, 1": (m, 1), "m, m+1": (m, m + 1)}[lengths]
+        with pytest.raises(ValueError, match=f"^w_next has length {w_len} "
+                                             f"but mu has length {mu_len}$"):
+            project_tree(np.full(w_len, 0.3), np.zeros(mu_len), topology)
+
+
 def test_project_binary_examples():
     assert list(project_binary([0.7, 0.2, 0.5])) == [1, 0, 1]
     assert list(project_binary([0.0, 1.0])) == [0, 1]

@@ -153,6 +153,22 @@ def test_non_finite_data_is_rejected_by_name(name, value):
         QuadraticProgram(**data)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", 0.0), ("tol", -1e-6), ("tol", np.nan), ("tol", np.inf),
+    ("max_iters", -5), ("max_iters", 2.5), ("max_iters", None),
+])
+def test_solve_rejects_a_bad_tolerance_or_cap_by_name(name, value):
+    # a negative cap once returned a "max-iters" solution with negative
+    # iterations, and a NaN tolerance ran silently to the cap
+    qp, _ = random_feasible_qp(np.random.default_rng(25))
+    ws, untouched = QpWorkspace(qp), QpWorkspace(qp)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        ws.solve(qp.q, **{name: value})
+    assert_same_solution(ws.solve(qp.q), untouched.solve(qp.q))
+    # no iteration at all is a valid cap: the start, polished
+    assert solve_qp(qp, max_iters=0).iterations == 0
+
+
 def test_infinite_inequality_bound_is_a_free_row():
     qp, _ = random_feasible_qp(np.random.default_rng(26))
     free = replace(qp, b_in=with_entry(qp.b_in, np.inf))
@@ -730,6 +746,35 @@ def test_xspace_loop_agrees_with_plain_iteration(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sparse_factor_step_agrees_with_plain_iteration(seed):
     assert_agrees_with_plain_iteration(sparse_workspace, seed)
+
+
+@pytest.mark.parametrize("operator", ["dense", "xspace", "sparse"])
+def test_every_branch_checks_on_one_cadence(operator, monkeypatch):
+    # one stop policy around every branch's steps: a check every
+    # CHECK_EVERY steps and at max_iters, and a re-base, which writes a
+    # map's offset, at the start and after each check that adapts rho
+    qp, _ = random_feasible_qp(np.random.default_rng(0))
+    ws = forced_workspace(qp, operator)
+    checks, offsets = [], []
+    check, set_map_offset = ws._check, ws._set_map_offset
+    monkeypatch.setattr(ws, "_check",
+                        lambda it, *args: checks.append(it) or check(it, *args))
+    monkeypatch.setattr(ws, "_set_map_offset",
+                        lambda q: offsets.append(q) or set_map_offset(q))
+    has_map = ws._map is not None
+    assert ws.solve(qp.q, tol=1e-15, max_iters=60).status == "max-iters"
+    assert checks == [25, 50, 60]
+    assert len(offsets) == has_map
+    # 290 steps cross the adapting checks at 100 and 200, and end on a
+    # check that cannot adapt, so every adaptation is followed by steps
+    checks.clear()
+    offsets.clear()
+    refactors = ws.refactors
+    assert ws.solve(qp.q, tol=1e-15, max_iters=290).status == "max-iters"
+    assert checks == list(range(25, 290, 25)) + [290]
+    adapted = ws.refactors - refactors
+    assert adapted
+    assert len(offsets) == (1 + adapted) * has_map
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
