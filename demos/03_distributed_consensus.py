@@ -40,7 +40,7 @@ print("\nround   consensus gap   per-agent objectives")
 for r in range(1, 101):
     world = sync_round(world, cfg, runtime)
     if r in (1, 2, 5, 10, 20, 40, 80, 100):
-        objs = " ".join(f"{objective(inst, a.w):6.3f}" for a in world.agents)
+        objs = " ".join(f"{objective(inst, w):6.3f}" for w in world.w)
         print(f"{r:>5d}   {consensus_gap(world):13.3e}   {objs}")
 
 report = solve_distributed(inst, cfg)
@@ -63,9 +63,9 @@ worst = 0.0
 for i in range(inst.n):
     worst = max(
         worst,
-        float(np.max(np.abs(cond.agents[i].u - ref.agents[i].u))),
-        float(np.max(np.abs(cond.agents[i].nu - nu_agg[i]))),
-        float(np.max(np.abs(cond.agents[i].xi - xi_agg[i]))),
+        float(np.max(np.abs(cond.u[i] - ref.agents[i].u))),
+        float(np.max(np.abs(cond.nu[i] - nu_agg[i]))),
+        float(np.max(np.abs(cond.xi[i] - xi_agg[i]))),
     )
 print(f"condensed vs arc-dual reference after 10 rounds: "
       f"largest field difference {worst:.2e}")

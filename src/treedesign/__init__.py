@@ -62,7 +62,6 @@ from .central import (
     step,
 )
 from .distributed import (
-    AgentState,
     World,
     consensus_gap,
     init_world,

@@ -231,16 +231,18 @@ def step(state, inst, cfg, runtime):
 
 def change_norm(prev, curr, fields):
     """Euclidean norm of the change in the stacked ``fields`` between two
-    states; the squared differences are summed field by field, in order.
+    states along the last axis (one per row); the squared differences are
+    summed field by field, in order.
 
-    Each field's term is ``np.sum((curr - prev) ** 2)`` computed in place,
-    bit for bit: ``d ** 2`` is ``d * d``, and np.sum runs np.add.reduce.
+    Each field's term is ``np.sum((curr - prev) ** 2, axis=-1)`` computed in
+    place, bit for bit: ``d ** 2`` is ``d * d``, and np.sum runs
+    np.add.reduce, which sums each row on its own.
     """
     total = 0.0
     for name in fields:
         d = np.subtract(getattr(curr, name), getattr(prev, name))
-        total += float(np.add.reduce(np.multiply(d, d, out=d)))
-    return math.sqrt(total)
+        total = total + np.add.reduce(np.multiply(d, d, out=d), axis=-1)
+    return np.sqrt(total)
 
 
 def residual_central(prev, curr):
@@ -249,7 +251,8 @@ def residual_central(prev, curr):
     The flow dual joins the tree dual in one stacked block; the primal block
     stacks (u, w).
     """
-    return change_norm(prev, curr, ("mu", "eta")) + change_norm(prev, curr, ("u", "w"))
+    return float(change_norm(prev, curr, ("mu", "eta"))
+                 + change_norm(prev, curr, ("u", "w")))
 
 
 def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
@@ -259,11 +262,11 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
     counters. ``init(inst, cfg)`` gives the starting state and
     ``advance(state, runtime)`` the next; a state counts its iterations in
     ``k``. ``copies(state)`` lists the variable copies an iterate holds (the
-    central state itself, or every agent), each with a tree ``z``, flows
-    ``y`` and relaxation ``w``. After each iteration every copy's tree is
-    checked, then ``record(prev, state, trace, runtime)`` appends the
-    iterate's trace rows and returns its residual; the run stops once that
-    drops below ``cfg.tol``.
+    central state itself, or each agent's row views), each with a tree
+    ``z``, flows ``y`` and relaxation ``w``. After each iteration every
+    copy's tree is checked, then ``record(prev, state, trace, runtime)``
+    appends the iterate's trace rows and returns its residual; the run
+    stops once that drops below ``cfg.tol``.
 
     The answer is the first copy's tree with every commodity routed on it:
     "iterate" when that routing equals the copy's flows (feasible binary

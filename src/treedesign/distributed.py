@@ -2,37 +2,37 @@
 
 Every agent keeps full copies (u^i, w^i, z^i, y^i) plus four duals: mu/eta
 tie its own tree and flow roundings to its relaxation, nu/xi drive neighbor
-consensus. A round is two-phase: phase 1 solves every agent's subproblem and
-projections from the round-k snapshots; after a barrier, phase 2 ascends
-nu/xi with the fresh round-(k+1) neighbor primals, then mu/eta locally.
-Each agent's start, primal step and local duals are the centralized
-driver's per-copy update (:func:`central.relaxed_start`,
-:func:`central.primal_step`, :func:`central.local_duals`), solving in the
-runtime that :func:`central.run_outer_loop` passes to each round. Agents
-within a phase are data-independent -- results are identical for any
-processing order, which is tested.
-
-Message passing is simulated in-process (snapshot arrays), not a network
+consensus. The world holds each copy and dual as one (agents, dim) array,
+row i for agent i, and the trees as a list. A round is two-phase: phase 1
+builds every agent's linear cost from the round-k rows, then solves each
+agent's subproblem and projections; after a barrier, phase 2 ascends nu/xi
+with the fresh round-(k+1) neighbor primals, then mu/eta locally. Each
+agent's start, primal step and local duals are the centralized driver's
+per-copy update (:func:`central.relaxed_start`, :func:`central.primal_step`,
+:func:`central.local_duals`), solving in the runtime that
+:func:`central.run_outer_loop` passes to each round. Agents within a phase
+are data-independent -- results are identical for any processing order,
+which is tested. Message passing is simulated in-process, not a network
 stack; determinism outranks realism at desk scale.
 
 Communication follows the instance graph: each neighbor pair is one
 consensus constraint, with a quadratic of coefficient rho and a unit dual
-step (the consensus form of Boyd et al. 2011, section 7).
-
-The condensed updates are validated against an un-condensed reference with
-explicit per-arc averages and duals, kept in the tests (``tests/helpers.py``).
+step (the consensus form of Boyd et al. 2011, section 7). One array
+operation per neighbor slot adds every agent's term for that neighbor, in
+the order of a per-neighbor loop, so the bits are those of the per-agent,
+per-neighbor expressions and of the un-condensed reference with explicit
+per-arc averages and duals, both kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .central import (change_norm, local_duals, primal_step, relaxed_start,
-                      run_outer_loop)
+from .central import (Primals, change_norm, local_duals, primal_step,
+                      relaxed_start, run_outer_loop)
 from .mcf import agent_diagonal, agent_linear_cost, objective
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
@@ -41,7 +41,6 @@ from .projection import project_binary, project_tree  # noqa: F401
 from .report import DistributedTraceRow
 
 __all__ = [
-    "AgentState",
     "World",
     "init_world",
     "agent_primal_step",
@@ -53,113 +52,105 @@ __all__ = [
 ]
 
 
-@dataclass
-class AgentState:
-    """One agent's full variable copies and duals.
+@dataclasses.dataclass(eq=False)
+class World:
+    """Every agent's copies and duals for one round counter, one row each.
 
-    ``z`` is a TreeIndicator from round 1 onward; the identical initial
-    states carry the relaxed anchor vector w0 instead (see
-    :func:`central.relaxed_start`).
+    ``z`` lists the trees (the relaxed anchor w0 before round 1, see
+    :func:`central.relaxed_start`). ``slots[s]`` pairs the index arrays of
+    the agents with more than s neighbors and of their s-th neighbors in
+    ascending id.
     """
 
+    inst: object
+    slots: tuple
     u: np.ndarray
     w: np.ndarray
-    z: object
+    z: list
     y: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
     nu: np.ndarray
     xi: np.ndarray
+    k: int = 0
 
-
-class World:
-    """All agent states for one round counter; ``partners[i]`` lists agent
-    i's neighbors in the instance graph, once each, in ascending id."""
-
-    def __init__(self, inst, agents, k=0):
-        self.inst = inst
-        self.agents = list(agents)
-        self.k = k
-        self.partners = tuple(
-            tuple(j for _, j in inst.graph.incident(i)) for i in range(inst.n))
+    def copies(self):
+        """Each agent's primals, as row views."""
+        return [Primals(self.w[i], self.u[i], self.z[i], self.y[i])
+                for i in range(self.inst.n)]
 
 
 def init_world(inst, cfg):
     """All agents start identical (relaxed w0, zero duals)."""
-    return World(inst, [
-        AgentState(**relaxed_start(inst), nu=np.zeros(inst.dim_u),
-                   xi=np.zeros(inst.dim_w))
-        for _ in range(inst.n)
-    ])
+    neighbors = [[j for _, j in inst.graph.incident(i)] for i in range(inst.n)]
+    slots = tuple(
+        (np.array([i for i, nb in enumerate(neighbors) if len(nb) > s]),
+         np.array([nb[s] for nb in neighbors if len(nb) > s]))
+        for s in range(max(map(len, neighbors))))
+    start = relaxed_start(inst)
+    rows = {name: np.tile(start[name], (inst.n, 1))
+            for name in ("u", "w", "y", "mu", "eta")}
+    return World(inst, slots, z=[start["z"]] * inst.n,
+                 nu=np.zeros((inst.n, inst.dim_u)),
+                 xi=np.zeros((inst.n, inst.dim_w)), **rows)
 
 
-def agent_primal_step(inst, agent, own, neighbor_snapshots, cfg, runtime):
-    """Phase 1 for one agent: :func:`central.primal_step` on its own linear
-    cost in ``runtime``, which returns its round-(k+1) primals.
+def agent_primal_step(world, agent, q, cfg, runtime):
+    """Phase 1 for one agent: :func:`central.primal_step` on its row ``q``
+    of the round's linear costs in ``runtime``, which returns its
+    round-(k+1) primals."""
+    inst = world.inst
+    diag = agent_diagonal(cfg.rho, len(inst.graph.incident(agent)))
+    return primal_step(runtime, agent, inst, diag, q, cfg, world.mu[agent],
+                       world.eta[agent])
 
-    ``neighbor_snapshots`` holds the round-k state of each graph neighbor.
+
+def agent_dual_step(world, staged):
+    """Phase 2 for every agent: consensus duals from the fresh primals
+    ``staged`` (one :class:`central.Primals` per agent), then each agent's
+    local tree/flow duals of :func:`central.local_duals`; returns the next
+    world.
+
+    The consensus duals ascend one neighbor slot at a time, with the
+    operands and order of nu += u - u_other and xi += w - w_other.
     """
-    diag = agent_diagonal(cfg.rho, len(neighbor_snapshots))
-    q = agent_linear_cost(inst, agent, own, neighbor_snapshots, cfg.rho)
-    return primal_step(runtime, agent, inst, diag, q, cfg, own.mu, own.eta)
-
-
-def agent_dual_step(own, staged, staged_partners):
-    """Phase 2 for one agent: consensus duals from fresh neighbor primals,
-    then the local tree/flow duals of :func:`central.local_duals`.
-
-    The consensus duals run in place, with the operands and order of
-    nu += u - u_other and xi += w - w_other.
-    """
-    nu = own.nu.copy()
-    xi = own.xi.copy()
-    d_u, d_w = np.empty_like(nu), np.empty_like(xi)
-    for other in staged_partners:
-        np.add(nu, np.subtract(staged.u, other.u, out=d_u), out=nu)
-        np.add(xi, np.subtract(staged.w, other.w, out=d_w), out=xi)
-    mu, eta = local_duals(own.mu, own.eta, staged)
-    return AgentState(
-        u=staged.u, w=staged.w, z=staged.z, y=staged.y,
-        mu=mu, eta=eta, nu=nu, xi=xi,
-    )
+    u = np.array([p.u for p in staged])
+    w = np.array([p.w for p in staged])
+    nu, xi = world.nu.copy(), world.xi.copy()
+    for agents, partners in world.slots:
+        nu[agents] += u[agents] - u[partners]
+        xi[agents] += w[agents] - w[partners]
+    mu, eta = zip(*(local_duals(world.mu[i], world.eta[i], p)
+                    for i, p in enumerate(staged)))
+    return dataclasses.replace(
+        world, u=u, w=w, z=[p.z for p in staged],
+        y=np.array([p.y for p in staged]), mu=np.array(mu),
+        eta=np.array(eta), nu=nu, xi=xi, k=world.k + 1)
 
 
 def sync_round(world, cfg, runtime, order=None):
     """One synchronous round over all agents, solving in ``runtime``.
 
-    Phase 1 reads only the round-k states of each agent and its graph
-    neighbors, phase 2 only phase-1 output, so any processing order gives
-    bit-identical results. ``order``, when given, must list every agent id
-    once; any other raises ValueError.
+    Phase 1 reads only the round-k rows, phase 2 only phase-1 output, so
+    any processing order gives bit-identical results. ``order``, when
+    given, must list every agent id once; any other raises ValueError.
     """
-    inst = world.inst
-    agents = world.agents
-    order = list(range(inst.n)) if order is None else list(order)
-    if sorted(order) != list(range(inst.n)):
+    n = world.inst.n
+    order = list(range(n)) if order is None else list(order)
+    if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of the agent "
-                         f"ids 0 to {inst.n - 1}")
-    staged = [None] * inst.n
+                         f"ids 0 to {n - 1}")
+    q = agent_linear_cost(world.inst, world, cfg.rho)
+    staged = [None] * n
     for i in order:
-        snapshots = [agents[j] for j in world.partners[i]]
-        staged[i] = agent_primal_step(inst, i, agents[i], snapshots, cfg,
-                                      runtime)
-    new_agents = [None] * inst.n
-    for i in order:
-        staged_partners = [staged[j] for j in world.partners[i]]
-        new_agents[i] = agent_dual_step(agents[i], staged[i], staged_partners)
-    # the next world shares this one's instance and partner lists
-    nxt = copy.copy(world)
-    nxt.agents, nxt.k = new_agents, world.k + 1
-    return nxt
+        staged[i] = agent_primal_step(world, i, q[i], cfg, runtime)
+    return agent_dual_step(world, staged)
 
 
 def _agent_changes(prev, curr):
     """Per agent: (dual-change norm, primal-change norm) between rounds."""
-    return [
-        (change_norm(a, b, ("mu", "eta", "nu", "xi")),
-         change_norm(a, b, ("u", "w")))
-        for a, b in zip(prev.agents, curr.agents)
-    ]
+    return list(zip(change_norm(prev, curr, ("mu", "eta", "nu", "xi")).tolist(),
+                    change_norm(prev, curr, ("u", "w")).tolist()))
 
 
 def _mean_residual(changes):
@@ -179,13 +170,13 @@ def residual_distributed(prev, curr):
 
 def consensus_gap(world):
     """Largest pairwise disagreement max_{i,j} ||w^i - w^j|| + ||u^i - u^j||."""
-    agents = world.agents
+    w, u = world.w, world.u
     gap = 0.0
-    for i in range(len(agents)):
-        for j in range(i + 1, len(agents)):
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
             # sqrt(d . d) is what np.linalg.norm computes for a real vector d
-            d_w = agents[i].w - agents[j].w
-            d_u = agents[i].u - agents[j].u
+            d_w = w[i] - w[j]
+            d_u = u[i] - u[j]
             gap = max(gap, math.sqrt(d_w.dot(d_w)) + math.sqrt(d_u.dot(d_u)))
     return gap
 
@@ -204,11 +195,11 @@ def solve_distributed(inst, cfg):
         nonlocal gap
         changes = _agent_changes(prev, world)
         gap = consensus_gap(world)
-        for i, (agent, (dual, primal)) in enumerate(zip(world.agents, changes)):
+        for i, (dual, primal) in enumerate(changes):
             trace.append(DistributedTraceRow(
                 k=world.k,
                 agent=i,
-                objective_w=objective(inst, agent.w),
+                objective_w=objective(inst, world.w[i]),
                 residual_contrib=dual + primal,
                 consensus_gap=gap,
                 qp_iters=runtime.last[i].iterations,
@@ -218,7 +209,7 @@ def solve_distributed(inst, cfg):
     report = run_outer_loop(
         inst, cfg, "distributed", init_world,
         lambda world, runtime: sync_round(world, cfg, runtime),
-        lambda world: world.agents, record,
+        World.copies, record,
     )
     report.final_consensus_gap = gap
     return report

@@ -255,20 +255,21 @@ def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
                       centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho))
 
 
-def half_incident_costs(inst, agent):
-    """Local objective coefficients: half of each incident edge cost."""
-    q = np.zeros(inst.dim_w)
-    for e, _ in inst.graph.incident(agent):
-        q[e] = inst.costs[e] / 2.0
+def half_incident_costs(inst):
+    """Local objective coefficients, one row per agent: half of each
+    incident edge cost."""
+    q = np.zeros((inst.n, inst.dim_w))
+    q[np.array(inst.graph.edges).T, np.arange(inst.dim_w)] = inst.costs / 2.0
     return q
 
 
-def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho):
-    """Linear term of one agent's subproblem.
+def agent_linear_cost(inst, world, rho):
+    """Linear terms of every agent's subproblem, one row per agent.
 
-    ``local`` and each snapshot provide the attributes u, w, z, y, mu, eta,
-    nu, xi; ``neighbor_snapshots`` holds one snapshot per graph neighbor,
-    each adding a consensus quadratic rho ||. - midpoint||^2.
+    ``world`` holds each agent's copies as rows of the arrays u, w, y, mu,
+    eta, nu and xi, its trees as the list z, and the neighbor ``slots`` of
+    :class:`distributed.World`. Each neighbor adds a consensus quadratic
+    rho ||. - midpoint||^2.
 
     The consensus duals nu/xi are scaled (their ascent steps carry no rho),
     so their contribution to the objective is rho * nu' u + rho * xi' w --
@@ -276,26 +277,25 @@ def agent_linear_cost(inst, agent, local, neighbor_snapshots, rho):
     terms, exactly as it leaves the quadratic penalty on the mu term.
     """
     dim_w = inst.dim_w
-    z = indicator_vector(local.z, dim_w)
-    # q = [q_w; q_u] is built in place, with one scratch vector t = [t_w;
-    # t_u], from the expressions
-    #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_snap)
-    #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_snap)
-    # each term with its operands and order; an integer 0/1 entry meets a
-    # float one as the float it converts to exactly
-    q, t = np.empty(inst.dim_total), np.empty(inst.dim_total)
-    q_w, q_u, t_w, t_u = q[:dim_w], q[dim_w:], t[:dim_w], t[dim_w:]
-    np.add(z, local.mu, out=q_w)
+    z = np.array([indicator_vector(tree, dim_w) for tree in world.z])
+    # every row of q = [q_w, q_u] is built in place from the expressions
+    #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_neighbor)
+    #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_neighbor)
+    # each term with its operands and order, one neighbor slot at a time;
+    # an integer 0/1 entry meets a float one as the float it converts to
+    # exactly. The blocks stay apart: 0 - x is not -x when x = +0
+    q = np.empty((inst.n, inst.dim_total))
+    q_w, q_u = q[:, :dim_w], q[:, dim_w:]
+    np.add(z, world.mu, out=q_w)
     np.multiply(rho, q_w, out=q_w)
-    np.subtract(half_incident_costs(inst, agent), q_w, out=q_w)
-    np.add(q_w, np.multiply(rho, local.xi, out=t_w), out=q_w)
-    np.add(local.y, local.eta, out=q_u)
+    np.subtract(half_incident_costs(inst), q_w, out=q_w)
+    q_w += rho * world.xi
+    np.add(world.y, world.eta, out=q_u)
     np.multiply(-rho, q_u, out=q_u)
-    np.add(q_u, np.multiply(rho, local.nu, out=t_u), out=q_u)
-    for snap in neighbor_snapshots:
-        np.add(local.w, snap.w, out=t_w)
-        np.add(local.u, snap.u, out=t_u)
-        np.subtract(q, np.multiply(rho, t, out=t), out=q)
+    q_u += rho * world.nu
+    for agents, partners in world.slots:
+        q_w[agents] -= rho * (world.w[agents] + world.w[partners])
+        q_u[agents] -= rho * (world.u[agents] + world.u[partners])
     return q
 
 
@@ -304,15 +304,15 @@ def agent_diagonal(rho, n_neighbors):
     return float(rho) + 2.0 * rho * n_neighbors
 
 
-def build_agent_subproblem(inst, agent, local, neighbor_snapshots, rho):
-    """Quadratic subproblem of one agent given its neighbors' snapshots:
+def build_agent_subproblem(inst, world, agent, rho):
+    """Quadratic subproblem of one agent of ``world``:
     :func:`relaxed_qp` (the agent-local replicas of the centralized rows)
-    with :func:`agent_diagonal` and :func:`agent_linear_cost`."""
+    with :func:`agent_diagonal` and its row of :func:`agent_linear_cost`."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     return relaxed_qp(
-        inst, agent_diagonal(rho, len(neighbor_snapshots)),
-        agent_linear_cost(inst, agent, local, neighbor_snapshots, rho),
+        inst, agent_diagonal(rho, len(inst.graph.incident(agent))),
+        agent_linear_cost(inst, world, rho)[agent],
     )
 
 

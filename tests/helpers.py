@@ -5,9 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from treedesign.distributed import AgentState, init_world
+from treedesign.distributed import init_world
 from treedesign.graphs import UndirectedGraph, generate_erdos_renyi, indicator_vector
-from treedesign.mcf import Commodity, FeasibilityReport, Instance, half_incident_costs
+from treedesign.mcf import Commodity, FeasibilityReport, Instance
 from treedesign.projection import project_binary, project_tree
 from treedesign.qp import (
     QpSolution,
@@ -724,7 +724,7 @@ class FullDualWorld:
 
 def init_full_dual_world(inst, cfg):
     """Zero arc duals; averages seeded with the (identical) initial primals."""
-    base = init_world(inst, cfg).agents[0]
+    base = init_world(inst, cfg).copies()[0]
     agents = [
         FullDualAgentState(
             u=base.u.copy(), w=base.w.copy(), z=base.z, y=base.y.copy(),
@@ -757,7 +757,7 @@ def full_dual_step(world, cfg, runtime):
     staged = []
     for i, own in enumerate(agents):
         z_vec = indicator_vector(own.z, inst.dim_w).astype(float)
-        q_w = half_incident_costs(inst, i) - own.mu - rho * z_vec
+        q_w = half_incident_costs_reference(inst, i) - own.mu - rho * z_vec
         q_u = -own.eta - rho * own.y.astype(float)
         degree2 = 0
         for a, _ in arcs.out_arcs(i):
@@ -819,51 +819,55 @@ def consensus_dual_aggregates(world):
     return nu, xi
 
 
-# -- the distributed driver's per-round arithmetic as whole-vector expressions;
-# the in-place driver must give the same bits
+# -- the distributed driver's whole-world arithmetic as per-agent,
+# per-neighbor expressions; the driver must give the same bits
 
 
-def agent_linear_cost_reference(inst, agent, local, neighbor_snapshots, rho):
-    """mcf.agent_linear_cost with a fresh array per term."""
-    z = indicator_vector(local.z, inst.dim_w).astype(float)
-    q_w = (half_incident_costs(inst, agent)
-           - rho * (z + np.asarray(local.mu, dtype=float))
-           + rho * np.asarray(local.xi, dtype=float))
-    q_u = (-rho * (np.asarray(local.y, dtype=float)
-                   + np.asarray(local.eta, dtype=float))
-           + rho * np.asarray(local.nu, dtype=float))
-    w_own = np.asarray(local.w, dtype=float)
-    u_own = np.asarray(local.u, dtype=float)
-    for snap in neighbor_snapshots:
-        q_w = q_w - rho * (w_own + np.asarray(snap.w, dtype=float))
-        q_u = q_u - rho * (u_own + np.asarray(snap.u, dtype=float))
+def half_incident_costs_reference(inst, agent):
+    """One row of mcf.half_incident_costs: half of each incident edge cost."""
+    q = np.zeros(inst.dim_w)
+    for e, _ in inst.graph.incident(agent):
+        q[e] = inst.costs[e] / 2.0
+    return q
+
+
+def agent_linear_cost_reference(inst, world, agent, rho):
+    """Row ``agent`` of mcf.agent_linear_cost, one graph neighbor at a time,
+    with a fresh array per term."""
+    z = indicator_vector(world.z[agent], inst.dim_w).astype(float)
+    q_w = (half_incident_costs_reference(inst, agent)
+           - rho * (z + world.mu[agent])
+           + rho * world.xi[agent])
+    q_u = (-rho * (world.y[agent].astype(float) + world.eta[agent])
+           + rho * world.nu[agent])
+    for _, j in inst.graph.incident(agent):
+        q_w = q_w - rho * (world.w[agent] + world.w[j])
+        q_u = q_u - rho * (world.u[agent] + world.u[j])
     return np.concatenate([q_w, q_u])
 
 
-def agent_dual_step_reference(own, staged, staged_partners):
-    """distributed.agent_dual_step with a fresh array per term."""
-    nu = own.nu.copy()
-    xi = own.xi.copy()
-    for other in staged_partners:
-        nu += staged.u - other.u
-        xi += staged.w - other.w
-    mu = own.mu + (staged.z.vector - staged.w)
-    eta = own.eta + (staged.y - staged.u)
-    return AgentState(
-        u=staged.u, w=staged.w, z=staged.z, y=staged.y,
-        mu=mu, eta=eta, nu=nu, xi=xi,
-    )
+def agent_dual_step_reference(world, staged, agent):
+    """Row ``agent`` of distributed.agent_dual_step's (mu, eta, nu, xi), one
+    graph neighbor at a time, with a fresh array per term."""
+    own = staged[agent]
+    nu = world.nu[agent].copy()
+    xi = world.xi[agent].copy()
+    for _, j in world.inst.graph.incident(agent):
+        nu = nu + (own.u - staged[j].u)
+        xi = xi + (own.w - staged[j].w)
+    mu = world.mu[agent] + (own.z.vector - own.w)
+    eta = world.eta[agent] + (own.y - own.u)
+    return mu, eta, nu, xi
 
 
 def consensus_gap_reference(world):
     """distributed.consensus_gap with np.linalg.norm."""
-    agents = world.agents
     gap = 0.0
-    for i in range(len(agents)):
-        for j in range(i + 1, len(agents)):
+    for i in range(len(world.w)):
+        for j in range(i + 1, len(world.w)):
             gap = max(
                 gap,
-                float(np.linalg.norm(agents[i].w - agents[j].w))
-                + float(np.linalg.norm(agents[i].u - agents[j].u)),
+                float(np.linalg.norm(world.w[i] - world.w[j]))
+                + float(np.linalg.norm(world.u[i] - world.u[j])),
             )
     return gap

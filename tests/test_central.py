@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,7 +171,8 @@ def test_trace_rows_schema():
         k, obj_w, obj_z, residual, qp_iters, qp_status, feas = row
         assert isinstance(k, int) and k >= 1
         assert isinstance(obj_w, float) and isinstance(obj_z, float)
-        assert isinstance(residual, float)
+        # exactly float: an np.float64 cell would print as np.float64(...)
+        assert type(residual) is float
         assert isinstance(qp_iters, int)
         assert qp_status in ("solved", "max-iters")
         assert isinstance(feas, bool)
@@ -309,15 +311,25 @@ def test_counters_equal_wrapper_counts(solve, n, seed, monkeypatch):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60))
-def test_change_norm_sums_the_plain_squares(seed, size):
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60),
+       rows=st.integers(1, 4))
+def test_change_norm_sums_the_plain_squares(seed, size, rows):
     # each field's term is computed in place with the bits of
-    # np.sum((curr - prev) ** 2)
+    # np.sum((curr - prev) ** 2), and (rows, dim) fields give the bits of
+    # each row's norm
     rng = np.random.default_rng(seed)
-    prev, curr = (CentralState(*(rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
-                                 for _ in range(6))) for _ in range(2))
+    prevs, currs = ([CentralState(*(rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+                                    for _ in range(6))) for _ in range(rows)]
+                    for _ in range(2))
     fields = ("mu", "eta", "u", "w")
-    total = 0.0
-    for name in fields:
-        total += float(np.sum((getattr(curr, name) - getattr(prev, name)) ** 2))
-    assert change_norm(prev, curr, fields) == np.sqrt(total)
+    stacked = [SimpleNamespace(**{name: np.array([getattr(s, name) for s in states])
+                                  for name in fields})
+               for states in (prevs, currs)]
+    norms = change_norm(*stacked, fields)
+    assert norms.shape == (rows,)
+    for r, (prev, curr) in enumerate(zip(prevs, currs)):
+        total = 0.0
+        for name in fields:
+            total += float(np.sum((getattr(curr, name) - getattr(prev, name)) ** 2))
+        assert change_norm(prev, curr, fields) == np.sqrt(total)
+        assert norms[r] == np.sqrt(total)

@@ -155,6 +155,15 @@ def test_csv_round_trip(tmp_path):
         assert echo.read_bytes() == path.read_bytes()
 
 
+def _assert_rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"treedesign {argv[0]}: error: {message}\n"
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_gen_solve_oracle_project_cli(tmp_path, capsys):
     inst_path = tmp_path / "inst.txt"
     assert main(["gen", "--n", "6", "--p", "0.5", "--seed", "3",
@@ -177,10 +186,13 @@ def test_gen_solve_oracle_project_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("h:")
     assert "tree edges:" in out
-    # a single --w value is not one weight per edge, and is not broadcast
+    # a single --w value is not one weight per edge, and is not broadcast;
+    # a rejected input is one error line on stderr and exit code 2
     m = read_instance(inst_path).m
-    with pytest.raises(ValueError, match=f"^w_next has length 1 but mu has length {m}$"):
-        main(["project", "--instance", str(inst_path), "--w", "0.5"])
+    _assert_rejected(capsys, ["project", "--instance", str(inst_path), "--w", "0.5"],
+                     f"w_next has length 1 but mu has length {m}")
+    _assert_rejected(capsys, ["solve-central", "--n", "6", "--rho", "0"],
+                     "rho must be finite and positive, got 0.0")
 
     assert main(["dump-qp", "--instance", str(inst_path),
                  "--out", str(tmp_path / "qp.txt")]) == 0

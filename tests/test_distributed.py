@@ -1,13 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treedesign.central import (SolverConfig, SubproblemRuntime, init_state,
-                                solve_central, step)
+from treedesign.central import (Primals, SolverConfig, SubproblemRuntime,
+                                init_state, solve_central, step)
 from treedesign.distributed import (
-    AgentState,
-    World,
     agent_dual_step,
     agent_primal_step,
     consensus_gap,
@@ -16,7 +16,7 @@ from treedesign.distributed import (
     solve_distributed,
     sync_round,
 )
-from treedesign.graphs import UndirectedGraph, is_spanning_tree
+from treedesign.graphs import TreeIndicator, UndirectedGraph, is_spanning_tree
 from treedesign.mcf import Commodity, Instance, agent_linear_cost, random_instance
 from treedesign.projection import project_tree
 
@@ -30,64 +30,57 @@ from helpers import (
     k3_instance,
 )
 
+ROWS = ("u", "w", "y", "mu", "eta", "nu", "xi")
+
 
 def two_node_instance():
     g = UndirectedGraph(2, [(0, 1)])
     return Instance(g, [1.0], [Commodity(0, 1)], 1)
 
 
-def clone_agent(a):
-    return AgentState(
-        u=a.u.copy(), w=a.w.copy(), z=a.z, y=a.y.copy(), mu=a.mu.copy(),
-        eta=a.eta.copy(), nu=a.nu.copy(), xi=a.xi.copy(),
-    )
+def clone_world(world):
+    return dataclasses.replace(
+        world, z=list(world.z),
+        **{name: getattr(world, name).copy() for name in ROWS})
 
 
-def agents_equal(a, b):
-    return (np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
-            and np.array_equal(np.asarray(a.z if not hasattr(a.z, "vector")
-                                          else a.z.vector),
-                               np.asarray(b.z if not hasattr(b.z, "vector")
-                                          else b.z.vector))
-            and np.array_equal(a.y, b.y) and np.array_equal(a.mu, b.mu)
-            and np.array_equal(a.eta, b.eta) and np.array_equal(a.nu, b.nu)
-            and np.array_equal(a.xi, b.xi))
+def tree_vector(z):
+    return np.asarray(z.vector if hasattr(z, "vector") else z)
+
+
+def agents_equal(a, i, b, j):
+    """Agent i of world a holds the same copies as agent j of world b."""
+    return (all(np.array_equal(getattr(a, name)[i], getattr(b, name)[j])
+                for name in ROWS)
+            and np.array_equal(tree_vector(a.z[i]), tree_vector(b.z[j])))
 
 
 def test_agent_step_without_neighbors_keeps_consensus_duals():
+    # a world without neighbor slots runs the centralized per-copy update,
+    # with the local objective, and no consensus terms
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
-    world = init_world(inst, cfg)
-    own = world.agents[0]
-    staged = agent_primal_step(inst, 0, own, [], cfg, SubproblemRuntime())
-    nxt = agent_dual_step(own, staged, [])
+    world = dataclasses.replace(init_world(inst, cfg), slots=())
+    nxt = sync_round(world, cfg, SubproblemRuntime())
     assert not np.any(nxt.nu)
     assert not np.any(nxt.xi)
-    assert is_spanning_tree(inst.graph, nxt.z)
-    # matches the centralized update rule with the local objective
-    assert np.array_equal(nxt.mu, own.mu + (nxt.z.vector - nxt.w))
-    assert np.array_equal(nxt.eta, own.eta + (nxt.y - nxt.u))
+    for i in range(inst.n):
+        assert is_spanning_tree(inst.graph, nxt.z[i])
+        # matches the centralized update rule
+        assert np.array_equal(nxt.mu[i], world.mu[i] + (nxt.z[i].vector - nxt.w[i]))
+        assert np.array_equal(nxt.eta[i], world.eta[i] + (nxt.y[i] - nxt.u[i]))
 
 
 def test_identical_staged_primals_produce_zero_consensus_increments():
     inst = k3_instance(hop=2)
     cfg = SolverConfig(rho=0.5)
     world = init_world(inst, cfg)
-    own = world.agents[0]
-
-    class Staged:
-        pass
-
-    mine = Staged()
-    mine.u = np.full(inst.dim_u, 0.25)
-    mine.w = np.full(inst.dim_w, 0.5)
-    from treedesign.graphs import TreeIndicator
     vec = np.zeros(inst.dim_w, dtype=np.int8)
     vec[[0, 1]] = 1
-    mine.z = TreeIndicator(vec)
-    mine.y = np.zeros(inst.dim_u, dtype=np.int8)
-    # every partner holding the same primals contributes nothing
-    nxt = agent_dual_step(own, mine, [mine, mine, mine, mine])
+    mine = Primals(w=np.full(inst.dim_w, 0.5), u=np.full(inst.dim_u, 0.25),
+                   z=TreeIndicator(vec), y=np.zeros(inst.dim_u, dtype=np.int8))
+    # every neighbor holding the same primals contributes nothing
+    nxt = agent_dual_step(world, [mine] * inst.n)
     assert not np.any(nxt.nu)
     assert not np.any(nxt.xi)
 
@@ -96,24 +89,14 @@ def test_dual_arithmetic_single_neighbor():
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
-    own = world.agents[0]
-
-    class Staged:
-        pass
-
-    mine = Staged()
-    mine.u = np.array([1.0, 0.0])
-    mine.w = np.array([1.0])
-    from treedesign.graphs import TreeIndicator
-    mine.z = TreeIndicator([1])
-    mine.y = np.array([1, 0], dtype=np.int8)
-    other = Staged()
-    other.u = np.array([0.0, 0.0])
-    other.w = np.array([0.0])
-    # one neighbor, one unit step by the full disagreement
-    nxt = agent_dual_step(own, mine, [other])
-    assert np.array_equal(nxt.xi, np.array([1.0]))
-    assert np.array_equal(nxt.nu, np.array([1.0, 0.0]))
+    mine = Primals(w=np.array([1.0]), u=np.array([1.0, 0.0]),
+                   z=TreeIndicator([1]), y=np.array([1, 0], dtype=np.int8))
+    other = Primals(w=np.array([0.0]), u=np.array([0.0, 0.0]),
+                    z=TreeIndicator([1]), y=np.array([0, 0], dtype=np.int8))
+    # one neighbor, one unit step by the full disagreement, each way
+    nxt = agent_dual_step(world, [mine, other])
+    assert np.array_equal(nxt.xi, np.array([[1.0], [-1.0]]))
+    assert np.array_equal(nxt.nu, np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 def test_steps_require_a_runtime():
@@ -121,10 +104,11 @@ def test_steps_require_a_runtime():
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
+    q = agent_linear_cost(inst, world, cfg.rho)
     with pytest.raises(TypeError, match="runtime"):
         step(init_state(inst, cfg), inst, cfg)
     with pytest.raises(TypeError, match="runtime"):
-        agent_primal_step(inst, 0, world.agents[0], [], cfg)
+        agent_primal_step(world, 0, q[0], cfg)
     with pytest.raises(TypeError, match="runtime"):
         sync_round(world, cfg)
 
@@ -139,8 +123,8 @@ def test_round_is_order_independent():
     rev = sync_round(world, cfg, SubproblemRuntime(),
                      order=reversed(range(inst.n)))
     assert fwd.k == rev.k
-    for a, b in zip(fwd.agents, rev.agents):
-        assert agents_equal(a, b)
+    for i in range(inst.n):
+        assert agents_equal(fwd, i, rev, i)
 
 
 @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
@@ -163,22 +147,21 @@ def test_symmetric_two_agent_world_stays_symmetric():
     world = init_world(inst, cfg)
     for _ in range(5):
         world = sync_round(world, cfg, SubproblemRuntime())
-        assert agents_equal(world.agents[0], world.agents[1])
+        assert agents_equal(world, 0, world, 1)
 
 
 def test_residual_distributed_examples():
     inst = k3_instance(hop=2)
     cfg = SolverConfig()
     world = init_world(inst, cfg)
-    same = World(inst, [clone_agent(a) for a in world.agents], k=1)
+    same = dataclasses.replace(clone_world(world), k=1)
     assert residual_distributed(world, same) == 0.0
-    bumped = World(inst, [clone_agent(a) for a in world.agents], k=1)
+    bumped = dataclasses.replace(clone_world(world), k=1)
     delta = np.array([0.3, 0.4, 0.0])
-    bumped.agents[1].mu = bumped.agents[1].mu + delta
+    bumped.mu[1] += delta
     assert residual_distributed(world, bumped) == pytest.approx(0.5 / inst.n)
-    allw = World(inst, [clone_agent(a) for a in world.agents], k=1)
-    for a in allw.agents:
-        a.w = a.w + delta
+    allw = dataclasses.replace(clone_world(world), k=1)
+    allw.w += delta
     assert residual_distributed(world, allw) == pytest.approx(0.5)
 
 
@@ -186,22 +169,28 @@ def test_consensus_gap_properties():
     inst = k3_instance(hop=2)
     world = init_world(inst, SolverConfig())
     assert consensus_gap(world) == 0.0
-    bumped = World(inst, [clone_agent(a) for a in world.agents])
+    bumped = clone_world(world)
     delta = np.array([0.3, 0.4, 0.0])
-    bumped.agents[2].w = bumped.agents[2].w + delta
+    bumped.w[2] += delta
     assert consensus_gap(bumped) == pytest.approx(0.5)
-    sub = World(inst, bumped.agents[:2])
+    sub = dataclasses.replace(bumped, u=bumped.u[:2], w=bumped.w[:2])
     assert consensus_gap(sub) <= consensus_gap(bumped)
 
 
 @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (5, 0.7, 3), (8, 0.5, 0)])
 def test_partners_are_the_graph_neighbors_once_each(n, p, seed):
+    # slot s pairs every agent with more than s neighbors with its s-th
+    # neighbor, so reading agent i's partners slot by slot lists them all
     inst = two_node_instance() if n == 2 else random_instance(n, p, seed=seed)
     world = init_world(inst, SolverConfig())
     for i in range(inst.n):
         neighbors = sorted(j for (a, b) in inst.graph.edges for j in (a, b)
                            if i in (a, b) and j != i)
-        assert world.partners[i] == tuple(neighbors)
+        partners = [int(p) for agents, partners in world.slots
+                    for a, p in zip(agents, partners) if a == i]
+        assert partners == neighbors
+    for agents, _ in world.slots:
+        assert np.all(np.diff(agents) > 0)
 
 
 def test_solve_distributed_one_round_trees():
@@ -235,8 +224,9 @@ def rep_trace_schema_ok(rep):
     for row in rep.trace:
         k, agent, obj_w, contrib, gap, qp_iters = row
         assert isinstance(k, int) and isinstance(agent, int)
-        assert isinstance(obj_w, float) and isinstance(contrib, float)
-        assert isinstance(gap, float) and isinstance(qp_iters, int)
+        # exactly float: an np.float64 cell would print as np.float64(...)
+        assert type(obj_w) is float and type(contrib) is float
+        assert type(gap) is float and isinstance(qp_iters, int)
     return True
 
 
@@ -269,15 +259,15 @@ def test_condensed_matches_full_dual_any_rho():
             fd = full_dual_step(fd, cfg, rt2)
         nu_agg, xi_agg = consensus_dual_aggregates(fd)
         for i in range(inst.n):
-            a, b = world.agents[i], fd.agents[i]
-            assert np.allclose(a.u, b.u, atol=1e-8)
-            assert np.allclose(a.w, b.w, atol=1e-8)
-            assert np.array_equal(a.z.vector, b.z.vector)
-            assert np.array_equal(a.y, b.y)
-            assert np.allclose(a.mu, b.mu / rho, atol=1e-8)
-            assert np.allclose(a.eta, b.eta / rho, atol=1e-8)
-            assert np.allclose(a.nu, nu_agg[i] / rho, atol=1e-8)
-            assert np.allclose(a.xi, xi_agg[i] / rho, atol=1e-8)
+            b = fd.agents[i]
+            assert np.allclose(world.u[i], b.u, atol=1e-8)
+            assert np.allclose(world.w[i], b.w, atol=1e-8)
+            assert np.array_equal(world.z[i].vector, b.z.vector)
+            assert np.array_equal(world.y[i], b.y)
+            assert np.allclose(world.mu[i], b.mu / rho, atol=1e-8)
+            assert np.allclose(world.eta[i], b.eta / rho, atol=1e-8)
+            assert np.allclose(world.nu[i], nu_agg[i] / rho, atol=1e-8)
+            assert np.allclose(world.xi[i], xi_agg[i] / rho, atol=1e-8)
 
 
 def test_runtime_key_is_bound_to_instance_and_rho():
@@ -294,22 +284,32 @@ def test_runtime_key_is_bound_to_instance_and_rho():
         sync_round(init_world(twin, cfg), cfg, rt)
 
 
-def random_agent(inst, rng, tree):
-    """An agent state with awkward floats: signed zeros, wide magnitudes,
-    an int8 flow rounding and a tree or relaxed-vector z."""
-    def floats(size):
-        v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
-        v[rng.random(size) < 0.2] = -0.0
-        v[rng.random(size) < 0.2] = 0.0
-        return v
-    z = project_tree(floats(inst.dim_w), np.zeros(inst.dim_w), inst.graph) \
-        if tree else rng.random(inst.dim_w)
-    return AgentState(
-        u=floats(inst.dim_u), w=floats(inst.dim_w), z=z,
-        y=rng.integers(0, 2, size=inst.dim_u).astype(np.int8),
-        mu=floats(inst.dim_w), eta=floats(inst.dim_u),
-        nu=floats(inst.dim_u), xi=floats(inst.dim_w),
-    )
+def awkward_floats(rng, shape):
+    """Floats with signed zeros and wide magnitudes."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    v[rng.random(shape) < 0.2] = -0.0
+    v[rng.random(shape) < 0.2] = 0.0
+    return v
+
+
+def random_tree(inst, rng):
+    return project_tree(awkward_floats(rng, inst.dim_w), np.zeros(inst.dim_w),
+                        inst.graph)
+
+
+def random_world(inst, rng, tree):
+    """A world with awkward floats, int8 flow roundings and trees or
+    relaxed vectors for z."""
+    n = inst.n
+    world = init_world(inst, SolverConfig())
+    return dataclasses.replace(
+        world,
+        z=[random_tree(inst, rng) if tree else rng.random(inst.dim_w)
+           for _ in range(n)],
+        y=rng.integers(0, 2, size=(n, inst.dim_u)).astype(np.int8),
+        **{name: awkward_floats(rng, (n, inst.dim_u if name in ("u", "eta", "nu")
+                                      else inst.dim_w))
+           for name in ("u", "w", "mu", "eta", "nu", "xi")})
 
 
 def assert_same_bits(a, b):
@@ -321,23 +321,29 @@ def assert_same_bits(a, b):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
 def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
-    # the linear cost, the dual step and the consensus gap built in place
-    # give the bits of the whole-vector expressions they replace
+    # the whole-world linear costs and dual step, one neighbor slot at a
+    # time, give the bits of the per-agent, per-neighbor expressions; the
+    # agents' unequal degrees leave some slots covering only some agents
     rng = np.random.default_rng(seed)
     inst = random_instance(int(rng.integers(3, 8)), 0.6, int(rng.integers(2**31)),
                            n_commodities=int(rng.integers(1, 3)))
-    agents = [random_agent(inst, rng, tree) for _ in range(inst.n)]
+    assume(len({len(inst.graph.incident(i)) for i in range(inst.n)}) > 1)
+    world = random_world(inst, rng, tree)
     rho = float(rng.uniform(0.01, 10.0))
+    q = agent_linear_cost(inst, world, rho)
+    staged = [Primals(w=awkward_floats(rng, inst.dim_w),
+                      u=awkward_floats(rng, inst.dim_u),
+                      z=random_tree(inst, rng),
+                      y=rng.integers(0, 2, size=inst.dim_u).astype(np.int8))
+              for _ in range(inst.n)]
+    nxt = agent_dual_step(world, staged)
+    assert nxt.k == world.k + 1
     for i in range(inst.n):
-        partners = [agents[j] for j in rng.integers(0, inst.n, size=rng.integers(0, 6))]
-        assert_same_bits(
-            agent_linear_cost(inst, i, agents[i], partners, rho),
-            agent_linear_cost_reference(inst, i, agents[i], partners, rho))
-        staged = random_agent(inst, rng, True)
-        got = agent_dual_step(agents[i], staged, partners)
-        expected = agent_dual_step_reference(agents[i], staged, partners)
-        for name in ("u", "w", "y", "mu", "eta", "nu", "xi"):
-            assert_same_bits(getattr(got, name), getattr(expected, name))
-        assert got.z is expected.z
-    world = World(inst, agents)
+        assert_same_bits(q[i], agent_linear_cost_reference(inst, world, i, rho))
+        for name, expected in zip(("mu", "eta", "nu", "xi"),
+                                  agent_dual_step_reference(world, staged, i)):
+            assert_same_bits(getattr(nxt, name)[i], expected)
+        for name in ("u", "w", "y"):
+            assert_same_bits(getattr(nxt, name)[i], getattr(staged[i], name))
+        assert nxt.z[i] is staged[i].z
     assert consensus_gap(world) == consensus_gap_reference(world)

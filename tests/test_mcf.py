@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treedesign import mcf
+from treedesign.central import SolverConfig
+from treedesign.distributed import init_world
 from treedesign.graphs import UndirectedGraph
 from treedesign.mcf import (
     Commodity,
     Instance,
+    agent_diagonal,
     agent_linear_cost,
     build_agent_subproblem,
     build_centralized_subproblem,
@@ -35,21 +39,22 @@ from helpers import (
     assert_same_csc,
     check_flows_reference,
     constraint_blocks_reference,
+    half_incident_costs_reference,
     k3_instance,
     step_operator,
 )
 
 
-class _Snapshot:
-    def __init__(self, inst, w=None, u=None):
-        self.w = np.zeros(inst.dim_w) if w is None else np.asarray(w, float)
-        self.u = np.zeros(inst.dim_u) if u is None else np.asarray(u, float)
-        self.z = np.zeros(inst.dim_w)
-        self.y = np.zeros(inst.dim_u)
-        self.mu = np.zeros(inst.dim_w)
-        self.eta = np.zeros(inst.dim_u)
-        self.nu = np.zeros(inst.dim_u)
-        self.xi = np.zeros(inst.dim_w)
+def _world(inst, w=None, u=None):
+    """A world whose agents all sit at zero, with copies w and u (rows, or
+    one vector every agent holds) when given."""
+    world = init_world(inst, SolverConfig())
+    rows = {name: np.zeros_like(getattr(world, name))
+            for name in ("u", "w", "y", "mu", "eta")}
+    for name, value in (("w", w), ("u", u)):
+        if value is not None:
+            rows[name] += value
+    return dataclasses.replace(world, z=[np.zeros(inst.dim_w)] * inst.n, **rows)
 
 
 def test_instance_validation():
@@ -355,52 +360,54 @@ def test_constraint_blocks_equal_the_row_by_row_build(seed, n, commodities):
 
 def test_agent_subproblem_shapes_and_isolated_case():
     inst = k3_instance(hop=2)
-    local = _Snapshot(inst)
-    # no partners: the subproblem is the centralized one with the local
-    # half-cost objective
-    qp = build_agent_subproblem(inst, 1, local, [], rho=1.0)
+    world = _world(inst)
+    # every copy at zero: the consensus terms vanish, and the subproblem is
+    # the centralized one with the local half-cost objective
+    qp = build_agent_subproblem(inst, world, 1, rho=1.0)
     central = build_centralized_subproblem(
-        inst, z_k=local.z, y_k=local.y, mu_k=local.mu, eta_k=local.eta,
-        rho=1.0,
+        inst, z_k=world.z[1], y_k=world.y[1], mu_k=world.mu[1],
+        eta_k=world.eta[1], rho=1.0,
     )
-    assert np.array_equal(qp.d, central.d)
+    assert agent_diagonal(1.0, 0) == central.d[0]
     assert (qp.a_eq != central.a_eq).nnz == 0
     assert (qp.a_in != central.a_in).nnz == 0
     expected_q = central.q.copy()
-    expected_q[:inst.dim_w] = half_incident_costs(inst, 1)
+    expected_q[:inst.dim_w] = half_incident_costs(inst)[1]
     assert np.allclose(qp.q, expected_q)
 
-    # two neighbors add 2 rho each to every diagonal entry
-    qp2 = build_agent_subproblem(inst, 1, local,
-                                 [_Snapshot(inst), _Snapshot(inst)], rho=1.0)
-    assert np.allclose(qp2.d, 1.0 + 2.0 * 1.0 * 2)
+    # its two neighbors add 2 rho each to every diagonal entry
+    assert np.allclose(qp.d, 1.0 + 2.0 * 1.0 * 2)
 
 
 def test_agent_consensus_pull_toward_midpoints():
     inst = k3_instance(hop=2)
     rng = np.random.default_rng(1)
-    local = _Snapshot(inst, w=rng.uniform(0, 1, inst.dim_w),
-                      u=rng.uniform(0, 1, inst.dim_u))
+    w, u = rng.uniform(0, 1, inst.dim_w), rng.uniform(0, 1, inst.dim_u)
     rho = 0.7
-    # identical snapshots: the consensus target is the agent's own iterate,
-    # so the linear term matches -2 rho own per neighbor
-    twin = _Snapshot(inst, w=local.w, u=local.u)
-    q = agent_linear_cost(inst, 0, local, [twin, twin], rho)
-    base = agent_linear_cost(inst, 0, local, [], rho)
-    assert np.allclose(q[:inst.dim_w] - base[:inst.dim_w],
-                       2 * (-2 * rho * local.w))
-    # general midpoint algebra
-    other = _Snapshot(inst, w=rng.uniform(0, 1, inst.dim_w),
-                      u=rng.uniform(0, 1, inst.dim_u))
-    q2 = agent_linear_cost(inst, 0, local, [other], rho)
-    assert np.allclose(q2[:inst.dim_w] - base[:inst.dim_w],
-                       -rho * (local.w + other.w))
+    # identical copies: the consensus target is the agent's own iterate,
+    # so the linear term matches -2 rho own per neighbor, against the same
+    # world with no neighbor slots
+    twins = _world(inst, w=w, u=u)
+    q = agent_linear_cost(inst, twins, rho)
+    base = agent_linear_cost(inst, dataclasses.replace(twins, slots=()), rho)
+    assert np.allclose(q[0, :inst.dim_w] - base[0, :inst.dim_w],
+                       2 * (-2 * rho * w))
+    # general midpoint algebra: agent 0's neighbors in K3 are agents 1 and 2
+    world = _world(inst, w=rng.uniform(0, 1, (inst.n, inst.dim_w)),
+                   u=rng.uniform(0, 1, (inst.n, inst.dim_u)))
+    q2 = agent_linear_cost(inst, world, rho)
+    base = agent_linear_cost(inst, dataclasses.replace(world, slots=()), rho)
+    for lo, hi, x in ((0, inst.dim_w, world.w), (inst.dim_w, None, world.u)):
+        assert np.allclose(q2[0, lo:hi] - base[0, lo:hi],
+                           -rho * (x[0] + x[1]) - rho * (x[0] + x[2]))
 
 
 def test_half_incident_split_covers_costs():
     inst = random_instance(7, 0.6, seed=4)
-    total = sum(half_incident_costs(inst, i) for i in range(inst.n))
-    assert np.allclose(total, inst.costs)
+    rows = half_incident_costs(inst)
+    assert np.allclose(rows.sum(axis=0), inst.costs)
+    for i in range(inst.n):
+        assert np.array_equal(rows[i], half_incident_costs_reference(inst, i))
 
 
 def test_instance_text_round_trip(tmp_path):
