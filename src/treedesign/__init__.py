@@ -34,8 +34,6 @@ from .qp import (
 from .mcf import (
     Commodity,
     Instance,
-    build_agent_subproblem,
-    build_centralized_subproblem,
     check_feasible,
     objective,
     random_instance,
@@ -56,6 +54,7 @@ from .central import (
     CentralState,
     SolverConfig,
     SubproblemRuntime,
+    build_centralized_subproblem,
     init_state,
     residual_central,
     solve_central,
@@ -63,6 +62,7 @@ from .central import (
 )
 from .distributed import (
     World,
+    build_agent_subproblem,
     consensus_gap,
     init_world,
     residual_distributed,

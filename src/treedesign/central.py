@@ -15,9 +15,10 @@ updates are in scaled form. The driver is single-threaded and owns its state.
 
 That per-copy update is :func:`relaxed_start`, :func:`primal_step` and
 :func:`local_duals`, inside :func:`run_outer_loop`; the distributed driver
-runs the same update for each agent in the same loop, adding only its
-consensus terms. The loop owns the run's :class:`SubproblemRuntime` and
-passes it to every step.
+runs the same update for each agent in the same loop. The drivers differ
+only in the subproblem each builds: :func:`centralized_linear_cost` here,
+the agents' with their consensus terms in :mod:`distributed`. The loop
+owns the run's :class:`SubproblemRuntime` and passes it to every step.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import InvalidTreeError, TreeIndicator, is_spanning_tree
-from .mcf import (centralized_linear_cost, check_flows, objective, relaxed_qp,
-                  route_on_tree)
-# not called here; the patch table in perfbench/tracing.py looks them up here
-from .mcf import build_centralized_subproblem, check_feasible  # noqa: F401
+from .graphs import (InvalidTreeError, TreeIndicator, indicator_vector,
+                     is_spanning_tree)
+from .mcf import check_flows, objective, relaxed_qp, route_on_tree
+# not called here; the patch table in perfbench/tracing.py looks it up here
+from .mcf import check_feasible  # noqa: F401
 from .projection import project_binary, project_tree
 from .qp import InfeasibleSubproblemError, QpWorkspace
 from .report import CentralTraceRow, QpCounters, SolveReport
@@ -46,6 +47,8 @@ __all__ = [
     "SolverConfig",
     "SubproblemRuntime",
     "CentralState",
+    "centralized_linear_cost",
+    "build_centralized_subproblem",
     "init_state",
     "step",
     "residual_central",
@@ -192,6 +195,33 @@ def relaxed_start(inst):
     )
 
 
+def centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho):
+    """Linear term of the centralized subproblem over stacked (w, u).
+
+    Expansion of  c'w + (rho/2)||z - w + mu||^2 + (rho/2)||y - u + eta||^2.
+    """
+    z = indicator_vector(z_k, inst.dim_w).astype(float)
+    y = np.asarray(y_k, dtype=float)
+    mu = np.asarray(mu_k, dtype=float)
+    eta = np.asarray(eta_k, dtype=float)
+    if len(y) != inst.dim_u or len(eta) != inst.dim_u or len(mu) != inst.dim_w:
+        raise ValueError("iterate dimensions do not match the instance")
+    q = np.empty(inst.dim_total)
+    q[: inst.dim_w] = inst.costs - rho * (z + mu)
+    q[inst.dim_w:] = -rho * (y + eta)
+    return q
+
+
+def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
+    """Quadratic subproblem of the centralized method at the current iterate:
+    :func:`mcf.relaxed_qp` with diagonal rho and the linear cost from
+    :func:`centralized_linear_cost`."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return relaxed_qp(inst, float(rho),
+                      centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho))
+
+
 def primal_step(runtime, key, inst, diag, q, cfg, mu, eta):
     """One copy's primal update: the subproblem solve under ``key`` in
     ``runtime``, then the tree projection of w against ``mu`` and the
@@ -203,11 +233,11 @@ def primal_step(runtime, key, inst, diag, q, cfg, mu, eta):
                    project_binary(u - eta))
 
 
-def local_duals(mu, eta, primals):
+def local_duals(mu, eta, z, w, y, u):
     """The scaled tree and flow duals ascended by the new primals' own
-    consensus residuals: mu + (z - w) and eta + (y - u)."""
-    return (mu + (primals.z.vector - primals.w),
-            eta + (primals.y - primals.u))
+    consensus residuals: mu + (z - w) and eta + (y - u), with the tree z
+    as 0/1 entries, for one copy's vectors or for one copy per row."""
+    return mu + (z - w), eta + (y - u)
 
 
 def init_state(inst, cfg):
@@ -225,7 +255,8 @@ def step(state, inst, cfg, runtime):
     q = centralized_linear_cost(inst, state.z, state.y, state.mu, state.eta,
                                 cfg.rho)
     new = primal_step(runtime, None, inst, cfg.rho, q, cfg, state.mu, state.eta)
-    mu, eta = local_duals(state.mu, state.eta, new)
+    mu, eta = local_duals(state.mu, state.eta, new.z.vector, new.w, new.y,
+                          new.u)
     return CentralState(*new, mu=mu, eta=eta, k=state.k + 1)
 
 

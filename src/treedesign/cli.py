@@ -17,14 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .central import SolverConfig, relaxed_start, solve_central
+from .central import (SolverConfig, build_centralized_subproblem,
+                      relaxed_start, solve_central)
 from .distributed import solve_distributed
 from .mcf import (
-    centralized_linear_cost,
     format_instance,
     random_instance,
     read_instance,
-    relaxed_qp,
     write_instance,
     write_solution,
 )
@@ -206,9 +205,9 @@ def _oracle_budget(args):
                              max_trees=args.oracle_max_trees)
 
 
-def _generate(args):
+def _generate(args, missing="need --n to generate an instance"):
     if args.n is None:
-        raise SystemExit("need --n to generate an instance")
+        raise ValueError(missing)
     return random_instance(args.n, args.p, args.seed,
                            n_commodities=args.commodities,
                            hop_slack=args.hop_slack)
@@ -217,7 +216,7 @@ def _generate(args):
 def _load_instance(args):
     if args.instance is not None:
         return read_instance(args.instance)
-    return _generate(args)
+    return _generate(args, "need --instance or --n")
 
 
 def _parse_list(text, kind):
@@ -297,8 +296,8 @@ def _cmd_dump_qp(args):
     inst = _load_instance(args)
     cfg = SolverConfig(rho=args.rho)
     start = relaxed_start(inst)
-    qp = relaxed_qp(inst, cfg.rho, centralized_linear_cost(
-        inst, start["z"], start["y"], start["mu"], start["eta"], cfg.rho))
+    qp = build_centralized_subproblem(inst, start["z"], start["y"], start["mu"],
+                                      start["eta"], cfg.rho)
     lines = [f"variables {qp.n}"]
     lines.append("diag " + " ".join(repr(float(x)) for x in qp.d))
     lines.append("linear " + " ".join(repr(float(x)) for x in qp.q))
@@ -418,7 +417,7 @@ def main(argv=None):
     )
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

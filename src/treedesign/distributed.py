@@ -9,11 +9,12 @@ agent's subproblem and projections; after a barrier, phase 2 ascends nu/xi
 with the fresh round-(k+1) neighbor primals, then mu/eta locally. Each
 agent's start, primal step and local duals are the centralized driver's
 per-copy update (:func:`central.relaxed_start`, :func:`central.primal_step`,
-:func:`central.local_duals`), solving in the runtime that
-:func:`central.run_outer_loop` passes to each round. Agents within a phase
-are data-independent -- results are identical for any processing order,
-which is tested. Message passing is simulated in-process, not a network
-stack; determinism outranks realism at desk scale.
+and :func:`central.local_duals` on every agent's rows at once), solving in
+the runtime that :func:`central.run_outer_loop` passes to each round; only
+the subproblem, built here, differs. Agents within a phase are
+data-independent -- results are identical for any processing order, which
+is tested. Message passing is simulated in-process, not a network stack;
+determinism outranks realism at desk scale.
 
 Communication follows the instance graph: each neighbor pair is one
 consensus constraint, with a quadratic of coefficient rho and a unit dual
@@ -33,16 +34,21 @@ import numpy as np
 
 from .central import (Primals, change_norm, local_duals, primal_step,
                       relaxed_start, run_outer_loop)
-from .mcf import agent_diagonal, agent_linear_cost, objective
+from .graphs import indicator_vector
+from .mcf import objective, relaxed_qp
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
-from .mcf import build_agent_subproblem, check_feasible, route_on_tree  # noqa: F401
+from .mcf import check_feasible, route_on_tree  # noqa: F401
 from .projection import project_binary, project_tree  # noqa: F401
 from .report import DistributedTraceRow
 
 __all__ = [
     "World",
     "init_world",
+    "half_incident_costs",
+    "agent_linear_cost",
+    "agent_diagonal",
+    "build_agent_subproblem",
     "agent_primal_step",
     "agent_dual_step",
     "sync_round",
@@ -95,6 +101,64 @@ def init_world(inst, cfg):
                  xi=np.zeros((inst.n, inst.dim_w)), **rows)
 
 
+def half_incident_costs(inst):
+    """Local objective coefficients, one row per agent: half of each
+    incident edge cost."""
+    q = np.zeros((inst.n, inst.dim_w))
+    q[np.array(inst.graph.edges).T, np.arange(inst.dim_w)] = inst.costs / 2.0
+    return q
+
+
+def agent_linear_cost(inst, world, rho):
+    """Linear terms of every agent's subproblem, one row per agent.
+
+    Each neighbor adds a consensus quadratic rho ||. - midpoint||^2. The
+    consensus duals nu/xi are scaled (their ascent steps carry no rho), so
+    their contribution to the objective is rho * nu' u + rho * xi' w --
+    dividing the unscaled duals by rho leaves this factor on the linear
+    terms, exactly as it leaves the quadratic penalty on the mu term.
+    """
+    dim_w = inst.dim_w
+    z = np.array([indicator_vector(tree, dim_w) for tree in world.z])
+    # every row of q = [q_w, q_u] is built in place from the expressions
+    #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_neighbor)
+    #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_neighbor)
+    # each term with its operands and order, one neighbor slot at a time;
+    # an integer 0/1 entry meets a float one as the float it converts to
+    # exactly. The blocks stay apart: 0 - x is not -x when x = +0
+    q = np.empty((inst.n, inst.dim_total))
+    q_w, q_u = q[:, :dim_w], q[:, dim_w:]
+    np.add(z, world.mu, out=q_w)
+    np.multiply(rho, q_w, out=q_w)
+    np.subtract(half_incident_costs(inst), q_w, out=q_w)
+    q_w += rho * world.xi
+    np.add(world.y, world.eta, out=q_u)
+    np.multiply(-rho, q_u, out=q_u)
+    q_u += rho * world.nu
+    for agents, partners in world.slots:
+        q_w[agents] -= rho * (world.w[agents] + world.w[partners])
+        q_u[agents] -= rho * (world.u[agents] + world.u[partners])
+    return q
+
+
+def agent_diagonal(rho, n_neighbors):
+    """Diagonal of an agent's subproblem: rho plus 2 rho per neighbor."""
+    return float(rho) + 2.0 * rho * n_neighbors
+
+
+def build_agent_subproblem(inst, world, agent, rho):
+    """Quadratic subproblem of one agent of ``world``:
+    :func:`mcf.relaxed_qp` (the agent-local replicas of the centralized
+    rows) with :func:`agent_diagonal` and its row of
+    :func:`agent_linear_cost`."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return relaxed_qp(
+        inst, agent_diagonal(rho, len(inst.graph.incident(agent))),
+        agent_linear_cost(inst, world, rho)[agent],
+    )
+
+
 def agent_primal_step(world, agent, q, cfg, runtime):
     """Phase 1 for one agent: :func:`central.primal_step` on its row ``q``
     of the round's linear costs in ``runtime``, which returns its
@@ -107,25 +171,23 @@ def agent_primal_step(world, agent, q, cfg, runtime):
 
 def agent_dual_step(world, staged):
     """Phase 2 for every agent: consensus duals from the fresh primals
-    ``staged`` (one :class:`central.Primals` per agent), then each agent's
-    local tree/flow duals of :func:`central.local_duals`; returns the next
-    world.
+    ``staged`` (one :class:`central.Primals` per agent), then the local
+    tree/flow duals of :func:`central.local_duals` on the rows of every
+    agent at once; returns the next world.
 
     The consensus duals ascend one neighbor slot at a time, with the
     operands and order of nu += u - u_other and xi += w - w_other.
     """
-    u = np.array([p.u for p in staged])
-    w = np.array([p.w for p in staged])
+    w, u, trees, y = zip(*staged)
+    w, u, y = np.array(w), np.array(u), np.array(y)
     nu, xi = world.nu.copy(), world.xi.copy()
     for agents, partners in world.slots:
         nu[agents] += u[agents] - u[partners]
         xi[agents] += w[agents] - w[partners]
-    mu, eta = zip(*(local_duals(world.mu[i], world.eta[i], p)
-                    for i, p in enumerate(staged)))
-    return dataclasses.replace(
-        world, u=u, w=w, z=[p.z for p in staged],
-        y=np.array([p.y for p in staged]), mu=np.array(mu),
-        eta=np.array(eta), nu=nu, xi=xi, k=world.k + 1)
+    mu, eta = local_duals(world.mu, world.eta,
+                          np.array([tree.vector for tree in trees]), w, y, u)
+    return dataclasses.replace(world, u=u, w=w, z=list(trees), y=y, mu=mu,
+                               eta=eta, nu=nu, xi=xi, k=world.k + 1)
 
 
 def sync_round(world, cfg, runtime, order=None):
@@ -148,24 +210,21 @@ def sync_round(world, cfg, runtime, order=None):
 
 
 def _agent_changes(prev, curr):
-    """Per agent: (dual-change norm, primal-change norm) between rounds."""
-    return list(zip(change_norm(prev, curr, ("mu", "eta", "nu", "xi")).tolist(),
-                    change_norm(prev, curr, ("u", "w")).tolist()))
+    """Per agent, in agent order: the dual-change norms and the
+    primal-change norms between rounds, as two lists."""
+    return (change_norm(prev, curr, ("mu", "eta", "nu", "xi")).tolist(),
+            change_norm(prev, curr, ("u", "w")).tolist())
 
 
-def _mean_residual(changes):
-    """Average dual change plus average primal change, summed in agent order."""
-    dual = 0.0
-    primal = 0.0
-    for d, p in changes:
-        dual += d
-        primal += p
-    return dual / len(changes) + primal / len(changes)
+def _mean_residual(dual, primal):
+    """Average dual change plus average primal change, each summed in agent
+    order."""
+    return sum(dual) / len(dual) + sum(primal) / len(primal)
 
 
 def residual_distributed(prev, curr):
     """Average per-agent dual change plus average per-agent primal change."""
-    return _mean_residual(_agent_changes(prev, curr))
+    return _mean_residual(*_agent_changes(prev, curr))
 
 
 def consensus_gap(world):
@@ -193,18 +252,18 @@ def solve_distributed(inst, cfg):
 
     def record(prev, world, trace, runtime):
         nonlocal gap
-        changes = _agent_changes(prev, world)
+        dual, primal = _agent_changes(prev, world)
         gap = consensus_gap(world)
-        for i, (dual, primal) in enumerate(changes):
+        for i, (d, p) in enumerate(zip(dual, primal)):
             trace.append(DistributedTraceRow(
                 k=world.k,
                 agent=i,
                 objective_w=objective(inst, world.w[i]),
-                residual_contrib=dual + primal,
+                residual_contrib=d + p,
                 consensus_gap=gap,
                 qp_iters=runtime.last[i].iterations,
             ))
-        return _mean_residual(changes)
+        return _mean_residual(dual, primal)
 
     report = run_outer_loop(
         inst, cfg, "distributed", init_world,

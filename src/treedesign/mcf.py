@@ -1,13 +1,14 @@
 """Hop-constrained multicommodity-flow spanning-tree design.
 
-Instance data, constraint assembly for the relaxed continuous set (flow
-conservation, edge-activation coupling, hop budget, box bounds -- the
-tree-counting rows are deliberately excluded: the projection step guarantees
-a tree at every iteration), feasibility checking, routing on a fixed tree,
-and the plain-text instance format.
+The model only: instance data, constraint assembly for the relaxed
+continuous set (flow conservation, edge-activation coupling, hop budget, box
+bounds -- the tree-counting rows are deliberately excluded: the projection
+step guarantees a tree at every iteration), the relaxed QP over that set,
+whose linear cost each driver builds, feasibility checking, routing on a
+fixed tree, the objective and the plain-text instance format.
 
 Flow variables are stacked commodity-major after the edge block: a full
-iterate is [w (m entries) | u^0 (2m) | u^1 (2m) | ...]. Conservation rows
+vector is [w (m entries) | u^0 (2m) | u^1 (2m) | ...]. Conservation rows
 use the origin-to-destination orientation: net inflow is -1 at the origin
 and +1 at the destination.
 """
@@ -39,11 +40,6 @@ __all__ = [
     "FeasibilityReport",
     "RoutingResult",
     "relaxed_qp",
-    "build_centralized_subproblem",
-    "centralized_linear_cost",
-    "agent_diagonal",
-    "build_agent_subproblem",
-    "agent_linear_cost",
     "constraint_blocks",
     "check_feasible",
     "check_flows",
@@ -137,7 +133,7 @@ class Instance:
         return f * self.n_arcs + arc
 
     def split(self, v):
-        """Split a stacked iterate into (w over edges, u over commodities*arcs)."""
+        """Split a stacked vector into (w over edges, u over commodities*arcs)."""
         v = np.asarray(v)
         if len(v) != self.dim_total:
             raise ValueError("stacked vector has wrong length")
@@ -206,23 +202,6 @@ def constraint_blocks(inst):
     return inst._blocks
 
 
-def centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho):
-    """Linear term of the centralized subproblem over stacked (w, u).
-
-    Expansion of  c'w + (rho/2)||z - w + mu||^2 + (rho/2)||y - u + eta||^2.
-    """
-    z = indicator_vector(z_k, inst.dim_w).astype(float)
-    y = np.asarray(y_k, dtype=float)
-    mu = np.asarray(mu_k, dtype=float)
-    eta = np.asarray(eta_k, dtype=float)
-    if len(y) != inst.dim_u or len(eta) != inst.dim_u or len(mu) != inst.dim_w:
-        raise ValueError("iterate dimensions do not match the instance")
-    q = np.empty(inst.dim_total)
-    q[: inst.dim_w] = inst.costs - rho * (z + mu)
-    q[inst.dim_w:] = -rho * (y + eta)
-    return q
-
-
 def relaxed_qp(inst, diag, q):
     """The subproblem every ADMM variant solves over the relaxed set.
 
@@ -242,77 +221,6 @@ def relaxed_qp(inst, diag, q):
         b_in=b_in,
         lo=np.zeros(inst.dim_total),
         hi=np.ones(inst.dim_total),
-    )
-
-
-def build_centralized_subproblem(inst, z_k, y_k, mu_k, eta_k, rho):
-    """Quadratic subproblem of the centralized method at the current iterate:
-    :func:`relaxed_qp` with diagonal rho and the linear cost from
-    :func:`centralized_linear_cost`."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return relaxed_qp(inst, float(rho),
-                      centralized_linear_cost(inst, z_k, y_k, mu_k, eta_k, rho))
-
-
-def half_incident_costs(inst):
-    """Local objective coefficients, one row per agent: half of each
-    incident edge cost."""
-    q = np.zeros((inst.n, inst.dim_w))
-    q[np.array(inst.graph.edges).T, np.arange(inst.dim_w)] = inst.costs / 2.0
-    return q
-
-
-def agent_linear_cost(inst, world, rho):
-    """Linear terms of every agent's subproblem, one row per agent.
-
-    ``world`` holds each agent's copies as rows of the arrays u, w, y, mu,
-    eta, nu and xi, its trees as the list z, and the neighbor ``slots`` of
-    :class:`distributed.World`. Each neighbor adds a consensus quadratic
-    rho ||. - midpoint||^2.
-
-    The consensus duals nu/xi are scaled (their ascent steps carry no rho),
-    so their contribution to the objective is rho * nu' u + rho * xi' w --
-    dividing the unscaled duals by rho leaves this factor on the linear
-    terms, exactly as it leaves the quadratic penalty on the mu term.
-    """
-    dim_w = inst.dim_w
-    z = np.array([indicator_vector(tree, dim_w) for tree in world.z])
-    # every row of q = [q_w, q_u] is built in place from the expressions
-    #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_neighbor)
-    #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_neighbor)
-    # each term with its operands and order, one neighbor slot at a time;
-    # an integer 0/1 entry meets a float one as the float it converts to
-    # exactly. The blocks stay apart: 0 - x is not -x when x = +0
-    q = np.empty((inst.n, inst.dim_total))
-    q_w, q_u = q[:, :dim_w], q[:, dim_w:]
-    np.add(z, world.mu, out=q_w)
-    np.multiply(rho, q_w, out=q_w)
-    np.subtract(half_incident_costs(inst), q_w, out=q_w)
-    q_w += rho * world.xi
-    np.add(world.y, world.eta, out=q_u)
-    np.multiply(-rho, q_u, out=q_u)
-    q_u += rho * world.nu
-    for agents, partners in world.slots:
-        q_w[agents] -= rho * (world.w[agents] + world.w[partners])
-        q_u[agents] -= rho * (world.u[agents] + world.u[partners])
-    return q
-
-
-def agent_diagonal(rho, n_neighbors):
-    """Diagonal of an agent's subproblem: rho plus 2 rho per neighbor."""
-    return float(rho) + 2.0 * rho * n_neighbors
-
-
-def build_agent_subproblem(inst, world, agent, rho):
-    """Quadratic subproblem of one agent of ``world``:
-    :func:`relaxed_qp` (the agent-local replicas of the centralized rows)
-    with :func:`agent_diagonal` and its row of :func:`agent_linear_cost`."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return relaxed_qp(
-        inst, agent_diagonal(rho, len(inst.graph.incident(agent))),
-        agent_linear_cost(inst, world, rho)[agent],
     )
 
 
@@ -372,7 +280,7 @@ def check_flows(inst, z, y):
 
 
 def objective(inst, z_or_w):
-    """Total edge cost of a binary tree vector or a fractional w iterate."""
+    """Total edge cost of a binary tree vector or a fractional w."""
     v = indicator_vector(z_or_w, inst.dim_w) if isinstance(z_or_w, TreeIndicator) \
         else np.asarray(z_or_w, dtype=float)
     if len(v) != inst.dim_w:

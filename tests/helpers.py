@@ -824,7 +824,8 @@ def consensus_dual_aggregates(world):
 
 
 def half_incident_costs_reference(inst, agent):
-    """One row of mcf.half_incident_costs: half of each incident edge cost."""
+    """One row of distributed.half_incident_costs: half of each incident
+    edge cost."""
     q = np.zeros(inst.dim_w)
     for e, _ in inst.graph.incident(agent):
         q[e] = inst.costs[e] / 2.0
@@ -832,8 +833,8 @@ def half_incident_costs_reference(inst, agent):
 
 
 def agent_linear_cost_reference(inst, world, agent, rho):
-    """Row ``agent`` of mcf.agent_linear_cost, one graph neighbor at a time,
-    with a fresh array per term."""
+    """Row ``agent`` of distributed.agent_linear_cost, one graph neighbor at
+    a time, with a fresh array per term."""
     z = indicator_vector(world.z[agent], inst.dim_w).astype(float)
     q_w = (half_incident_costs_reference(inst, agent)
            - rho * (z + world.mu[agent])

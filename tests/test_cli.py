@@ -10,7 +10,8 @@ import pytest
 
 import treedesign
 
-from treedesign.central import SolverConfig, init_state, solve_central
+from treedesign.central import (SolverConfig, build_centralized_subproblem,
+                                init_state, solve_central)
 from treedesign.cli import (
     SweepSpec,
     _trace_rows_distributed,
@@ -20,7 +21,7 @@ from treedesign.cli import (
     run_experiment,
 )
 from treedesign.distributed import solve_distributed
-from treedesign.mcf import build_centralized_subproblem, random_instance, read_instance
+from treedesign.mcf import random_instance, read_instance
 from treedesign.report import DISTRIBUTED_TRACE_COLUMNS, SUMMARY_COLUMNS, write_csv
 
 from helpers import read_csv, trace_rows_distributed_reference
@@ -322,12 +323,16 @@ def test_sweep_flags_and_defaults():
     assert args.no_oracle and args.no_wall_time and not args.trace_per_agent
 
 
-def test_parser_rejects_missing_input():
-    parser = build_parser()
-    args = parser.parse_args(["solve-central"])
-    with pytest.raises(SystemExit):
-        from treedesign.cli import _load_instance
-        _load_instance(args)
+def test_parser_rejects_missing_input(tmp_path, capsys):
+    # no instance to load, or a file that is not there, ends in one error
+    # line and exit code 2, as a rejected value does
+    for command in ("solve-central", "solve-dist", "oracle", "project",
+                    "dump-qp"):
+        _assert_rejected(capsys, [command], "need --instance or --n")
+    _assert_rejected(capsys, ["gen"], "need --n to generate an instance")
+    missing = tmp_path / "missing.txt"
+    _assert_rejected(capsys, ["solve-dist", "--instance", str(missing)],
+                     f"[Errno 2] No such file or directory: '{missing}'")
 
 
 def test_cli_module_runs_without_runtime_warning():

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treedesign.central import (Primals, SolverConfig, SubproblemRuntime,
-                                init_state, solve_central, step)
+                                init_state, local_duals, solve_central, step)
 from treedesign.distributed import (
     agent_dual_step,
+    agent_linear_cost,
     agent_primal_step,
     consensus_gap,
     init_world,
@@ -17,7 +18,7 @@ from treedesign.distributed import (
     sync_round,
 )
 from treedesign.graphs import TreeIndicator, UndirectedGraph, is_spanning_tree
-from treedesign.mcf import Commodity, Instance, agent_linear_cost, random_instance
+from treedesign.mcf import Commodity, Instance, random_instance
 from treedesign.projection import project_tree
 
 from helpers import (
@@ -322,8 +323,10 @@ def assert_same_bits(a, b):
 @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
 def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
     # the whole-world linear costs and dual step, one neighbor slot at a
-    # time, give the bits of the per-agent, per-neighbor expressions; the
-    # agents' unequal degrees leave some slots covering only some agents
+    # time, give the bits of the per-agent, per-neighbor expressions, and
+    # the local duals ascended on every agent's rows at once give those of
+    # one central.local_duals call per agent; the agents' unequal degrees
+    # leave some slots covering only some agents
     rng = np.random.default_rng(seed)
     inst = random_instance(int(rng.integers(3, 8)), 0.6, int(rng.integers(2**31)),
                            n_commodities=int(rng.integers(1, 3)))
@@ -343,7 +346,11 @@ def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
         for name, expected in zip(("mu", "eta", "nu", "xi"),
                                   agent_dual_step_reference(world, staged, i)):
             assert_same_bits(getattr(nxt, name)[i], expected)
+        own = staged[i]
+        for row, expected in zip((nxt.mu[i], nxt.eta[i]), local_duals(
+                world.mu[i], world.eta[i], own.z.vector, own.w, own.y, own.u)):
+            assert_same_bits(row, expected)
         for name in ("u", "w", "y"):
-            assert_same_bits(getattr(nxt, name)[i], getattr(staged[i], name))
-        assert nxt.z[i] is staged[i].z
+            assert_same_bits(getattr(nxt, name)[i], getattr(own, name))
+        assert nxt.z[i] is own.z
     assert consensus_gap(world) == consensus_gap_reference(world)

@@ -7,21 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treedesign import mcf
-from treedesign.central import SolverConfig
-from treedesign.distributed import init_world
+from treedesign.central import SolverConfig, build_centralized_subproblem
+from treedesign.distributed import (
+    agent_diagonal,
+    agent_linear_cost,
+    build_agent_subproblem,
+    half_incident_costs,
+    init_world,
+)
 from treedesign.graphs import UndirectedGraph
 from treedesign.mcf import (
     Commodity,
     Instance,
-    agent_diagonal,
-    agent_linear_cost,
-    build_agent_subproblem,
-    build_centralized_subproblem,
     check_feasible,
     check_flows,
     constraint_blocks,
     format_instance,
-    half_incident_costs,
     objective,
     parse_instance,
     random_instance,
