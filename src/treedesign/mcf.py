@@ -256,7 +256,7 @@ def check_flows(inst, z, y):
     yv = np.asarray(y)
     if len(yv) != inst.dim_u:
         raise ValueError("flow vector has wrong length")
-    violations = [] if np.isin(yv, (0, 1)).all() else ["flows are not binary"]
+    violations = [] if ((yv == 0) | (yv == 1)).all() else ["flows are not binary"]
     a_eq, b_eq, a_in, _ = constraint_blocks(inst)
     v = np.concatenate([zv, yv.astype(np.int64)]).astype(float)
     nf = inst.n_commodities
@@ -340,18 +340,20 @@ def shortest_path_point(inst):
 
 
 def relaxed_set_nonempty(inst):
-    """One feasibility solve over the relaxed constraint set: "solved",
-    i.e. residuals at or below 1e-6 on the original data, means nonempty.
+    """One feasibility solve of one iteration over the relaxed constraint
+    set: "solved", i.e. residuals at or below 1e-6 on the original data,
+    means nonempty.
 
     The QP has no objective (zero diagonal and cost), so every feasible
     point is optimal with zero multipliers, and it starts at
-    :func:`shortest_path_point`. When that point is feasible it is a KKT
-    point, and the first residual check certifies it; when it breaks a hop
-    row, the solve has to find the set empty, or fail to certify it.
+    :func:`shortest_path_point`, which is feasible exactly when the relaxed
+    set is nonempty. A feasible start is a KKT point, a fixed point of the
+    iteration, so the check after its one step certifies it; a start that
+    breaks a hop row is not certified.
     """
     probe = relaxed_qp(inst, 0.0, np.zeros(inst.dim_total))
     start = WarmStart(shortest_path_point(inst))
-    return solve_qp(probe, tol=1e-6, warm=start).status == "solved"
+    return solve_qp(probe, tol=1e-6, max_iters=1, warm=start).status == "solved"
 
 
 # edge costs of generated instances are uniform on [low, high)
@@ -366,9 +368,9 @@ def random_instance(n, p, seed, n_commodities=None, hop_slack=2):
     without replacement, and hop bound max shortest-path hops plus
     max(slack, 0), capped at n-1. The relaxed set is nonempty exactly when
     the bound is at least the longest shortest path (see
-    :func:`shortest_path_point`), so the bound needs no search; one
-    :func:`relaxed_set_nonempty` solve, started at that point, certifies it
-    and raises ValueError if it does not.
+    :func:`shortest_path_point`), so the bound needs no search; the
+    one-step :func:`relaxed_set_nonempty` solve, started at that point,
+    certifies it and raises ValueError if it does not.
     """
     graph = generate_erdos_renyi(n, p, seed)
     rng = np.random.default_rng([seed, 0x7EE5])

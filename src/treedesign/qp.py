@@ -46,12 +46,19 @@ the fixed cost of one sparse triangular solve.
 
 Past that size the x-space branch keeps the state (x, w, p) and takes alpha
 [x~; z~] on its own. Structures whose n x (N + 1) map V has at most 2^16
-entries take alpha x~ from one product with V and alpha z~ from one with
-the dense constraint rows (the box rows of A are the identity), as nearly
-every n=10 relaxed subproblem with two commodities does. Larger ones take
-alpha [x~; z~] from one triangular solve with the cached sparse factor and
-one multiply. The operators are exact algebra on the same step, so their
-iterates differ only in rounding.
+entries, as nearly every n=10 relaxed subproblem with two commodities
+does, take alpha x~ from one product with V folded and alpha z~ from one
+with the dense constraint rows. The box rows of A are the identity and
+have penalty rho_b, so eliminating them shows V's box-row columns V_box =
+alpha K_x,box to be (rho_b / sigma) V_x exactly, and with eps = sigma /
+rho_b
+
+    V [x; v; 1] = [V_con, V_box, c_x] [v_con; v_box + eps x; 1],
+
+an n x (m + 1) map. Larger structures take alpha [x~; z~] from one
+triangular solve with the cached sparse factor and one multiply. The
+operators are exact algebra on the same step, so their iterates differ
+only in rounding.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -264,15 +271,19 @@ class QpWorkspace:
     The step (``_branch``) is chosen once, by size. With N = n + m
     (m counts the box rows too), a structure with N (N + m + 1) <=
     ``DENSE_MAX_ENTRIES`` steps with the iteration map ``M`` of shape
-    (N, N + m + 1); every other one takes the x-space step with the map
-    ``V`` of shape (n, N + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``, and
-    otherwise with the sparse factor (``_map`` is None). Either map is
+    (N, N + m + 1); every other one takes the x-space step with the folded
+    map ``V`` of shape (n, m + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``,
+    and otherwise with the sparse factor (``_map`` is None). Either map is
     ``_map``, rebuilt in place at every factorization, and comes with the
     dense constraint rows ``_a_con``. V = [V_x, V_v, c_x] comes from the x
     rows of K^-1, which K's symmetry makes its first n columns, and each
-    solve writes c_x = -alpha K_xx q from one triangular solve. M is built
-    on V written into its x rows: K's second block row gives R^-1 K_zx =
-    A K_xx and R^-1 K_zz = A K_xz - I, with R = diag(rho), so with a = alpha
+    solve writes c_x = -alpha K_xx q from one triangular solve. The x-space
+    map keeps [V_v, c_x] = [V_con, V_box, c_x] alone, since V_box = (rho_b
+    / sigma) V_x, and its step feeds V_box the vector v_box + eps x, eps =
+    sigma / rho_b, whose eps x comes from the multiply by ``_fold`` = [2;
+    eps] that forms [2p; eps x] from [p; x]. M is built on V written into
+    its x rows: K's second block row gives R^-1 K_zx = A K_xx and R^-1 K_zz
+    = A K_xz - I, with R = diag(rho), so with a = alpha
 
         x rows: [V_x + (1-a) I,  -V_v,       2 V_v,          c_x]
         w rows: [A V_x,          I - A V_v,  2 A V_v - a I,  A c_x]
@@ -353,7 +364,10 @@ class QpWorkspace:
             self._px_scale = np.concatenate([np.full(m_total, self.ALPHA),
                                              np.full(n, 1.0 - self.ALPHA)])
             if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
-                self._map = np.empty((n, big + 1))
+                self._map = np.empty((n, m_total + 1))
+                # the map's coefficients of [p; x], [2; eps] with eps =
+                # sigma/rho_b, rewritten at every factorization
+                self._fold = np.full(m_total + n, 2.0)
         # the constraint rows of A, dense where a map is built from them;
         # its box rows are the identity
         self._a_con = self.a_csr[:m_eq + m_in]
@@ -402,12 +416,16 @@ class QpWorkspace:
             self._build_xspace_map(lu)
             if self._branch == "dense":
                 self._build_map()
+            else:
+                self._fold[self.m_total:] = self.SIGMA / rho_base
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
     def _build_xspace_map(self, lu):
-        """Write V but its last column, in place, into the map's x rows."""
+        """Write V but its last column, in place, into the map's x rows:
+        [V_x, V_v] for the dense map, V_v alone for the x-space map."""
         n, big = self.n, self.n + self.m_total
         m_map = self._map
+        first = n if self._branch == "xspace" else 0
         # the first n columns of K^-1, 32 at a time: given a hundred or more
         # right-hand sides at once, SuperLU calls threaded BLAS-3, which at
         # these sizes is about 30 times slower and leaves a BLAS thread
@@ -415,9 +433,10 @@ class QpWorkspace:
         # are the x rows of K^-1
         for j in range(0, n, self._MAP_BLOCK):
             k = min(j + self._MAP_BLOCK, n)
-            np.multiply(lu.solve(np.eye(big, k - j, -j)).T, self.ALPHA,
-                        out=m_map[j:k, :big])
-        np.multiply(m_map[:n, :n], self.SIGMA, out=m_map[:n, :n])
+            np.multiply(lu.solve(np.eye(big, k - j, -j))[first:].T, self.ALPHA,
+                        out=m_map[j:k, :big - first])
+        if not first:
+            np.multiply(m_map[:n, :n], self.SIGMA, out=m_map[:n, :n])
 
     def _build_map(self):
         """Write every column of the dense map but the last, in place, from
@@ -555,11 +574,11 @@ class QpWorkspace:
         n, m_total, alpha, sigma = self.n, self.m_total, self.ALPHA, self.SIGMA
         l, u, v_map, px_scale = self.l, self.u, self._map, self._px_scale
         # one buffer [p; x; v; 1]: one multiply by [alpha 1; (1 - alpha) 1]
-        # scales its head [p; x], and its tail y = [x; v; 1] is V's input
+        # scales its head [p; x], and its tail y = [v; 1] is V's input
         buf = np.empty(2 * m_total + n + 1)
         buf[-1] = 1.0
         p, x, v = buf[:m_total], buf[m_total:m_total + n], buf[m_total + n:-1]
-        px, y = buf[:m_total + n], buf[m_total:]
+        px, y = buf[:m_total + n], buf[m_total + n:]
         w = np.empty(m_total)
         if v_map is None:
             # the factor's right-hand side [sigma x - q; v] holds v instead
@@ -568,17 +587,20 @@ class QpWorkspace:
         else:
             # zt_v holds alpha z~ = A (alpha x~), and the box rows of A are
             # the identity and sit last, so the product with V writes alpha
-            # x~ straight into zt_v's box slice
-            a_con = self._a_con
+            # x~ straight into zt_v's box slice. V takes eps x in its box
+            # slice of v, and one multiply by [2; eps] forms [2p; eps x]
+            a_con, fold = self._a_con, self._fold
             zt_v = np.empty(m_total)
             zt_con, xt_v = zt_v[:m_total - n], zt_v[m_total - n:]
+            pe = np.empty(m_total + n)
+            two_p, eps_x, v_box = pe[:m_total], pe[m_total:], v[m_total - n:]
 
         def steps(k):
             rho, lu = self.rho, self._lu
             for _ in range(k):
-                np.multiply(p, 2.0, v)
-                np.subtract(v, w, v)
                 if v_map is None:
+                    np.multiply(p, 2.0, v)
+                    np.subtract(v, w, v)
                     np.multiply(x, sigma, r)
                     np.subtract(r, q, r)
                     step = lu.solve(rhs)
@@ -587,6 +609,9 @@ class QpWorkspace:
                     np.add(v, zt, zt)
                     np.multiply(step, alpha, step)
                 else:
+                    np.multiply(px, fold, pe)
+                    np.subtract(two_p, w, v)
+                    np.add(v_box, eps_x, v_box)
                     xt, zt = xt_v, zt_v
                     np.dot(v_map, y, out=xt)
                     np.dot(a_con, xt, out=zt_con)

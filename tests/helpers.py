@@ -604,20 +604,28 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
     """QpWorkspace's inner loop around its x-space step, written as plain
     expressions.
 
-    One fresh array per operation, ``np.dot`` for each product with the map
-    V, one solve with the factor of the ``sp.bmat`` iteration matrix (as
-    ReferenceQpWorkspace factors it) where there is no map, and ``np.clip``
-    for the clip, in the operands and order of the x-space step. The start
-    comes before the loop and the re-base after the check that adapts rho.
-    ReferenceQpWorkspace runs the (z, lam) iteration, which the x-space step
-    matches only up to rounding; this is the bit-for-bit reference of the
-    loop on the x-space step.
+    One fresh array per operation, ``np.dot`` for each product with the
+    folded map V = [V_con, V_box, c] on [v_con; v_box + eps x; 1], eps =
+    sigma/rho_b, one solve with the factor of the ``sp.bmat`` iteration
+    matrix (as ReferenceQpWorkspace factors it) where there is no map, and
+    ``np.clip`` for the clip, in the operands and order of the x-space
+    step. The start comes before the loop and the re-base after the check
+    that adapts rho. ReferenceQpWorkspace runs the (z, lam) iteration, which
+    the x-space step matches only up to rounding; this is the bit-for-bit
+    reference of the loop on the x-space step.
     """
 
     def _refactor(self, rho_base):
         ReferenceQpWorkspace._refactor(self, rho_base)
         if self._map is not None:
             self._build_xspace_map(self._lu)
+
+    def _map_step(self, x, v):
+        """alpha x~ from the map and the step's x and v = 2p - w."""
+        m_con = self.m_eq + self.m_in
+        eps = self.SIGMA / self._rho_base
+        y = np.concatenate([v[:m_con], v[m_con:] + eps * x, [1.0]])
+        return np.dot(self._map, y)
 
     def _iterate(self, q, x0, z0, lam, tol, max_iters):
         n, alpha, beta = self.n, self.ALPHA, 1.0 - self.ALPHA
@@ -635,7 +643,7 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
                 xt = alpha * sol[:n]
                 zt = alpha * (v + sol[n:] / rho)
             else:
-                xt = np.dot(v_map, np.concatenate([x, v, [1.0]]))
+                xt = self._map_step(x, v)
                 zt = np.concatenate([np.dot(self._a_con, xt), xt])
             w = w - alpha * p + zt
             x = beta * x + xt
@@ -654,10 +662,34 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
         return x, p, lam, "max-iters", max_iters
 
 
+class UnfoldedXspaceWorkspace(ReferenceXspaceWorkspace):
+    """ReferenceXspaceWorkspace on the unfolded map V = alpha [sigma K_xx,
+    K_xz, -K_xx q] of shape (n, N + 1), the x rows of K^-1 fed [x; 2p - w;
+    1]. The folded map drops V's x columns, which are sigma/rho_b times its
+    box-row columns, so its iterates match these only up to rounding: this
+    is the slow-path reference of the x-space step's solutions."""
+
+    def _refactor(self, rho_base):
+        super()._refactor(rho_base)
+        if self._map is not None:
+            n, big = self.n, self.n + self.m_total
+            k_x = np.vstack([self._lu.solve(np.eye(big, min(32, n - j), -j)).T
+                             for j in range(0, n, 32)])
+            self._unfolded = np.hstack([self.ALPHA * k_x, np.zeros((n, 1))])
+            self._unfolded[:, :n] *= self.SIGMA
+
+    def _set_map_offset(self, q):
+        super()._set_map_offset(q)
+        self._unfolded[:, -1] = self._map[:, -1]
+
+    def _map_step(self, x, v):
+        return np.dot(self._unfolded, np.concatenate([x, v, [1.0]]))
+
+
 def step_operator(ws):
     """How a workspace takes its step: "dense" (the dense step's map M),
-    "xspace" (the x-space step's map V) or "sparse" (the x-space step's
-    triangular solve with the sparse KKT factor)."""
+    "xspace" (the x-space step's folded map V) or "sparse" (the x-space
+    step's triangular solve with the sparse KKT factor)."""
     if ws._branch == "dense":
         return "dense"
     return "sparse" if ws._map is None else "xspace"

@@ -216,6 +216,20 @@ def test_check_flows_reports_non_binary_flows():
     assert report == mcf.FeasibilityReport(False, ["flows are not binary"])
 
 
+@pytest.mark.parametrize("value", [2, -1, 2.0, -1.0])
+def test_check_flows_reports_integer_flows_off_zero_one(value):
+    # integers other than 0 and 1 are not binary either, in any dtype; the
+    # rows they break come after the binariness message
+    inst = k3_instance(commodity=(0, 2), hop=2)
+    star = _k3_tree(inst, (0, 1), (0, 2))
+    y = _k3_flows(inst, [(0, 2)]).astype(type(value))
+    y[inst.flow_index(0, inst.arcs.arc_index(1, 0))] = value
+    report = check_flows(inst, star, y)
+    assert not report.feasible
+    assert report.violations[0] == "flows are not binary"
+    assert report.violations.count("flows are not binary") == 1
+
+
 def test_check_flows_rejects_a_flow_vector_of_the_wrong_length():
     inst = k3_instance()
     with pytest.raises(ValueError, match="flow vector has wrong length"):
@@ -533,9 +547,9 @@ def test_random_instance_hop_bound_is_the_smallest_feasible_one(n, seed,
                          [(8, None, "dense"), (10, 2, "xspace"), (20, None, "sparse")])
 def test_probe_certifies_the_shortest_path_point_at_its_first_check(
         n, commodities, loop, monkeypatch):
-    # on each step operator the probe's start is a KKT point that the first
-    # residual check certifies; one hop tighter it breaks a hop row, and
-    # the probe finds the set empty
+    # on each step operator the probe's start is a KKT point that the
+    # check after its one step certifies; one hop tighter it breaks a hop
+    # row, and that check does not certify it
     probes = []
     solve = QpWorkspace.solve
 
@@ -548,13 +562,13 @@ def test_probe_certifies_the_shortest_path_point_at_its_first_check(
     inst = random_instance(n, 0.5, 0, n_commodities=commodities)
     (found, sol), = probes
     assert (found, sol.status, sol.iterations) == \
-        (loop, "solved", QpWorkspace.CHECK_EVERY)
+        (loop, "solved", 1)
     longest = max(inst.graph.shortest_path_hops(c.origin, c.dest)
                   for c in inst.commodities)
     assert longest > 1
     tighter = Instance(inst.graph, inst.costs, inst.commodities, longest - 1)
     assert not relaxed_set_nonempty(tighter)
-    assert probes[-1][1].status == "infeasible-detected"
+    assert (probes[-1][1].status, probes[-1][1].iterations) == ("max-iters", 1)
 
 
 @pytest.mark.parametrize("n, seed, commodities", [(6, 0, None), (10, 7, 2), (20, 1, None)])

@@ -29,6 +29,7 @@ from helpers import (
     PlainResidualsMixin,
     ReferenceQpWorkspace,
     ReferenceXspaceWorkspace,
+    UnfoldedXspaceWorkspace,
     assert_same_csc,
     dense_map_reference,
     iteration_kkt_reference,
@@ -824,14 +825,17 @@ def test_failed_refactor_keeps_the_old_penalty():
         assert np.array_equal(ws._map[:, :-1], m_map)
         if make is dense_workspace:
             # the dense map is built on V in its x rows, and they still hold
-            # V as the x-space map has it at this penalty: -V_v and 2 V_v
-            # exactly, and V_x off the diagonal
+            # V as the folded x-space map has it at this penalty: -V_v and
+            # 2 V_v exactly, and off the diagonal V_x, which is sigma/rho_b
+            # times the box columns of V_v to rounding
             n, big = ws.n, ws.n + ws.m_total
-            v_map = xspace_workspace(qp)._map
+            v_v = xspace_workspace(qp)._map[:, :-1]
+            assert np.array_equal(-ws._map[:n, n:big], v_v)
+            assert np.array_equal(ws._map[:n, big:-1], 2.0 * v_v)
             off = ~np.eye(n, dtype=bool)
-            assert np.array_equal(ws._map[:n, :n][off], v_map[:, :n][off])
-            assert np.array_equal(-ws._map[:n, n:big], v_map[:, n:big])
-            assert np.array_equal(ws._map[:n, big:-1], 2.0 * v_map[:, n:big])
+            v_x = ws.SIGMA / rho_base * v_v[:, -n:]
+            assert np.max(np.abs(ws._map[:n, :n][off] - v_x[off])) <= \
+                1e-12 * np.max(np.abs(v_x))
         assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
 
 
@@ -996,23 +1000,29 @@ def test_clip_ufunc_is_max_then_min_bit_for_bit(triples, equal, offset):
     assert np.all(state[:offset] == 7.0) and np.all(state[offset + len(w):] == 7.0)
 
 
-def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch):
+def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch,
+                               reference=ReferenceXspaceWorkspace):
     # every subproblem of 12 central steps, solved by the x-space loop and
-    # by its plain-expression reference; these runs warm-start, adapt rho
-    # and both keep and reject polishes
+    # by its plain-expression reference, bit for bit; these runs warm-start,
+    # adapt rho and both keep and reject polishes. The unfolded reference
+    # rounds differently, so its solutions agree only within tol
     solves = []
 
     class Twin(QpWorkspace):
         def __init__(self, qp):
             super().__init__(qp)
             assert step_operator(self) == operator
-            self.ref = ReferenceXspaceWorkspace(qp)
+            self.ref = reference(qp)
 
         def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
             sol = super().solve(q, tol=tol, max_iters=max_iters, warm=warm)
-            assert_same_solution(sol, self.ref.solve(q, tol=tol, max_iters=max_iters,
-                                                     warm=warm))
-            assert self._rho_base == self.ref._rho_base
+            ref = self.ref.solve(q, tol=tol, max_iters=max_iters, warm=warm)
+            if reference is UnfoldedXspaceWorkspace:
+                assert sol.status == ref.status == "solved"
+                assert float(np.max(np.abs(sol.v - ref.v))) <= tol
+            else:
+                assert_same_solution(sol, ref)
+                assert self._rho_base == self.ref._rho_base
             solves.append(sol)
             return sol
 
@@ -1027,6 +1037,42 @@ def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch)
 def test_xspace_loop_is_its_plain_step_on_n10_cells(seed, rho, monkeypatch):
     # n=10 instances with two commodities run the map V
     assert_plain_step_on_cells(10, 2, seed, rho, "xspace", monkeypatch)
+
+
+@pytest.mark.parametrize("seed, rho", [(0, 0.1), (1, 10.0), (4, 0.1)])
+def test_xspace_loop_agrees_with_its_unfolded_step_on_n10_cells(seed, rho, monkeypatch):
+    # the map with V's box-row columns, fed [x; 2p - w; 1], is the slow
+    # path the folded map replaced
+    assert_plain_step_on_cells(10, 2, seed, rho, "xspace", monkeypatch,
+                               reference=UnfoldedXspaceWorkspace)
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
+def test_folded_map_box_columns_are_its_x_columns(rho):
+    # the box rows of A are the identity: eliminating them leaves one
+    # reduced KKT system, whose x block of the inverse gives V_x = alpha
+    # sigma K_xx and V_box = alpha K_x,box = (rho_b / sigma) V_x, so the
+    # folded map keeps V_box and feeds it eps x, eps = sigma / rho_b; it
+    # holds at every penalty rho adaptation reaches
+    for seed in range(3):
+        inst = random_instance(10, 0.5, seed=seed, n_commodities=2)
+        q = np.random.default_rng(seed).normal(size=inst.dim_total)
+        ws = QpWorkspace(relaxed_qp(inst, rho, q))
+        assert step_operator(ws) == "xspace"
+        n, m_total = ws.n, ws.m_total
+        assert ws._map.shape == (n, m_total + 1)
+        bases = []
+        for max_iters in (0, 200):
+            ws.solve(q, tol=1e-15, max_iters=max_iters)
+            bases.append(ws._rho_base)
+            v_x = ws.ALPHA * ws.SIGMA * ws._lu.solve(np.eye(n + m_total, n))[:n]
+            v_box = ws._map[:, m_total - n:m_total]
+            eps = ws.SIGMA / ws._rho_base
+            assert np.array_equal(ws._fold, np.repeat([2.0, eps], [m_total, n]))
+            gap = float(np.max(np.abs(v_x - eps * v_box)))
+            assert gap <= 1e-12 * float(np.max(np.abs(v_x))), (seed, bases, gap)
+        # the second solve adapted rho at least once
+        assert bases[0] != bases[1]
 
 
 @pytest.mark.parametrize("seed, rho", [(2, 0.1), (3, 1.0)])
