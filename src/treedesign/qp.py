@@ -45,20 +45,23 @@ matrix-vector product and one clip: at that size a product is cheaper than
 the fixed cost of one sparse triangular solve.
 
 Past that size the x-space branch keeps the state (x, w, p) and takes alpha
-[x~; z~] on its own. Structures whose n x (N + 1) map V has at most 2^16
+x~ on its own. Structures whose n x (N + 1) map V has at most 2^16
 entries, as nearly every n=10 relaxed subproblem with two commodities
-does, take alpha x~ from one product with V folded and alpha z~ from one
-with the dense constraint rows. The box rows of A are the identity and
-have penalty rho_b, so eliminating them shows V's box-row columns V_box =
-alpha K_x,box to be (rho_b / sigma) V_x exactly, and with eps = sigma /
-rho_b
+does, take it from one product with V folded. The box rows of A are the
+identity and have penalty rho_b, so eliminating them shows V's box-row
+columns V_box = alpha K_x,box to be (rho_b / sigma) V_x exactly, and with
+eps = sigma / rho_b
 
     V [x; v; 1] = [V_con, V_box, c_x] [v_con; v_box + eps x; 1],
 
-an n x (m + 1) map. Larger structures take alpha [x~; z~] from one
-triangular solve with the cached sparse factor and one multiply. The
-operators are exact algebra on the same step, so their iterates differ
-only in rounding.
+an n x (m + 1) map. Since alpha z~ = A (alpha x~), the rest of the step is
+one sparse product added onto [w; x]:
+
+    [w; x] += B [x; alpha x~; p],  B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]].
+
+Larger structures take alpha [x~; z~] from one triangular solve with the
+cached sparse factor and one multiply. The operators are exact algebra on
+the same step, so their iterates differ only in rounding.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -275,15 +278,21 @@ class QpWorkspace:
     map ``V`` of shape (n, m + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``,
     and otherwise with the sparse factor (``_map`` is None). Either map is
     ``_map``, rebuilt in place at every factorization, and comes with the
-    dense constraint rows ``_a_con``. V = [V_x, V_v, c_x] comes from the x
-    rows of K^-1, which K's symmetry makes its first n columns, and each
-    solve writes c_x = -alpha K_xx q from one triangular solve. The x-space
-    map keeps [V_v, c_x] = [V_con, V_box, c_x] alone, since V_box = (rho_b
-    / sigma) V_x, and its step feeds V_box the vector v_box + eps x, eps =
-    sigma / rho_b, whose eps x comes from the multiply by ``_fold`` = [2;
-    eps] that forms [2p; eps x] from [p; x]. M is built on V written into
-    its x rows: K's second block row gives R^-1 K_zx = A K_xx and R^-1 K_zz
-    = A K_xz - I, with R = diag(rho), so with a = alpha
+    dense constraint rows ``_a_con``, which the x-space map's step does not
+    read: there they serve only the polish. V = [V_x, V_v, c_x] comes from
+    the x rows of K^-1, which K's symmetry makes its first n columns, and
+    each solve writes c_x = -alpha K_xx q from one triangular solve. The
+    x-space map keeps [V_v, c_x] = [V_con, V_box, c_x] alone, since V_box =
+    (rho_b / sigma) V_x. Its step holds one state [w; x; alpha x~; p] and
+    makes six calls: the multiply by ``_fold`` = [eps; 0; 2], eps = sigma
+    / rho_b, forms [eps x; 0; 2p] from [x; alpha x~; p]; v = 2p - w; v_box
+    += eps x; alpha x~ = V [v; 1], written into the state; one
+    ``csr_matvec`` call adds ``_step_rows`` B = [[0, A, -alpha I_m],
+    [-alpha I_n, I_n, 0]] times [x; alpha x~; p] onto [w; x]; and the clip.
+    B is built once, by index arithmetic, entry for entry what ``sp.bmat``
+    gives. M is built on V written into its x rows: K's second block row
+    gives R^-1 K_zx = A K_xx and R^-1 K_zz = A K_xz - I, with R = diag(rho),
+    so with a = alpha
 
         x rows: [V_x + (1-a) I,  -V_v,       2 V_v,          c_x]
         w rows: [A V_x,          I - A V_v,  2 A V_v - a I,  A c_x]
@@ -360,14 +369,13 @@ class QpWorkspace:
             self._map = np.empty((big, big + m_total + 1))
         else:
             self._branch = "xspace"
-            # the step's coefficients of its stacked [p; x]
-            self._px_scale = np.concatenate([np.full(m_total, self.ALPHA),
-                                             np.full(n, 1.0 - self.ALPHA)])
             if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
                 self._map = np.empty((n, m_total + 1))
-                # the map's coefficients of [p; x], [2; eps] with eps =
-                # sigma/rho_b, rewritten at every factorization
-                self._fold = np.full(m_total + n, 2.0)
+                # the step's coefficients of [x; alpha x~; p], [eps; 0; 2]
+                # with eps = sigma/rho_b, rewritten at every factorization
+                self._fold = np.concatenate([np.empty(n), np.zeros(n),
+                                             np.full(m_total, 2.0)])
+                self._step_rows = self._assemble_step_rows()
         # the constraint rows of A, dense where a map is built from them;
         # its box rows are the identity
         self._a_con = self.a_csr[:m_eq + m_in]
@@ -402,6 +410,35 @@ class QpWorkspace:
         size = n + m_total
         return sp.csc_matrix((data, indices, indptr), shape=(size, size)), diag
 
+    def _assemble_step_rows(self):
+        """The CSR rows ``B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]]``
+        of the x-space map step's update, over [x; alpha x~; p].
+
+        Row i < m is row i of ``a_csr`` (shifted by n) with the -alpha
+        entry put last, and row m + j holds -alpha at column j and 1 at
+        column n + j, so every row's columns ascend as in the canonical
+        matrix ``sp.bmat`` assembles.
+        """
+        n, m_total, a_csr = self.n, self.m_total, self.a_csr
+        w_nnz = a_csr.nnz + m_total
+        last = a_csr.indptr[1:] + np.arange(m_total)
+        off = np.ones(w_nnz, dtype=bool)
+        off[last] = False
+        # B exists only where the map fits, so a_csr's index dtype holds it
+        indices = np.empty(w_nnz + 2 * n, dtype=a_csr.indices.dtype)
+        data = np.empty(len(indices))
+        indices[last] = 2 * n + np.arange(m_total)
+        indices[:w_nnz][off] = n + a_csr.indices
+        data[last] = -self.ALPHA
+        data[:w_nnz][off] = a_csr.data
+        x_indices, x_data = indices[w_nnz:].reshape(n, 2), data[w_nnz:].reshape(n, 2)
+        x_indices.T[:] = np.arange(n), n + np.arange(n)
+        x_data[:] = -self.ALPHA, 1.0
+        indptr = np.concatenate([a_csr.indptr + np.arange(m_total + 1),
+                                 w_nnz + np.arange(2, 2 * n + 1, 2)])
+        return sp.csr_matrix((data, indices, indptr.astype(indices.dtype)),
+                             shape=(m_total + n, m_total + 2 * n))
+
     def _refactor(self, rho_base):
         """Factor (and map) the iteration at ``rho_base``; the workspace
         takes the new penalty only once that has succeeded."""
@@ -417,7 +454,7 @@ class QpWorkspace:
             if self._branch == "dense":
                 self._build_map()
             else:
-                self._fold[self.m_total:] = self.SIGMA / rho_base
+                self._fold[:self.n] = self.SIGMA / rho_base
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
     def _build_xspace_map(self, lu):
@@ -571,50 +608,68 @@ class QpWorkspace:
 
     def _xspace_steps(self, q):
         """The x-space branch's views (x, w, p) and its ``steps(k)``."""
+        if self._map is None:
+            return self._factor_steps(q)
+        n, m_total, l, u, v_map = self.n, self.m_total, self.l, self.u, self._map
+        # one state [w; x; alpha x~; p]: the multiply by [eps; 0; 2] reads
+        # its tail [x; alpha x~; p], and the product with B over that tail
+        # adds into its head [w; x]. Row i < m of B reads alpha x~ and p_i
+        # and row m + j reads x_j and alpha x~_j alone, and the kernel
+        # stores each row's sum once, after reading its terms, so the rows
+        # of x it writes are read by no later row
+        state = np.zeros(2 * (m_total + n))
+        w, x = state[:m_total], state[m_total:m_total + n]
+        xt, p = state[m_total + n:m_total + 2 * n], state[m_total + 2 * n:]
+        head, tail = state[:m_total + n], state[m_total:]
+        # V's input [v; 1]; its box slice takes v_box + eps x
+        y = np.empty(m_total + 1)
+        y[-1] = 1.0
+        v, v_box = y[:-1], y[m_total - n:-1]
+        fold, pe = self._fold, np.empty(m_total + 2 * n)
+        eps_x, two_p = pe[:n], pe[2 * n:]
+        b = self._step_rows
+        rows, cols, indptr, indices, data = *b.shape, b.indptr, b.indices, b.data
+        matvec = _sparsetools.csr_matvec
+
+        def steps(k):
+            for _ in range(k):
+                np.multiply(tail, fold, pe)
+                np.subtract(two_p, w, v)
+                np.add(v_box, eps_x, v_box)
+                np.dot(v_map, y, out=xt)
+                # w <- w + A (alpha x~) - alpha p, x <- x - alpha x + alpha x~
+                matvec(rows, cols, indptr, indices, data, tail, head)
+                _clip(w, l, u, p)
+
+        return x, w, p, steps
+
+    def _factor_steps(self, q):
+        """The views (x, w, p) and ``steps(k)`` of the x-space branch
+        without a map, which solves with the sparse factor."""
         n, m_total, alpha, sigma = self.n, self.m_total, self.ALPHA, self.SIGMA
-        l, u, v_map, px_scale = self.l, self.u, self._map, self._px_scale
-        # one buffer [p; x; v; 1]: one multiply by [alpha 1; (1 - alpha) 1]
-        # scales its head [p; x], and its tail y = [v; 1] is V's input
-        buf = np.empty(2 * m_total + n + 1)
-        buf[-1] = 1.0
-        p, x, v = buf[:m_total], buf[m_total:m_total + n], buf[m_total + n:-1]
-        px, y = buf[:m_total + n], buf[m_total + n:]
+        l, u = self.l, self.u
+        # one buffer [p; x]: one multiply by [alpha 1; (1 - alpha) 1] scales
+        # it, and the factor's right-hand side [sigma x - q; v] holds v
+        px = np.empty(m_total + n)
+        p, x = px[:m_total], px[m_total:]
+        px_scale = np.concatenate([np.full(m_total, alpha),
+                                   np.full(n, 1.0 - alpha)])
         w = np.empty(m_total)
-        if v_map is None:
-            # the factor's right-hand side [sigma x - q; v] holds v instead
-            rhs = np.empty(n + m_total)
-            r, v = rhs[:n], rhs[n:]
-        else:
-            # zt_v holds alpha z~ = A (alpha x~), and the box rows of A are
-            # the identity and sit last, so the product with V writes alpha
-            # x~ straight into zt_v's box slice. V takes eps x in its box
-            # slice of v, and one multiply by [2; eps] forms [2p; eps x]
-            a_con, fold = self._a_con, self._fold
-            zt_v = np.empty(m_total)
-            zt_con, xt_v = zt_v[:m_total - n], zt_v[m_total - n:]
-            pe = np.empty(m_total + n)
-            two_p, eps_x, v_box = pe[:m_total], pe[m_total:], v[m_total - n:]
+        rhs = np.empty(n + m_total)
+        r, v = rhs[:n], rhs[n:]
 
         def steps(k):
             rho, lu = self.rho, self._lu
             for _ in range(k):
-                if v_map is None:
-                    np.multiply(p, 2.0, v)
-                    np.subtract(v, w, v)
-                    np.multiply(x, sigma, r)
-                    np.subtract(r, q, r)
-                    step = lu.solve(rhs)
-                    xt, zt = step[:n], step[n:]
-                    np.divide(zt, rho, zt)
-                    np.add(v, zt, zt)
-                    np.multiply(step, alpha, step)
-                else:
-                    np.multiply(px, fold, pe)
-                    np.subtract(two_p, w, v)
-                    np.add(v_box, eps_x, v_box)
-                    xt, zt = xt_v, zt_v
-                    np.dot(v_map, y, out=xt)
-                    np.dot(a_con, xt, out=zt_con)
+                np.multiply(p, 2.0, v)
+                np.subtract(v, w, v)
+                np.multiply(x, sigma, r)
+                np.subtract(r, q, r)
+                step = lu.solve(rhs)
+                xt, zt = step[:n], step[n:]
+                np.divide(zt, rho, zt)
+                np.add(v, zt, zt)
+                np.multiply(step, alpha, step)
                 # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha
                 # x~; p is free until the clip rewrites it
                 np.multiply(px, px_scale, px)

@@ -600,19 +600,47 @@ class ReferenceQpWorkspace(PlainResidualsMixin, QpWorkspace):
         return x_p, z_p, lam_p
 
 
+def added_onto(start, a, x):
+    """``start + a @ x`` for a CSR matrix ``a``, each row's terms a_ij x_j
+    added onto its start one at a time in stored order: what scipy's
+    ``csr_matvec`` kernel writes into an output that holds ``start``. A
+    short row is padded with -0.0, which changes no bit of what it is
+    added to."""
+    counts = np.diff(a.indptr)
+    rows = np.repeat(np.arange(a.shape[0]), counts)
+    terms = np.full((a.shape[0], counts.max(initial=0)), -0.0)
+    terms[rows, np.arange(a.nnz) - a.indptr[rows]] = a.data * x[a.indices]
+    out = start.copy()
+    for column in terms.T:
+        out = out + column
+    return out
+
+
+def step_rows_reference(ws):
+    """The x-space map step's rows B = [[0, A, -alpha I_m], [-alpha I_n,
+    I_n, 0]] as ``sp.bmat`` assembles them, indices sorted."""
+    n, m_total, alpha = ws.n, ws.m_total, ws.ALPHA
+    b = sp.bmat([[None, ws.a_csr, -alpha * sp.identity(m_total)],
+                 [-alpha * sp.identity(n), sp.identity(n), None]], format="csr")
+    b.sort_indices()
+    return b
+
+
 class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
     """QpWorkspace's inner loop around its x-space step, written as plain
     expressions.
 
     One fresh array per operation, ``np.dot`` for each product with the
     folded map V = [V_con, V_box, c] on [v_con; v_box + eps x; 1], eps =
-    sigma/rho_b, one solve with the factor of the ``sp.bmat`` iteration
-    matrix (as ReferenceQpWorkspace factors it) where there is no map, and
-    ``np.clip`` for the clip, in the operands and order of the x-space
-    step. The start comes before the loop and the re-base after the check
-    that adapts rho. ReferenceQpWorkspace runs the (z, lam) iteration, which
-    the x-space step matches only up to rounding; this is the bit-for-bit
-    reference of the loop on the x-space step.
+    sigma/rho_b, then w + A (alpha x~) - alpha p with A's terms added onto w
+    row by row (``added_onto``, as the step's one kernel call adds them)
+    and x - alpha x + alpha x~; one solve with the factor of the ``sp.bmat``
+    iteration matrix (as ReferenceQpWorkspace factors it) where there is no
+    map, and ``np.clip`` for the clip, in the operands and order of the
+    x-space step. The start comes before the loop and the re-base after
+    the check that adapts rho. ReferenceQpWorkspace runs the (z, lam)
+    iteration, which the x-space step matches only up to rounding; this is
+    the bit-for-bit reference of the loop on the x-space step.
     """
 
     def _refactor(self, rho_base):
@@ -626,6 +654,11 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
         eps = self.SIGMA / self._rho_base
         y = np.concatenate([v[:m_con], v[m_con:] + eps * x, [1.0]])
         return np.dot(self._map, y)
+
+    def _map_update(self, x, w, p, xt):
+        """The new (w, x) from alpha x~ on the map's step."""
+        alpha = self.ALPHA
+        return added_onto(w, self.a_csr, xt) + -alpha * p, x + -alpha * x + xt
 
     def _iterate(self, q, x0, z0, lam, tol, max_iters):
         n, alpha, beta = self.n, self.ALPHA, 1.0 - self.ALPHA
@@ -642,11 +675,10 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
                 sol = self._lu.solve(np.concatenate([self.SIGMA * x - q, v]))
                 xt = alpha * sol[:n]
                 zt = alpha * (v + sol[n:] / rho)
+                w = w - alpha * p + zt
+                x = beta * x + xt
             else:
-                xt = self._map_step(x, v)
-                zt = np.concatenate([np.dot(self._a_con, xt), xt])
-            w = w - alpha * p + zt
-            x = beta * x + xt
+                w, x = self._map_update(x, w, p, self._map_step(x, v))
             p = np.clip(w, l, u)
             if it % self.CHECK_EVERY == 0 or it == max_iters:
                 lam = rho * (w - p)
@@ -660,6 +692,20 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
                     if v_map is not None:
                         self._set_map_offset(q)
         return x, p, lam, "max-iters", max_iters
+
+
+class UnfusedXspaceWorkspace(ReferenceXspaceWorkspace):
+    """ReferenceXspaceWorkspace with the map's update taken apart: alpha z~
+    = [A_con (alpha x~); alpha x~] from one product with the dense
+    constraint rows, then w - alpha p + alpha z~ and (1 - alpha) x + alpha
+    x~. The fused update adds A's terms onto w and takes -alpha p last, so
+    its iterates match these only up to rounding: this is the slow-path
+    reference of the map step's solutions."""
+
+    def _map_update(self, x, w, p, xt):
+        alpha = self.ALPHA
+        zt = np.concatenate([np.dot(self._a_con, xt), xt])
+        return w - alpha * p + zt, (1.0 - alpha) * x + xt
 
 
 class UnfoldedXspaceWorkspace(ReferenceXspaceWorkspace):

@@ -30,6 +30,8 @@ from helpers import (
     ReferenceQpWorkspace,
     ReferenceXspaceWorkspace,
     UnfoldedXspaceWorkspace,
+    UnfusedXspaceWorkspace,
+    added_onto,
     assert_same_csc,
     dense_map_reference,
     iteration_kkt_reference,
@@ -37,6 +39,7 @@ from helpers import (
     projected_gradient_qp,
     random_feasible_qp,
     step_operator,
+    step_rows_reference,
     superlu_polish_solver,
     workspace_structures_reference,
 )
@@ -1004,8 +1007,8 @@ def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch,
                                reference=ReferenceXspaceWorkspace):
     # every subproblem of 12 central steps, solved by the x-space loop and
     # by its plain-expression reference, bit for bit; these runs warm-start,
-    # adapt rho and both keep and reject polishes. The unfolded reference
-    # rounds differently, so its solutions agree only within tol
+    # adapt rho and both keep and reject polishes. The unfolded and unfused
+    # references round differently, so their solutions agree only within tol
     solves = []
 
     class Twin(QpWorkspace):
@@ -1017,7 +1020,7 @@ def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch,
         def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
             sol = super().solve(q, tol=tol, max_iters=max_iters, warm=warm)
             ref = self.ref.solve(q, tol=tol, max_iters=max_iters, warm=warm)
-            if reference is UnfoldedXspaceWorkspace:
+            if reference in (UnfoldedXspaceWorkspace, UnfusedXspaceWorkspace):
                 assert sol.status == ref.status == "solved"
                 assert float(np.max(np.abs(sol.v - ref.v))) <= tol
             else:
@@ -1047,6 +1050,57 @@ def test_xspace_loop_agrees_with_its_unfolded_step_on_n10_cells(seed, rho, monke
                                reference=UnfoldedXspaceWorkspace)
 
 
+@pytest.mark.parametrize("seed, rho", [(0, 0.1), (5, 1.0), (1, 10.0)])
+def test_xspace_loop_agrees_with_its_unfused_step_on_n10_cells(seed, rho, monkeypatch):
+    # the update from one product with the dense constraint rows and
+    # separate adds is the slow path the fused kernel call replaced
+    assert_plain_step_on_cells(10, 2, seed, rho, "xspace", monkeypatch,
+                               reference=UnfusedXspaceWorkspace)
+
+
+def n10_cell_workspace(seed, rho=1.0):
+    inst = random_instance(10, 0.5, seed=seed, n_commodities=2)
+    q = np.random.default_rng(seed).normal(size=inst.dim_total)
+    ws = QpWorkspace(relaxed_qp(inst, rho, q))
+    assert step_operator(ws) == "xspace"
+    return ws
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_kernel_adds_onto_its_output_in_place(seed):
+    # the map step's one kernel call reads the tail [x; alpha x~; p] of its
+    # state and adds B times it into the head [w; x]: scipy's csr_matvec
+    # must add each row's terms onto the output in stored order and store
+    # each row once, so that the overlap at x reads what a copy would
+    ws = n10_cell_workspace(seed)
+    n, m_total = ws.n, ws.m_total
+    b = ws._step_rows
+    state = np.random.default_rng(seed).normal(size=2 * (m_total + n))
+    state[::7] = 0.0
+    state[3::11] = -0.0
+    head, tail = state[:m_total + n].copy(), state[m_total:].copy()
+    in_place = state.copy()
+    qp_module._sparsetools.csr_matvec(*b.shape, b.indptr, b.indices, b.data,
+                                      in_place[m_total:], in_place[:m_total + n])
+    copied = head.copy()
+    qp_module._sparsetools.csr_matvec(*b.shape, b.indptr, b.indices, b.data,
+                                      tail, copied)
+    assert in_place[:m_total + n].tobytes() == copied.tobytes()
+    assert copied.tobytes() == added_onto(head, b, tail).tobytes()
+    # the tail past x is only read
+    assert in_place[m_total + n:].tobytes() == state[m_total + n:].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_rows_equal_the_sparse_assembly(seed):
+    # B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]] is built by index
+    # arithmetic, entry for entry and in index order what sp.bmat gives,
+    # on the n=10 cells and on small forced x-space structures
+    qp, _ = random_feasible_qp(np.random.default_rng(seed))
+    for ws in (n10_cell_workspace(seed), xspace_workspace(qp)):
+        assert_same_csc(ws._step_rows, step_rows_reference(ws))
+
+
 @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
 def test_folded_map_box_columns_are_its_x_columns(rho):
     # the box rows of A are the identity: eliminating them leaves one
@@ -1068,7 +1122,7 @@ def test_folded_map_box_columns_are_its_x_columns(rho):
             v_x = ws.ALPHA * ws.SIGMA * ws._lu.solve(np.eye(n + m_total, n))[:n]
             v_box = ws._map[:, m_total - n:m_total]
             eps = ws.SIGMA / ws._rho_base
-            assert np.array_equal(ws._fold, np.repeat([2.0, eps], [m_total, n]))
+            assert np.array_equal(ws._fold, np.repeat([eps, 0.0, 2.0], [n, n, m_total]))
             gap = float(np.max(np.abs(v_x - eps * v_box)))
             assert gap <= 1e-12 * float(np.max(np.abs(v_x))), (seed, bases, gap)
         # the second solve adapted rho at least once
