@@ -15,53 +15,44 @@ or reject the polished point are the ones reported. The iteration's KKT
 matrix is symmetric quasi-definite, so SuperLU factors it under a symmetric
 fill-reducing ordering without pivoting. The polish eliminates the active
 box rows exactly and factors the Schur complement of the active constraint
-rows, which is positive definite: densely with one Cholesky factor where a
+rows, which is positive definite: densely with one Cholesky factor where the
 map below holds the constraint rows dense, and sparsely with SuperLU, again
-without pivoting, for structures too large for either map.
+without pivoting, for structures too large for the map.
 
-Each solve runs one inner loop on one of two steps, chosen by size. With
-rho fixed, the iteration is an affine map followed by a clip. Put w = z_pre
-+ lam/rho, the point the clip projects, and p = clip(w, l, u), the new z;
-the multiplier update lam + rho (z_pre - p) is then exactly rho (w - p), so
-lam/rho = w - p at every step, and the KKT step solves
+Each solve runs one inner loop on one step. With rho fixed, the iteration
+is an affine map followed by a clip. Put w = z_pre + lam/rho, the point the
+clip projects, and p = clip(w, l, u), the new z; the multiplier update lam +
+rho (z_pre - p) is then exactly rho (w - p), so lam/rho = w - p at every
+step, and the KKT step solves
 
     K [x~; nu] = [sigma x - q; v],   v = 2p - w,   z~ = v + nu/rho
 
     x rows:    x <- (1 - alpha) x + alpha x~
     w rows:    w <- w - alpha p + alpha z~
 
-then p <- clip(w, l, u). Every update is linear in [x; w; p] plus a
-constant, so one step on the state [x; w; p; 1] is [x; w] <- M [x; w; p; 1]
-followed by the clip. By K's second block row z~ = A x~, so the step's x
-part is an affine map of rank n,
-
-    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q],
-
-built from the x rows of K^-1, and M is V composed with [I; A]: its x rows
-are V's plus (1 - alpha) x, its w rows A times V's plus w - alpha p. For a
-KKT system of size N = n + m whose map M has at most 2^16 entries, the
-dense branch builds V and then M once per factorization, and a step is one
-matrix-vector product and one clip: at that size a product is cheaper than
-the fixed cost of one sparse triangular solve.
-
-Past that size the x-space branch keeps the state (x, w, p) and takes alpha
-x~ on its own. Structures whose n x (N + 1) map V has at most 2^16
-entries, as nearly every n=10 relaxed subproblem with two commodities
-does, take it from one product with V folded. The box rows of A are the
-identity and have penalty rho_b, so eliminating them shows V's box-row
-columns V_box = alpha K_x,box to be (rho_b / sigma) V_x exactly, and with
-eps = sigma / rho_b
-
-    V [x; v; 1] = [V_con, V_box, c_x] [v_con; v_box + eps x; 1],
-
-an n x (m + 1) map. Since alpha z~ = A (alpha x~), the rest of the step is
-one sparse product added onto [w; x]:
+then p <- clip(w, l, u). By K's second block row z~ = A x~, so the step
+needs alpha x~ alone, and the rest of it is one sparse product added onto
+[w; x]:
 
     [w; x] += B [x; alpha x~; p],  B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]].
 
-Larger structures take alpha [x~; z~] from one triangular solve with the
-cached sparse factor and one multiply. The operators are exact algebra on
-the same step, so their iterates differ only in rounding.
+Every workspace holds one state [w; x; alpha x~; p] and takes this one
+update; the structures differ only in how alpha x~ is formed. With N = n +
+m, a structure whose map V has n (N + 1) entries at most 2^16, as the n=8
+and n=10 relaxed subproblems do, takes it from one product with V. V is the
+affine map of rank n
+
+    alpha x~ = V [x; v; 1],  V = alpha [sigma K_xx, K_xz, -K_xx q],
+
+built from the x rows of K^-1. The box rows of A are the identity and have
+penalty rho_b, so eliminating them shows V's box-row columns V_box = alpha
+K_x,box to be (rho_b / sigma) V_x exactly, and with eps = sigma / rho_b
+
+    V [x; v; 1] = [V_con, V_box, c_x] [v_con; v_box + eps x; 1],
+
+an n x (m + 1) map. Larger structures solve K once with the cached sparse
+factor and scale its x part by alpha. The two are exact algebra on the same
+step, so their iterates differ only in rounding.
 
 Constraint rows are normalized to unit infinity-norm before iterating; all
 reported residuals refer to the original, unscaled data. Everything here is
@@ -268,37 +259,30 @@ class QpWorkspace:
     polish (``_schur_solver``) solves the regularized system on the active
     rows through the k x k Schur complement of its k active constraint
     rows: one LAPACK Cholesky factor where the workspace holds those rows
-    dense, and :func:`factor_kkt` on the sparse complement on the factor
-    branch (``_map`` None).
+    dense, and :func:`factor_kkt` on the sparse complement where it has no
+    map (``_map`` None).
 
-    The step (``_branch``) is chosen once, by size. With N = n + m
-    (m counts the box rows too), a structure with N (N + m + 1) <=
-    ``DENSE_MAX_ENTRIES`` steps with the iteration map ``M`` of shape
-    (N, N + m + 1); every other one takes the x-space step with the folded
-    map ``V`` of shape (n, m + 1) when n (N + 1) <= ``XSPACE_MAX_ENTRIES``,
-    and otherwise with the sparse factor (``_map`` is None). Either map is
-    ``_map``, rebuilt in place at every factorization, and comes with the
-    dense constraint rows ``_a_con``, which the x-space map's step does not
-    read: there they serve only the polish. V = [V_x, V_v, c_x] comes from
-    the x rows of K^-1, which K's symmetry makes its first n columns, and
-    each solve writes c_x = -alpha K_xx q from one triangular solve. The
-    x-space map keeps [V_v, c_x] = [V_con, V_box, c_x] alone, since V_box =
-    (rho_b / sigma) V_x. Its step holds one state [w; x; alpha x~; p] and
-    makes six calls: the multiply by ``_fold`` = [eps; 0; 2], eps = sigma
-    / rho_b, forms [eps x; 0; 2p] from [x; alpha x~; p]; v = 2p - w; v_box
-    += eps x; alpha x~ = V [v; 1], written into the state; one
-    ``csr_matvec`` call adds ``_step_rows`` B = [[0, A, -alpha I_m],
-    [-alpha I_n, I_n, 0]] times [x; alpha x~; p] onto [w; x]; and the clip.
-    B is built once, by index arithmetic, entry for entry what ``sp.bmat``
-    gives. M is built on V written into its x rows: K's second block row
-    gives R^-1 K_zx = A K_xx and R^-1 K_zz = A K_xz - I, with R = diag(rho),
-    so with a = alpha
-
-        x rows: [V_x + (1-a) I,  -V_v,       2 V_v,          c_x]
-        w rows: [A V_x,          I - A V_v,  2 A V_v - a I,  A c_x]
+    Every structure steps on one state [w; x; alpha x~; p] and ends each
+    step with one ``csr_matvec`` call, which adds ``_step_rows`` B = [[0,
+    A, -alpha I_m], [-alpha I_n, I_n, 0]] times [x; alpha x~; p] onto [w;
+    x], and the clip. B is built once, by index arithmetic, entry for entry
+    what ``sp.bmat`` gives. How alpha x~ is formed is chosen once, by size.
+    With N = n + m (m counts the box rows too), a structure with n (N + 1)
+    <= ``XSPACE_MAX_ENTRIES`` holds the folded map ``_map`` V = [V_con,
+    V_box, c_x] of shape (n, m + 1), rebuilt in place at every
+    factorization, and the dense constraint rows ``_a_con``, which serve
+    only the polish. V comes from the x rows of K^-1, which K's symmetry
+    makes its first n columns, and each solve writes c_x = -alpha K_xx q
+    from one triangular solve. Its step makes six calls: the multiply by
+    ``_fold`` = [eps; 0; 2], eps = sigma / rho_b, forms [eps x; 0; 2p] from
+    [x; alpha x~; p]; v = 2p - w; v_box += eps x; alpha x~ = V [v; 1],
+    written into the state; the update; and the clip. Every other structure
+    (``_map`` None) forms v = 2p - w and sigma x - q, solves K with the
+    sparse factor, and writes alpha times the solution's x part into the
+    state.
 
     One loop, :meth:`_iterate`, stops, checks residuals, detects
-    infeasibility and adapts rho; each branch's ``_*_steps`` only steps.
+    infeasibility and adapts rho; :meth:`_steps` only steps.
     """
 
     SIGMA = 1e-6
@@ -308,12 +292,9 @@ class QpWorkspace:
     CHECK_EVERY = 25
     RHO_MIN, RHO_MAX = 1e-6, 1e3
     POLISH_DELTA = 1e-9
-    # a product with M and a sparse triangular solve cost about the same
-    # per iteration near 1e5 map entries (measured on n=10 relaxed
-    # subproblems), and the x-space step with V and with the factor from
-    # about 75k to 130k (n=10 to 16); below 2^16 either product is clearly
-    # the cheaper
-    DENSE_MAX_ENTRIES = 2**16
+    # the step with V and with the sparse factor cost about the same from
+    # about 75k to 130k map entries (n=10 to 16 relaxed subproblems); below
+    # 2^16 the product with V is clearly the cheaper
     XSPACE_MAX_ENTRIES = 2**16
     _MAP_BLOCK = 32
 
@@ -363,21 +344,16 @@ class QpWorkspace:
         self._atl, self._grad = np.empty((2, n))
         self._slack = np.empty(len(self._report_rhs))
         self._sign = np.empty(m_in)
-        big = n + m_total
-        self._branch, self._map = "dense", None
-        if big * (big + m_total + 1) <= self.DENSE_MAX_ENTRIES:
-            self._map = np.empty((big, big + m_total + 1))
-        else:
-            self._branch = "xspace"
-            if n * (big + 1) <= self.XSPACE_MAX_ENTRIES:
-                self._map = np.empty((n, m_total + 1))
-                # the step's coefficients of [x; alpha x~; p], [eps; 0; 2]
-                # with eps = sigma/rho_b, rewritten at every factorization
-                self._fold = np.concatenate([np.empty(n), np.zeros(n),
-                                             np.full(m_total, 2.0)])
-                self._step_rows = self._assemble_step_rows()
-        # the constraint rows of A, dense where a map is built from them;
-        # its box rows are the identity
+        self._step_rows = self._assemble_step_rows()
+        self._map = None
+        if n * (n + m_total + 1) <= self.XSPACE_MAX_ENTRIES:
+            self._map = np.empty((n, m_total + 1))
+            # the map step's coefficients of [x; alpha x~; p], [eps; 0; 2]
+            # with eps = sigma/rho_b, rewritten at every factorization
+            self._fold = np.concatenate([np.empty(n), np.zeros(n),
+                                         np.full(m_total, 2.0)])
+        # the constraint rows of A, dense where the map is built; its box
+        # rows are the identity
         self._a_con = self.a_csr[:m_eq + m_in]
         if self._map is not None:
             self._a_con = self._a_con.toarray()
@@ -412,7 +388,7 @@ class QpWorkspace:
 
     def _assemble_step_rows(self):
         """The CSR rows ``B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]]``
-        of the x-space map step's update, over [x; alpha x~; p].
+        of the step's update, over [x; alpha x~; p].
 
         Row i < m is row i of ``a_csr`` (shifted by n) with the -alpha
         entry put last, and row m + j holds -alpha at column j and 1 at
@@ -424,8 +400,11 @@ class QpWorkspace:
         last = a_csr.indptr[1:] + np.arange(m_total)
         off = np.ones(w_nnz, dtype=bool)
         off[last] = False
-        # B exists only where the map fits, so a_csr's index dtype holds it
-        indices = np.empty(w_nnz + 2 * n, dtype=a_csr.indices.dtype)
+        # B has more columns and entries than A, so a_csr's index dtype need
+        # not hold its indices: they start as int64, as the template's do,
+        # and the constructor stores them as int32 where they fit, as
+        # sp.bmat does
+        indices = np.empty(w_nnz + 2 * n, dtype=np.int64)
         data = np.empty(len(indices))
         indices[last] = 2 * n + np.arange(m_total)
         indices[:w_nnz][off] = n + a_csr.indices
@@ -436,7 +415,7 @@ class QpWorkspace:
         x_data[:] = -self.ALPHA, 1.0
         indptr = np.concatenate([a_csr.indptr + np.arange(m_total + 1),
                                  w_nnz + np.arange(2, 2 * n + 1, 2)])
-        return sp.csr_matrix((data, indices, indptr.astype(indices.dtype)),
+        return sp.csr_matrix((data, indices, indptr),
                              shape=(m_total + n, m_total + 2 * n))
 
     def _refactor(self, rho_base):
@@ -451,18 +430,12 @@ class QpWorkspace:
         lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
         if self._map is not None:
             self._build_xspace_map(lu)
-            if self._branch == "dense":
-                self._build_map()
-            else:
-                self._fold[:self.n] = self.SIGMA / rho_base
+            self._fold[:self.n] = self.SIGMA / rho_base
         self._rho_base, self.rho, self._lu = rho_base, rho, lu
 
     def _build_xspace_map(self, lu):
-        """Write V but its last column, in place, into the map's x rows:
-        [V_x, V_v] for the dense map, V_v alone for the x-space map."""
+        """Write every column of V but the last, in place."""
         n, big = self.n, self.n + self.m_total
-        m_map = self._map
-        first = n if self._branch == "xspace" else 0
         # the first n columns of K^-1, 32 at a time: given a hundred or more
         # right-hand sides at once, SuperLU calls threaded BLAS-3, which at
         # these sizes is about 30 times slower and leaves a BLAS thread
@@ -470,40 +443,14 @@ class QpWorkspace:
         # are the x rows of K^-1
         for j in range(0, n, self._MAP_BLOCK):
             k = min(j + self._MAP_BLOCK, n)
-            np.multiply(lu.solve(np.eye(big, k - j, -j))[first:].T, self.ALPHA,
-                        out=m_map[j:k, :big - first])
-        if not first:
-            np.multiply(m_map[:n, :n], self.SIGMA, out=m_map[:n, :n])
-
-    def _build_map(self):
-        """Write every column of the dense map but the last, in place, from
-        V in its x rows."""
-        n, m_total, alpha = self.n, self.m_total, self.ALPHA
-        big, m_map = n + m_total, self._map
-        v = m_map[:n, :big]
-        # the w rows start as A V: the constraint rows' product in rows n to
-        # m_total (n + m_eq + m_in = m_total), then the box rows, which copy V
-        m_map[n:m_total, :big] = self._a_con @ v
-        m_map[m_total:, :big] = v
-        w_cols, p_cols = m_map[:, n:big], m_map[:, big:-1]
-        np.multiply(w_cols, 2.0, out=p_cols)
-        np.negative(w_cols, out=w_cols)
-        x_rows, w_rows = np.arange(n), np.arange(n, big)
-        m_map[x_rows, x_rows] += 1.0 - alpha
-        m_map[w_rows, w_rows] += 1.0
-        m_map[w_rows, w_rows + m_total] -= alpha
+            np.multiply(lu.solve(np.eye(big, k - j, -j))[n:].T, self.ALPHA,
+                        out=self._map[j:k, :-1])
 
     def _set_map_offset(self, q):
-        """Write the map's last column: c_x = -alpha K_xx q, and for the
-        dense map A c_x below it."""
-        n, m_total = self.n, self.m_total
-        rhs = np.zeros(n + m_total)
-        np.negative(q, out=rhs[:n])
-        c = self._map[:, -1]
-        np.multiply(self._lu.solve(rhs)[:n], self.ALPHA, out=c[:n])
-        if self._branch == "dense":
-            c[n:m_total] = self._a_con @ c[:n]
-            c[m_total:] = c[:n]
+        """Write V's last column, c_x = -alpha K_xx q."""
+        rhs = np.zeros(self.n + self.m_total)
+        np.negative(q, out=rhs[:self.n])
+        np.multiply(self._lu.solve(rhs)[:self.n], self.ALPHA, out=self._map[:, -1])
 
     # -- main iteration ----------------------------------------------------
 
@@ -561,9 +508,9 @@ class QpWorkspace:
         return x, _fitted("z", warm.z, m_total), _fitted("lam", warm.lam, m_total)
 
     def _iterate(self, q, x0, z0, lam, tol, max_iters):
-        """The stop policy around the branch's steps. Returns fresh (x, z,
-        lam), never views into the state, then the status and count."""
-        x, w, p, steps = getattr(self, f"_{self._branch}_steps")(q)
+        """The stop policy around the steps. Returns fresh (x, z, lam),
+        never views into the state, then the status and count."""
+        x, w, p, steps = self._steps(q)
         x[:], p[:], lam = x0, z0, lam.copy()
         rho, it, window, lam_snapshot = None, 0, [], lam
         while it < max_iters:
@@ -584,52 +531,46 @@ class QpWorkspace:
             lam_snapshot = lam
         return x.copy(), p.copy(), lam, "max-iters", it
 
-    def _dense_steps(self, q):
-        """The dense branch's views (x, w, p) and its ``steps(k)``."""
-        n, big = self.n, self.n + self.m_total
-        l, u, m_map = self.l, self.u, self._map
-        # two states [x; w; p; 1]: a step writes the other state's [x; w]
-        # with one product and clips its w into its p, then they swap. The
-        # views are state 0's, so an odd count copies state 1 back
-        states = np.empty((2, big + self.m_total + 1))
-        states[:, -1] = 1.0
-        views = [(st, st[:big], st[n:big], st[big:-1]) for st in states]
-
-        def steps(k):
-            cur, nxt = views
-            for _ in range(k):
-                np.dot(m_map, cur[0], out=nxt[1])
-                _clip(nxt[2], l, u, nxt[3])
-                cur, nxt = nxt, cur
-            if k % 2:
-                states[0] = states[1]
-
-        return states[0, :n], views[0][2], views[0][3], steps
-
-    def _xspace_steps(self, q):
-        """The x-space branch's views (x, w, p) and its ``steps(k)``."""
-        if self._map is None:
-            return self._factor_steps(q)
+    def _steps(self, q):
+        """The views (x, w, p) into the one state and its ``steps(k)``."""
         n, m_total, l, u, v_map = self.n, self.m_total, self.l, self.u, self._map
-        # one state [w; x; alpha x~; p]: the multiply by [eps; 0; 2] reads
-        # its tail [x; alpha x~; p], and the product with B over that tail
-        # adds into its head [w; x]. Row i < m of B reads alpha x~ and p_i
-        # and row m + j reads x_j and alpha x~_j alone, and the kernel
-        # stores each row's sum once, after reading its terms, so the rows
-        # of x it writes are read by no later row
+        # one state [w; x; alpha x~; p]: a step writes alpha x~ into it, and
+        # the product with B over its tail [x; alpha x~; p] adds into its
+        # head [w; x]. Row i < m of B reads alpha x~ and p_i and row m + j
+        # reads x_j and alpha x~_j alone, and the kernel stores each row's
+        # sum once, after reading its terms, so the rows of x it writes are
+        # read by no later row
         state = np.zeros(2 * (m_total + n))
         w, x = state[:m_total], state[m_total:m_total + n]
         xt, p = state[m_total + n:m_total + 2 * n], state[m_total + 2 * n:]
         head, tail = state[:m_total + n], state[m_total:]
+        b = self._step_rows
+        rows, cols, indptr, indices, data = *b.shape, b.indptr, b.indices, b.data
+        matvec = _sparsetools.csr_matvec
+        if v_map is None:
+            # the factor's right-hand side [sigma x - q; v]
+            rhs = np.empty(n + m_total)
+            r, v = rhs[:n], rhs[n:]
+            alpha, sigma = self.ALPHA, self.SIGMA
+
+            def steps(k):
+                solve = self._lu.solve
+                for _ in range(k):
+                    np.multiply(p, 2.0, v)
+                    np.subtract(v, w, v)
+                    np.multiply(x, sigma, r)
+                    np.subtract(r, q, r)
+                    np.multiply(solve(rhs)[:n], alpha, xt)
+                    matvec(rows, cols, indptr, indices, data, tail, head)
+                    _clip(w, l, u, p)
+
+            return x, w, p, steps
         # V's input [v; 1]; its box slice takes v_box + eps x
         y = np.empty(m_total + 1)
         y[-1] = 1.0
         v, v_box = y[:-1], y[m_total - n:-1]
         fold, pe = self._fold, np.empty(m_total + 2 * n)
         eps_x, two_p = pe[:n], pe[2 * n:]
-        b = self._step_rows
-        rows, cols, indptr, indices, data = *b.shape, b.indptr, b.indices, b.data
-        matvec = _sparsetools.csr_matvec
 
         def steps(k):
             for _ in range(k):
@@ -639,43 +580,6 @@ class QpWorkspace:
                 np.dot(v_map, y, out=xt)
                 # w <- w + A (alpha x~) - alpha p, x <- x - alpha x + alpha x~
                 matvec(rows, cols, indptr, indices, data, tail, head)
-                _clip(w, l, u, p)
-
-        return x, w, p, steps
-
-    def _factor_steps(self, q):
-        """The views (x, w, p) and ``steps(k)`` of the x-space branch
-        without a map, which solves with the sparse factor."""
-        n, m_total, alpha, sigma = self.n, self.m_total, self.ALPHA, self.SIGMA
-        l, u = self.l, self.u
-        # one buffer [p; x]: one multiply by [alpha 1; (1 - alpha) 1] scales
-        # it, and the factor's right-hand side [sigma x - q; v] holds v
-        px = np.empty(m_total + n)
-        p, x = px[:m_total], px[m_total:]
-        px_scale = np.concatenate([np.full(m_total, alpha),
-                                   np.full(n, 1.0 - alpha)])
-        w = np.empty(m_total)
-        rhs = np.empty(n + m_total)
-        r, v = rhs[:n], rhs[n:]
-
-        def steps(k):
-            rho, lu = self.rho, self._lu
-            for _ in range(k):
-                np.multiply(p, 2.0, v)
-                np.subtract(v, w, v)
-                np.multiply(x, sigma, r)
-                np.subtract(r, q, r)
-                step = lu.solve(rhs)
-                xt, zt = step[:n], step[n:]
-                np.divide(zt, rho, zt)
-                np.add(v, zt, zt)
-                np.multiply(step, alpha, step)
-                # w <- w - alpha p + alpha z~ and x <- (1 - alpha) x + alpha
-                # x~; p is free until the clip rewrites it
-                np.multiply(px, px_scale, px)
-                np.subtract(w, p, w)
-                np.add(w, zt, w)
-                np.add(x, xt, x)
                 _clip(w, l, u, p)
 
         return x, w, p, steps
@@ -803,9 +707,10 @@ class QpWorkspace:
         right-hand side r_b/delta, giving D~. What is left is S nu_C =
         A_C D~^-1 r~ - r_C with S = A_C D~^-1 A_C' + delta I over the k
         active constraint rows, which is positive definite. A workspace
-        with a map holds the constraint rows dense and factors S with one
-        LAPACK Cholesky; the factor branch (``_map`` None) holds them sparse
-        and factors a sparse S with :func:`factor_kkt`, whose pivots are
+        with the map V holds the constraint rows dense and factors S with
+        one LAPACK Cholesky; one that solves with the sparse factor (``_map``
+        None) holds them sparse and factors a sparse S with
+        :func:`factor_kkt`, whose pivots are
         then a Cholesky's squared diagonal, so an exactly singular S or a
         pivot that is not positive stands for LAPACK's ``info``. The box
         multipliers come from their variables' stationarity rows, not from

@@ -267,28 +267,18 @@ def iteration_kkt_reference(ws, rho):
     )
 
 
-def dense_map_reference(ws, q):
-    """The dense iteration map M of ``ws`` at its penalty, offset ``q``
-    included, formed from the inverse KKT matrix as a whole.
-
-    M[:, :N] starts as diag([alpha; alpha / rho]) K^-1, from N unit columns
+def map_reference(ws, q):
+    """The folded map V = alpha [K_xz, -K_xx q] of ``ws`` at its penalty,
+    read off the x rows of the inverse KKT matrix as a whole: its N columns
     solved 32 at a time with the factor of the ``sp.bmat`` iteration
-    matrix; its last column is -alpha [K_xx q; R^-1 K_zx q], the same row
-    scale times K^-1 [-q; 0].
-    """
-    n, m_total, alpha = ws.n, ws.m_total, ws.ALPHA
+    matrix, and K^-1 [-q; 0] for the offset."""
+    n, m_total = ws.n, ws.m_total
     big = n + m_total
     lu = factor_kkt(iteration_kkt_reference(ws, ws.rho))
     k_inv = np.hstack([lu.solve(np.eye(big, min(32, big - j), -j))
                        for j in range(0, big, 32)])
-    scale = np.concatenate([np.full(n, alpha), alpha / ws.rho])[:, None]
-    k_inv = scale * k_inv
-    m_ref = np.hstack([ws.SIGMA * k_inv[:, :n], -k_inv[:, n:], 2.0 * k_inv[:, n:],
-                       scale * lu.solve(np.concatenate([-q, np.zeros(m_total)]))[:, None]])
-    diag = np.arange(big)
-    m_ref[diag, diag] += 1.0 - alpha
-    m_ref[diag[n:], diag[n:] + m_total] += alpha
-    return m_ref
+    offset = lu.solve(np.concatenate([-q, np.zeros(m_total)]))[:n, None]
+    return ws.ALPHA * np.hstack([k_inv[:n, n:], offset])
 
 
 def polish_kkt_reference(ws, active):
@@ -617,7 +607,7 @@ def added_onto(start, a, x):
 
 
 def step_rows_reference(ws):
-    """The x-space map step's rows B = [[0, A, -alpha I_m], [-alpha I_n,
+    """The step's update rows B = [[0, A, -alpha I_m], [-alpha I_n,
     I_n, 0]] as ``sp.bmat`` assembles them, indices sorted."""
     n, m_total, alpha = ws.n, ws.m_total, ws.ALPHA
     b = sp.bmat([[None, ws.a_csr, -alpha * sp.identity(m_total)],
@@ -627,20 +617,21 @@ def step_rows_reference(ws):
 
 
 class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
-    """QpWorkspace's inner loop around its x-space step, written as plain
+    """QpWorkspace's inner loop around its step, written as plain
     expressions.
 
-    One fresh array per operation, ``np.dot`` for each product with the
-    folded map V = [V_con, V_box, c] on [v_con; v_box + eps x; 1], eps =
-    sigma/rho_b, then w + A (alpha x~) - alpha p with A's terms added onto w
-    row by row (``added_onto``, as the step's one kernel call adds them)
-    and x - alpha x + alpha x~; one solve with the factor of the ``sp.bmat``
-    iteration matrix (as ReferenceQpWorkspace factors it) where there is no
-    map, and ``np.clip`` for the clip, in the operands and order of the
-    x-space step. The start comes before the loop and the re-base after
-    the check that adapts rho. ReferenceQpWorkspace runs the (z, lam)
-    iteration, which the x-space step matches only up to rounding; this is
-    the bit-for-bit reference of the loop on the x-space step.
+    One fresh array per operation: alpha x~ from ``np.dot`` with the folded
+    map V = [V_con, V_box, c] on [v_con; v_box + eps x; 1], eps =
+    sigma/rho_b, or, where there is no map, alpha times the x part of one
+    solve with the factor of the ``sp.bmat`` iteration matrix (as
+    ReferenceQpWorkspace factors it); then w + A (alpha x~) - alpha p with
+    A's terms added onto w row by row (``added_onto``, as the step's one
+    kernel call adds them) and x - alpha x + alpha x~, and ``np.clip`` for
+    the clip, in the operands and order of the step. The start comes
+    before the loop and the re-base after the check that adapts rho.
+    ReferenceQpWorkspace runs the (z, lam) iteration, which the step
+    matches only up to rounding; this is the bit-for-bit reference of the
+    loop.
     """
 
     def _refactor(self, rho_base):
@@ -660,8 +651,12 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
         alpha = self.ALPHA
         return added_onto(w, self.a_csr, xt) + -alpha * p, x + -alpha * x + xt
 
+    def _factor_update(self, x, w, p, v, sol, rho):
+        """The new (w, x) from the factor's solution [x~; nu] of the step's
+        x and v = 2p - w: the map's update on alpha x~."""
+        return self._map_update(x, w, p, self.ALPHA * sol[:self.n])
+
     def _iterate(self, q, x0, z0, lam, tol, max_iters):
-        n, alpha, beta = self.n, self.ALPHA, 1.0 - self.ALPHA
         v_map, l, u = self._map, self.l, self.u
         x, p = x0.copy(), z0.copy()
         rho = self.rho
@@ -673,10 +668,7 @@ class ReferenceXspaceWorkspace(PlainResidualsMixin, QpWorkspace):
             v = 2.0 * p - w
             if v_map is None:
                 sol = self._lu.solve(np.concatenate([self.SIGMA * x - q, v]))
-                xt = alpha * sol[:n]
-                zt = alpha * (v + sol[n:] / rho)
-                w = w - alpha * p + zt
-                x = beta * x + xt
+                w, x = self._factor_update(x, w, p, v, sol, rho)
             else:
                 w, x = self._map_update(x, w, p, self._map_step(x, v))
             p = np.clip(w, l, u)
@@ -708,6 +700,20 @@ class UnfusedXspaceWorkspace(ReferenceXspaceWorkspace):
         return w - alpha * p + zt, (1.0 - alpha) * x + xt
 
 
+class UnfusedFactorWorkspace(ReferenceXspaceWorkspace):
+    """ReferenceXspaceWorkspace whose factor step takes alpha z~ = alpha (v
+    + nu/rho) from the solve's nu, then w - alpha p + alpha z~ and (1 -
+    alpha) x + alpha x~. The map's update takes alpha z~ = A (alpha x~),
+    which K's second block row makes equal in exact arithmetic, so its
+    iterates match these only up to rounding: this is the slow-path
+    reference of the factor step's solutions."""
+
+    def _factor_update(self, x, w, p, v, sol, rho):
+        n, alpha = self.n, self.ALPHA
+        zt = alpha * (v + sol[n:] / rho)
+        return w - alpha * p + zt, (1.0 - alpha) * x + alpha * sol[:n]
+
+
 class UnfoldedXspaceWorkspace(ReferenceXspaceWorkspace):
     """ReferenceXspaceWorkspace on the unfolded map V = alpha [sigma K_xx,
     K_xz, -K_xx q] of shape (n, N + 1), the x rows of K^-1 fed [x; 2p - w;
@@ -733,11 +739,9 @@ class UnfoldedXspaceWorkspace(ReferenceXspaceWorkspace):
 
 
 def step_operator(ws):
-    """How a workspace takes its step: "dense" (the dense step's map M),
-    "xspace" (the x-space step's folded map V) or "sparse" (the x-space
-    step's triangular solve with the sparse KKT factor)."""
-    if ws._branch == "dense":
-        return "dense"
+    """How a workspace forms alpha x~: "xspace" (one product with the
+    folded map V) or "sparse" (one triangular solve with the sparse KKT
+    factor)."""
     return "sparse" if ws._map is None else "xspace"
 
 

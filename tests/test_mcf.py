@@ -544,7 +544,7 @@ def test_random_instance_hop_bound_is_the_smallest_feasible_one(n, seed,
 
 
 @pytest.mark.parametrize("n, commodities, loop",
-                         [(8, None, "dense"), (10, 2, "xspace"), (20, None, "sparse")])
+                         [(8, None, "xspace"), (10, 2, "xspace"), (20, None, "sparse")])
 def test_probe_certifies_the_shortest_path_point_at_its_first_check(
         n, commodities, loop, monkeypatch):
     # on each step operator the probe's start is a KKT point that the

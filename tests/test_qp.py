@@ -30,11 +30,12 @@ from helpers import (
     ReferenceQpWorkspace,
     ReferenceXspaceWorkspace,
     UnfoldedXspaceWorkspace,
+    UnfusedFactorWorkspace,
     UnfusedXspaceWorkspace,
     added_onto,
     assert_same_csc,
-    dense_map_reference,
     iteration_kkt_reference,
+    map_reference,
     polish_reference,
     projected_gradient_qp,
     random_feasible_qp,
@@ -47,20 +48,14 @@ from helpers import (
 
 def forced_workspace(qp, operator, cls=QpWorkspace):
     """A ``cls`` workspace that steps with ``operator`` (see
-    ``step_operator``): zeroing the size caps of the maps tried before it
-    rules them out, and a small ``qp`` fits any map."""
-    caps = {"dense": [], "xspace": ["DENSE_MAX_ENTRIES"],
-            "sparse": ["DENSE_MAX_ENTRIES", "XSPACE_MAX_ENTRIES"]}[operator]
+    ``step_operator``): zeroing the map's size cap rules the map out, and a
+    small ``qp`` fits it."""
     with pytest.MonkeyPatch.context() as mp:
-        for cap in caps:
-            mp.setattr(QpWorkspace, cap, 0)
+        if operator == "sparse":
+            mp.setattr(QpWorkspace, "XSPACE_MAX_ENTRIES", 0)
         ws = cls(qp)
     assert step_operator(ws) == operator
     return ws
-
-
-def dense_workspace(qp):
-    return forced_workspace(qp, "dense")
 
 
 def xspace_workspace(qp):
@@ -182,14 +177,17 @@ def test_infinite_inequality_bound_is_a_free_row():
     assert float(np.max(np.abs(a.v - b.v))) <= 1e-6
 
 
-def test_matches_projected_gradient_reference():
-    rng = np.random.default_rng(100)
-    for _ in range(12):
-        qp, _ = random_feasible_qp(rng)
-        s = solve_qp(qp, tol=1e-6)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_matches_projected_gradient_reference(seed):
+    # both steps, the product with the map and the solve with the sparse
+    # factor, land on the minimizer an independent dual ascent finds
+    qp, _ = random_feasible_qp(np.random.default_rng(seed))
+    ref = projected_gradient_qp(qp, steps=400_000)
+    for make in (xspace_workspace, sparse_workspace):
+        s = make(qp).solve(qp.q, tol=1e-6)
         assert s.status == "solved"
         assert s.max_residual <= 1e-6
-        ref = projected_gradient_qp(qp, steps=400_000)
         assert float(np.max(np.abs(s.v - ref))) <= 1e-4
 
 
@@ -339,7 +337,7 @@ def test_max_iters_exit_is_bit_identical_to_reference():
     assert_same_solution(loop, loop_ref)
 
 
-@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
+@pytest.mark.parametrize("loop", ["xspace", "sparse"])
 def test_cold_start_is_the_start_at_zero(loop):
     # one start rule: no warm start, and a bare point at zero, give the same
     # bits; a bare point v elsewhere is the start at z = clip(A v), lam = 0
@@ -393,7 +391,7 @@ def test_malformed_warm_start_names_the_array(cls, name, malformed):
 @pytest.mark.parametrize("polish", ["kept", "rejected"])
 def test_returned_arrays_are_not_reused_by_later_solves(polish):
     # a rejected polish hands back the loop's own x and z
-    for make in (dense_workspace, xspace_workspace, sparse_workspace):
+    for make in (xspace_workspace, sparse_workspace):
         rng = np.random.default_rng(22)
         qp, _ = random_feasible_qp(rng)
         ws = make(qp)
@@ -504,7 +502,7 @@ def test_loops_are_bit_identical_with_plain_residuals(seed, relaxed):
     q2 = qp.q + 1e-3 * rng.normal(size=qp.n)
     pinned = {2: (True, "accepted"), 0: (True, "rejected early"),
               20: (False, "rejected early")}.get(seed) if relaxed else None
-    for loop in ("dense", "xspace", "sparse"):
+    for loop in ("xspace", "sparse"):
         ws = forced_workspace(qp, loop)
         plain = forced_workspace(qp, loop, PlainQpWorkspace)
         cold, outcome = polish_outcome(ws, qp.q, tol=tol)
@@ -734,13 +732,6 @@ def assert_agrees_with_plain_iteration(make, seed):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @example(seed=0)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_dense_loop_agrees_with_plain_iteration(seed):
-    assert_agrees_with_plain_iteration(dense_workspace, seed)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@example(seed=0)
-@given(seed=st.integers(0, 2**32 - 1))
 def test_xspace_loop_agrees_with_plain_iteration(seed):
     assert_agrees_with_plain_iteration(xspace_workspace, seed)
 
@@ -752,11 +743,11 @@ def test_sparse_factor_step_agrees_with_plain_iteration(seed):
     assert_agrees_with_plain_iteration(sparse_workspace, seed)
 
 
-@pytest.mark.parametrize("operator", ["dense", "xspace", "sparse"])
-def test_every_branch_checks_on_one_cadence(operator, monkeypatch):
-    # one stop policy around every branch's steps: a check every
-    # CHECK_EVERY steps and at max_iters, and a re-base, which writes a
-    # map's offset, at the start and after each check that adapts rho
+@pytest.mark.parametrize("operator", ["xspace", "sparse"])
+def test_every_step_checks_on_one_cadence(operator, monkeypatch):
+    # one stop policy around both steps: a check every CHECK_EVERY steps
+    # and at max_iters, and a re-base, which writes the map's offset, at
+    # the start and after each check that adapts rho
     qp, _ = random_feasible_qp(np.random.default_rng(0))
     ws = forced_workspace(qp, operator)
     checks, offsets = [], []
@@ -783,8 +774,8 @@ def test_every_branch_checks_on_one_cadence(operator, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("make",
-                         [dense_workspace, xspace_workspace, sparse_workspace],
-                         ids=["dense", "xspace", "sparse"])
+                         [xspace_workspace, sparse_workspace],
+                         ids=["xspace", "sparse"])
 def test_non_finite_cost_is_rejected_and_leaves_the_workspace_intact(make, bad):
     qp, _ = random_feasible_qp(np.random.default_rng(23))
     q_bad = qp.q.copy()
@@ -799,15 +790,16 @@ def test_non_finite_cost_is_rejected_and_leaves_the_workspace_intact(make, bad):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dense_map_is_the_scaled_inverse_kkt_matrix(seed):
-    # M, built from V and the constraint rows, is the map formed from all
-    # of K^-1 at every penalty rho adaptation reaches, offset included; the
-    # equality rows' penalties run from 1e-3 to 1e6
+    # the dense map V, built from the transposed first n columns of K^-1,
+    # is alpha [K_xz, -K_xx q] read off the x rows of all of K^-1 at every
+    # penalty rho adaptation reaches, offset included; the equality rows'
+    # penalties run from 1e-3 to 1e6
     qp, _ = random_feasible_qp(np.random.default_rng(seed))
-    ws = dense_workspace(qp)
+    ws = xspace_workspace(qp)
     for rho_base in (ws.RHO_MIN, ws.RHO0, 1.0, ws.RHO_MAX):
         ws._refactor(rho_base)
         ws._set_map_offset(qp.q)
-        ref = dense_map_reference(ws, qp.q)
+        ref = map_reference(ws, qp.q)
         gap = float(np.max(np.abs(ws._map - ref)))
         assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(ref)))), (rho_base, gap)
 
@@ -816,43 +808,31 @@ def test_failed_refactor_keeps_the_old_penalty():
     # a factorization that raises must leave rho, the factor and the map
     # as they were, so later solves are those of an untouched workspace
     qp, _ = random_feasible_qp(np.random.default_rng(24))
-    for make in (dense_workspace, xspace_workspace):
-        ws = make(qp)
-        rho_base, rho, lu = ws._rho_base, ws.rho, ws._lu
-        # a refactor writes every column of the map but the last, the
-        # offset each solve writes
-        m_map = ws._map[:, :-1].copy()
-        with pytest.raises(RuntimeError):
-            ws._refactor(float("nan"))
-        assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
-        assert np.array_equal(ws._map[:, :-1], m_map)
-        if make is dense_workspace:
-            # the dense map is built on V in its x rows, and they still hold
-            # V as the folded x-space map has it at this penalty: -V_v and
-            # 2 V_v exactly, and off the diagonal V_x, which is sigma/rho_b
-            # times the box columns of V_v to rounding
-            n, big = ws.n, ws.n + ws.m_total
-            v_v = xspace_workspace(qp)._map[:, :-1]
-            assert np.array_equal(-ws._map[:n, n:big], v_v)
-            assert np.array_equal(ws._map[:n, big:-1], 2.0 * v_v)
-            off = ~np.eye(n, dtype=bool)
-            v_x = ws.SIGMA / rho_base * v_v[:, -n:]
-            assert np.max(np.abs(ws._map[:n, :n][off] - v_x[off])) <= \
-                1e-12 * np.max(np.abs(v_x))
-        assert_same_solution(ws.solve(qp.q), make(qp).solve(qp.q))
+    ws = xspace_workspace(qp)
+    rho_base, rho, lu, fold = ws._rho_base, ws.rho, ws._lu, ws._fold.copy()
+    # a refactor writes every column of the map but the last, the offset
+    # each solve writes
+    v_map = ws._map[:, :-1].copy()
+    with pytest.raises(RuntimeError):
+        ws._refactor(float("nan"))
+    assert ws._rho_base == rho_base and ws.rho is rho and ws._lu is lu
+    assert np.array_equal(ws._map[:, :-1], v_map)
+    assert np.array_equal(ws._fold, fold)
+    assert_same_solution(ws.solve(qp.q), xspace_workspace(qp).solve(qp.q))
 
 
 @pytest.mark.parametrize("n, commodities, seeds, loop",
-                         [(8, None, 5, "dense"), (10, 2, 5, "xspace"),
-                          (30, None, 1, "sparse")],
-                         ids=["dist-n8", "sweep-n10", "n30"])
+                         [(6, None, 5, "xspace"), (8, None, 5, "xspace"),
+                          (10, 2, 5, "xspace"), (30, None, 1, "sparse")],
+                         ids=["dist-n6", "dist-n8", "sweep-n10", "n30"])
 def test_loop_is_chosen_by_structure_size(n, commodities, seeds, loop,
                                           monkeypatch):
-    # the benchmark's distributed n=8 subproblems run the dense map, its
-    # central n=10 ones, with two commodities, the x-space map, and n=30
-    # subproblems the x-space loop's sparse factor step. The polish follows
-    # the same rule: only the factor branch factors its k x k Schur
-    # complement, k the active constraint rows, with factor_kkt
+    # the distributed n=6 subproblems of acceptance criterion 3, the
+    # benchmark's distributed n=8 ones and its central n=10 ones, with two
+    # commodities, step with the map V, and n=30 subproblems with the
+    # sparse factor. The polish follows the same rule: only a workspace
+    # without the map factors its k x k Schur complement, k the active
+    # constraint rows, with factor_kkt
     factored = []
     monkeypatch.setattr(qp_module, "factor_kkt",
                         lambda kkt: factored.append(kkt) or factor_kkt(kkt))
@@ -904,13 +884,13 @@ def test_schur_polish_agrees_with_superlu_polish(seed, relaxed):
         qp, _ = relaxed_subproblem(seed)
     else:
         qp, _ = random_feasible_qp(np.random.default_rng(seed))
-    for loop in ("dense", "xspace", "sparse"):
+    for loop in ("xspace", "sparse"):
         ws, sols = loop_points(qp, loop, tol=1e-8)
         for sol in sols:
             assert_polish_agrees_with_superlu(ws, sol, qp.q)
 
 
-@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
+@pytest.mark.parametrize("loop", ["xspace", "sparse"])
 def test_schur_polish_of_a_duplicated_equality_row(loop):
     # a repeated equality row makes the active constraint rows rank
     # deficient; the delta term keeps their Schur complement definite
@@ -925,7 +905,7 @@ def test_schur_polish_of_a_duplicated_equality_row(loop):
         assert_polish_agrees_with_superlu(ws, capped, dup.q)
 
 
-@pytest.mark.parametrize("loop", ["dense", "xspace", "sparse"])
+@pytest.mark.parametrize("loop", ["xspace", "sparse"])
 def test_schur_polish_of_a_box_only_active_set(loop):
     # no constraint row is active, so nothing is factored: the box rows
     # alone are eliminated
@@ -1005,9 +985,9 @@ def test_clip_ufunc_is_max_then_min_bit_for_bit(triples, equal, offset):
 
 def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch,
                                reference=ReferenceXspaceWorkspace):
-    # every subproblem of 12 central steps, solved by the x-space loop and
-    # by its plain-expression reference, bit for bit; these runs warm-start,
-    # adapt rho and both keep and reject polishes. The unfolded and unfused
+    # every subproblem of 12 central steps, solved by the loop and by its
+    # plain-expression reference, bit for bit; these runs warm-start, adapt
+    # rho and both keep and reject polishes. The unfolded and unfused
     # references round differently, so their solutions agree only within tol
     solves = []
 
@@ -1020,7 +1000,8 @@ def assert_plain_step_on_cells(n, commodities, seed, rho, operator, monkeypatch,
         def solve(self, q, tol=1e-6, max_iters=20000, warm=None):
             sol = super().solve(q, tol=tol, max_iters=max_iters, warm=warm)
             ref = self.ref.solve(q, tol=tol, max_iters=max_iters, warm=warm)
-            if reference in (UnfoldedXspaceWorkspace, UnfusedXspaceWorkspace):
+            if reference in (UnfoldedXspaceWorkspace, UnfusedXspaceWorkspace,
+                             UnfusedFactorWorkspace):
                 assert sol.status == ref.status == "solved"
                 assert float(np.max(np.abs(sol.v - ref.v))) <= tol
             else:
@@ -1095,9 +1076,10 @@ def test_step_kernel_adds_onto_its_output_in_place(seed):
 def test_step_rows_equal_the_sparse_assembly(seed):
     # B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]] is built by index
     # arithmetic, entry for entry and in index order what sp.bmat gives,
-    # on the n=10 cells and on small forced x-space structures
+    # on the n=10 cells and on small structures with and without the map
     qp, _ = random_feasible_qp(np.random.default_rng(seed))
-    for ws in (n10_cell_workspace(seed), xspace_workspace(qp)):
+    for ws in (n10_cell_workspace(seed), xspace_workspace(qp),
+               sparse_workspace(qp)):
         assert_same_csc(ws._step_rows, step_rows_reference(ws))
 
 
@@ -1131,5 +1113,14 @@ def test_folded_map_box_columns_are_its_x_columns(rho):
 
 @pytest.mark.parametrize("seed, rho", [(2, 0.1), (3, 1.0)])
 def test_sparse_factor_step_is_its_plain_step_on_n20_cells(seed, rho, monkeypatch):
-    # n=20 instances run the x-space loop's sparse factor step
+    # n=20 instances step with the sparse factor
     assert_plain_step_on_cells(20, None, seed, rho, "sparse", monkeypatch)
+
+
+@pytest.mark.parametrize("seed, rho", [(2, 0.1), (3, 1.0)])
+def test_sparse_factor_step_agrees_with_its_unfused_step_on_n20_cells(seed, rho,
+                                                                     monkeypatch):
+    # alpha z~ = alpha (v + nu/rho) from the solve, and separate updates of
+    # w and x, are the slow path the map's update replaced
+    assert_plain_step_on_cells(20, None, seed, rho, "sparse", monkeypatch,
+                               reference=UnfusedFactorWorkspace)
