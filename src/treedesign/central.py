@@ -152,13 +152,14 @@ class SubproblemRuntime:
 class CentralState:
     """One centralized trajectory point: primal blocks, tree, flows, duals.
 
-    ``z`` is a TreeIndicator from iteration 1 onward; the initial state
-    carries the relaxed anchor vector w0 instead (see :func:`relaxed_start`).
+    ``z`` is the tree as an int8 0/1 vector from iteration 1 onward; the
+    initial state carries the all-ones relaxed anchor w0 instead (see
+    :func:`relaxed_start`).
     """
 
     w: np.ndarray
     u: np.ndarray
-    z: object
+    z: np.ndarray
     y: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
@@ -166,11 +167,12 @@ class CentralState:
 
 
 class Primals(NamedTuple):
-    """One copy's new primals: relaxation (w, u), tree z and rounded flows y."""
+    """One copy's new primals: relaxation (w, u), tree z (an int8 0/1
+    vector) and rounded flows y."""
 
     w: np.ndarray
     u: np.ndarray
-    z: TreeIndicator
+    z: np.ndarray
     y: np.ndarray
 
 
@@ -188,7 +190,7 @@ def relaxed_start(inst):
     return dict(
         w=np.ones(inst.dim_w),
         u=np.zeros(inst.dim_u),
-        z=np.ones(inst.dim_w),
+        z=np.ones(inst.dim_w, dtype=np.int8),
         y=np.zeros(inst.dim_u, dtype=np.int8),
         mu=np.zeros(inst.dim_w),
         eta=np.zeros(inst.dim_u),
@@ -229,7 +231,7 @@ def primal_step(runtime, key, inst, diag, q, cfg, mu, eta):
     sol = runtime.solve(key, inst, diag, q, cfg)
     w, u = inst.split(sol.v)
     w, u = w.copy(), u.copy()
-    return Primals(w, u, project_tree(w, mu, inst.graph),
+    return Primals(w, u, project_tree(w, mu, inst.graph).vector,
                    project_binary(u - eta))
 
 
@@ -255,8 +257,7 @@ def step(state, inst, cfg, runtime):
     q = centralized_linear_cost(inst, state.z, state.y, state.mu, state.eta,
                                 cfg.rho)
     new = primal_step(runtime, None, inst, cfg.rho, q, cfg, state.mu, state.eta)
-    mu, eta = local_duals(state.mu, state.eta, new.z.vector, new.w, new.y,
-                          new.u)
+    mu, eta = local_duals(state.mu, state.eta, new.z, new.w, new.y, new.u)
     return CentralState(*new, mu=mu, eta=eta, k=state.k + 1)
 
 
@@ -286,23 +287,24 @@ def residual_central(prev, curr):
                  + change_norm(prev, curr, ("u", "w")))
 
 
-def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
+def run_outer_loop(inst, cfg, mode, init, advance, record):
     """The outer loop and answer extraction shared by both drivers.
 
     The loop owns the run's one :class:`SubproblemRuntime` and reports its
     counters. ``init(inst, cfg)`` gives the starting state and
     ``advance(state, runtime)`` the next; a state counts its iterations in
-    ``k``. ``copies(state)`` lists the variable copies an iterate holds (the
-    central state itself, or each agent's row views), each with a tree
-    ``z``, flows ``y`` and relaxation ``w``. After each iteration every
-    copy's tree is checked, then ``record(prev, state, trace, runtime)``
-    appends the iterate's trace rows and returns its residual; the run
-    stops once that drops below ``cfg.tol``.
+    ``k``. A state holds its variable copies' relaxations ``w``, trees ``z``
+    and flows ``y`` as one vector each (the central state) or one row per
+    copy (a world's agents). After each iteration every row of ``z`` is
+    checked to be a spanning tree, then ``record(prev, state, trace,
+    runtime)`` appends the iterate's trace rows and returns its residual;
+    the run stops once that drops below ``cfg.tol``.
 
-    The answer is the first copy's tree with every commodity routed on it:
-    "iterate" when that routing equals the copy's flows (feasible binary
-    flows on a spanning tree are that routing), "rerouted" otherwise, and
-    no flows when it breaks the hop bound.
+    The answer is the first copy's tree (row 0), as the run's one
+    TreeIndicator, with every commodity routed on it: "iterate" when that
+    routing equals the copy's flows (feasible binary flows on a spanning
+    tree are that routing), "rerouted" otherwise, and no flows when it
+    breaks the hop bound.
     """
     t0 = time.perf_counter()
     runtime = SubproblemRuntime()
@@ -314,8 +316,8 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
     for _ in range(cfg.max_iters):
         prev = state
         state = advance(state, runtime)
-        for i, copy in enumerate(copies(state)):
-            if not is_spanning_tree(inst.graph, copy.z):
+        for i, z in enumerate(np.atleast_2d(state.z)):
+            if not is_spanning_tree(inst.graph, z):
                 raise InvalidTreeError(
                     f"iterate {state.k}, copy {i}: not a spanning tree")
             trees_validated += 1
@@ -323,21 +325,21 @@ def run_outer_loop(inst, cfg, mode, init, advance, copies, record):
         if residual < cfg.tol:
             status = "converged"
             break
-    reporter = copies(state)[0]
+    w, z, y = (np.atleast_2d(rows)[0] for rows in (state.w, state.z, state.y))
     flows = None
     extraction = "none"
     feasible = False
     if state.k == 0:
         # nothing ran: no tree exists yet, only the relaxed starting point
         tree = None
-        final_objective = objective(inst, reporter.w)
+        final_objective = objective(inst, w)
     else:
-        tree = reporter.z
-        final_objective = objective(inst, tree.vector)
-        routed = route_on_tree(inst, tree)
+        tree = TreeIndicator(z)
+        final_objective = objective(inst, z)
+        routed = route_on_tree(inst, z)
         if routed.feasible:
             flows, feasible = routed.flows, True
-            extraction = ("iterate" if np.array_equal(routed.flows, reporter.y)
+            extraction = ("iterate" if np.array_equal(routed.flows, y)
                           else "rerouted")
         else:
             logger.warning(
@@ -372,7 +374,7 @@ def solve_central(inst, cfg):
         trace.append(CentralTraceRow(
             k=state.k,
             objective_w=objective(inst, state.w),
-            objective_z=objective(inst, state.z.vector),
+            objective_z=objective(inst, state.z),
             residual=residual,
             qp_iters=sol.iterations,
             qp_status=sol.status,
@@ -384,5 +386,5 @@ def solve_central(inst, cfg):
     return run_outer_loop(
         inst, cfg, "central", init_state,
         lambda state, runtime: step(state, inst, cfg, runtime),
-        lambda state: (state,), record,
+        record,
     )

@@ -3,10 +3,10 @@
 Every agent keeps full copies (u^i, w^i, z^i, y^i) plus four duals: mu/eta
 tie its own tree and flow roundings to its relaxation, nu/xi drive neighbor
 consensus. The world holds each copy and dual as one (agents, dim) array,
-row i for agent i, and the trees as a list. A round is two-phase: phase 1
-builds every agent's linear cost from the round-k rows, then solves each
-agent's subproblem and projections; after a barrier, phase 2 ascends nu/xi
-with the fresh round-(k+1) neighbor primals, then mu/eta locally. Each
+row i for agent i, the trees as int8 0/1 rows. A round is two-phase:
+phase 1 builds every agent's linear cost from the round-k rows, then solves
+each agent's subproblem and projections; after a barrier, phase 2 ascends
+nu/xi with the fresh round-(k+1) neighbor primals, then mu/eta locally. Each
 agent's start, primal step and local duals are the centralized driver's
 per-copy update (:func:`central.relaxed_start`, :func:`central.primal_step`,
 and :func:`central.local_duals` on every agent's rows at once), solving in
@@ -32,9 +32,8 @@ import math
 
 import numpy as np
 
-from .central import (Primals, change_norm, local_duals, primal_step,
-                      relaxed_start, run_outer_loop)
-from .graphs import indicator_vector
+from .central import (change_norm, local_duals, primal_step, relaxed_start,
+                      run_outer_loop)
 from .mcf import objective, relaxed_qp
 # not called here; the patch table in perfbench/tracing.py looks them up here
 from .graphs import is_spanning_tree  # noqa: F401
@@ -62,28 +61,23 @@ __all__ = [
 class World:
     """Every agent's copies and duals for one round counter, one row each.
 
-    ``z`` lists the trees (the relaxed anchor w0 before round 1, see
-    :func:`central.relaxed_start`). ``slots[s]`` pairs the index arrays of
-    the agents with more than s neighbors and of their s-th neighbors in
-    ascending id.
+    Row i of ``z`` is agent i's tree as int8 0/1 entries (the all-ones
+    relaxed anchor w0 before round 1, see :func:`central.relaxed_start`).
+    ``slots[s]`` pairs the index arrays of the agents with more than s
+    neighbors and of their s-th neighbors in ascending id.
     """
 
     inst: object
     slots: tuple
     u: np.ndarray
     w: np.ndarray
-    z: list
+    z: np.ndarray
     y: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
     nu: np.ndarray
     xi: np.ndarray
     k: int = 0
-
-    def copies(self):
-        """Each agent's primals, as row views."""
-        return [Primals(self.w[i], self.u[i], self.z[i], self.y[i])
-                for i in range(self.inst.n)]
 
 
 def init_world(inst, cfg):
@@ -95,9 +89,8 @@ def init_world(inst, cfg):
         for s in range(max(map(len, neighbors))))
     start = relaxed_start(inst)
     rows = {name: np.tile(start[name], (inst.n, 1))
-            for name in ("u", "w", "y", "mu", "eta")}
-    return World(inst, slots, z=[start["z"]] * inst.n,
-                 nu=np.zeros((inst.n, inst.dim_u)),
+            for name in ("u", "w", "z", "y", "mu", "eta")}
+    return World(inst, slots, nu=np.zeros((inst.n, inst.dim_u)),
                  xi=np.zeros((inst.n, inst.dim_w)), **rows)
 
 
@@ -119,7 +112,6 @@ def agent_linear_cost(inst, world, rho):
     terms, exactly as it leaves the quadratic penalty on the mu term.
     """
     dim_w = inst.dim_w
-    z = np.array([indicator_vector(tree, dim_w) for tree in world.z])
     # every row of q = [q_w, q_u] is built in place from the expressions
     #   q_w = c/2 - rho (z + mu) + rho xi - sum rho (w + w_neighbor)
     #   q_u = -rho (y + eta) + rho nu     - sum rho (u + u_neighbor)
@@ -128,7 +120,7 @@ def agent_linear_cost(inst, world, rho):
     # exactly. The blocks stay apart: 0 - x is not -x when x = +0
     q = np.empty((inst.n, inst.dim_total))
     q_w, q_u = q[:, :dim_w], q[:, dim_w:]
-    np.add(z, world.mu, out=q_w)
+    np.add(world.z, world.mu, out=q_w)
     np.multiply(rho, q_w, out=q_w)
     np.subtract(half_incident_costs(inst), q_w, out=q_w)
     q_w += rho * world.xi
@@ -178,16 +170,14 @@ def agent_dual_step(world, staged):
     The consensus duals ascend one neighbor slot at a time, with the
     operands and order of nu += u - u_other and xi += w - w_other.
     """
-    w, u, trees, y = zip(*staged)
-    w, u, y = np.array(w), np.array(u), np.array(y)
+    w, u, z, y = map(np.array, zip(*staged))
     nu, xi = world.nu.copy(), world.xi.copy()
     for agents, partners in world.slots:
         nu[agents] += u[agents] - u[partners]
         xi[agents] += w[agents] - w[partners]
-    mu, eta = local_duals(world.mu, world.eta,
-                          np.array([tree.vector for tree in trees]), w, y, u)
-    return dataclasses.replace(world, u=u, w=w, z=list(trees), y=y, mu=mu,
-                               eta=eta, nu=nu, xi=xi, k=world.k + 1)
+    mu, eta = local_duals(world.mu, world.eta, z, w, y, u)
+    return dataclasses.replace(world, u=u, w=w, z=z, y=y, mu=mu, eta=eta,
+                               nu=nu, xi=xi, k=world.k + 1)
 
 
 def sync_round(world, cfg, runtime, order=None):
@@ -267,8 +257,7 @@ def solve_distributed(inst, cfg):
 
     report = run_outer_loop(
         inst, cfg, "distributed", init_world,
-        lambda world, runtime: sync_round(world, cfg, runtime),
-        World.copies, record,
+        lambda world, runtime: sync_round(world, cfg, runtime), record,
     )
     report.final_consensus_gap = gap
     return report

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (
-    TreeIndicator,
     UndirectedGraph,
     bidirect,
     generate_erdos_renyi,
@@ -281,10 +280,7 @@ def check_flows(inst, z, y):
 
 def objective(inst, z_or_w):
     """Total edge cost of a binary tree vector or a fractional w."""
-    v = indicator_vector(z_or_w, inst.dim_w) if isinstance(z_or_w, TreeIndicator) \
-        else np.asarray(z_or_w, dtype=float)
-    if len(v) != inst.dim_w:
-        raise ValueError("vector has wrong length")
+    v = np.asarray(indicator_vector(z_or_w, inst.dim_w), dtype=float)
     return float(np.dot(inst.costs, v))
 
 

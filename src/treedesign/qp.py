@@ -145,6 +145,9 @@ class QuadraticProgram:
         self.d = np.asarray(self.d, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
         n = len(self.d)
+        if n == 0:
+            # the residual checks reduce over every variable
+            raise ValueError("a QP needs at least one variable, got none")
         if len(self.q) != n:
             raise ValueError("d and q must have the same length")
         if not np.isfinite(self.d).all() or (self.d < 0).any():

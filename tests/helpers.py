@@ -806,10 +806,11 @@ class FullDualWorld:
 
 def init_full_dual_world(inst, cfg):
     """Zero arc duals; averages seeded with the (identical) initial primals."""
-    base = init_world(inst, cfg).copies()[0]
+    base = init_world(inst, cfg)
     agents = [
         FullDualAgentState(
-            u=base.u.copy(), w=base.w.copy(), z=base.z, y=base.y.copy(),
+            u=base.u[0].copy(), w=base.w[0].copy(), z=base.z[0],
+            y=base.y[0].copy(),
             mu=np.zeros(inst.dim_w), eta=np.zeros(inst.dim_u),
         )
         for _ in range(inst.n)
@@ -938,7 +939,7 @@ def agent_dual_step_reference(world, staged, agent):
     for _, j in world.inst.graph.incident(agent):
         nu = nu + (own.u - staged[j].u)
         xi = xi + (own.w - staged[j].w)
-    mu = world.mu[agent] + (own.z.vector - own.w)
+    mu = world.mu[agent] + (own.z - own.w)
     eta = world.eta[agent] + (own.y - own.u)
     return mu, eta, nu, xi
 

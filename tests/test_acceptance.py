@@ -134,7 +134,7 @@ def test_criterion_03_condensed_equals_arc_dual_reference():
             b = ref.agents[i]
             assert float(np.max(np.abs(world.u[i] - b.u))) <= 1e-8
             assert float(np.max(np.abs(world.w[i] - b.w))) <= 1e-8
-            assert np.array_equal(world.z[i].vector, b.z.vector)
+            assert np.array_equal(world.z[i], b.z.vector)
             assert np.array_equal(world.y[i], b.y)
             assert float(np.max(np.abs(world.mu[i] - b.mu / cfg.rho))) <= 1e-8
             assert float(np.max(np.abs(world.eta[i] - b.eta / cfg.rho))) <= 1e-8

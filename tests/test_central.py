@@ -21,6 +21,7 @@ from treedesign.distributed import solve_distributed
 from treedesign.graphs import (InvalidTreeError, TreeIndicator, UndirectedGraph,
                                is_spanning_tree)
 from treedesign.mcf import Commodity, Instance, check_feasible, objective, random_instance
+from treedesign.projection import project_tree
 from treedesign.qp import InfeasibleSubproblemError, QpSolution, QpWorkspace
 from treedesign.report import QpCounters
 
@@ -72,7 +73,7 @@ def test_dual_update_arithmetic():
     cfg = SolverConfig(rho=1.0)
     st = init_state(inst, cfg)
     nxt = step(st, inst, cfg, SubproblemRuntime())
-    assert np.allclose(nxt.mu, nxt.z.vector - nxt.w, atol=1e-12)
+    assert np.allclose(nxt.mu, nxt.z - nxt.w, atol=1e-12)
     assert np.allclose(nxt.eta, nxt.y - nxt.u, atol=1e-12)
 
 
@@ -96,9 +97,9 @@ def test_step_tree_invariant_and_dual_exactness():
         prev = st
         st = step(st, inst, cfg, SubproblemRuntime())
         assert is_spanning_tree(inst.graph, st.z)
-        assert int(st.z.vector.sum()) == inst.n - 1
+        assert int(st.z.sum()) == inst.n - 1
         # dual ascent is exactly the stated formula, bitwise
-        assert np.array_equal(st.mu, prev.mu + (st.z.vector - st.w))
+        assert np.array_equal(st.mu, prev.mu + (st.z - st.w))
         assert np.array_equal(st.eta, prev.eta + (st.y - st.u))
         assert set(np.unique(st.y)).issubset({0, 1})
 
@@ -240,6 +241,19 @@ def test_drivers_raise_on_a_projection_that_is_not_a_tree(solve, monkeypatch):
                         lambda w, mu, graph: TreeIndicator(np.zeros(graph.m)))
     with pytest.raises(InvalidTreeError,
                        match=r"^iterate 1, copy 0: not a spanning tree$"):
+        solve(inst, SolverConfig())
+    # only the third projection is bad: the central run's third iterate, or
+    # the third agent's tree in the first round, and the error names it
+    calls = []
+
+    def third_is_empty(w, mu, graph):
+        calls.append(w)
+        return (TreeIndicator(np.zeros(graph.m)) if len(calls) == 3
+                else project_tree(w, mu, graph))
+
+    monkeypatch.setattr(central, "project_tree", third_is_empty)
+    where = "iterate 3, copy 0" if solve is solve_central else "iterate 1, copy 2"
+    with pytest.raises(InvalidTreeError, match=f"^{where}: not a spanning tree$"):
         solve(inst, SolverConfig())
 
 

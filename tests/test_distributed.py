@@ -31,7 +31,7 @@ from helpers import (
     k3_instance,
 )
 
-ROWS = ("u", "w", "y", "mu", "eta", "nu", "xi")
+ROWS = ("u", "w", "z", "y", "mu", "eta", "nu", "xi")
 
 
 def two_node_instance():
@@ -41,19 +41,13 @@ def two_node_instance():
 
 def clone_world(world):
     return dataclasses.replace(
-        world, z=list(world.z),
-        **{name: getattr(world, name).copy() for name in ROWS})
-
-
-def tree_vector(z):
-    return np.asarray(z.vector if hasattr(z, "vector") else z)
+        world, **{name: getattr(world, name).copy() for name in ROWS})
 
 
 def agents_equal(a, i, b, j):
     """Agent i of world a holds the same copies as agent j of world b."""
-    return (all(np.array_equal(getattr(a, name)[i], getattr(b, name)[j])
-                for name in ROWS)
-            and np.array_equal(tree_vector(a.z[i]), tree_vector(b.z[j])))
+    return all(np.array_equal(getattr(a, name)[i], getattr(b, name)[j])
+               for name in ROWS)
 
 
 def test_agent_step_without_neighbors_keeps_consensus_duals():
@@ -68,7 +62,7 @@ def test_agent_step_without_neighbors_keeps_consensus_duals():
     for i in range(inst.n):
         assert is_spanning_tree(inst.graph, nxt.z[i])
         # matches the centralized update rule
-        assert np.array_equal(nxt.mu[i], world.mu[i] + (nxt.z[i].vector - nxt.w[i]))
+        assert np.array_equal(nxt.mu[i], world.mu[i] + (nxt.z[i] - nxt.w[i]))
         assert np.array_equal(nxt.eta[i], world.eta[i] + (nxt.y[i] - nxt.u[i]))
 
 
@@ -79,7 +73,7 @@ def test_identical_staged_primals_produce_zero_consensus_increments():
     vec = np.zeros(inst.dim_w, dtype=np.int8)
     vec[[0, 1]] = 1
     mine = Primals(w=np.full(inst.dim_w, 0.5), u=np.full(inst.dim_u, 0.25),
-                   z=TreeIndicator(vec), y=np.zeros(inst.dim_u, dtype=np.int8))
+                   z=vec, y=np.zeros(inst.dim_u, dtype=np.int8))
     # every neighbor holding the same primals contributes nothing
     nxt = agent_dual_step(world, [mine] * inst.n)
     assert not np.any(nxt.nu)
@@ -90,14 +84,38 @@ def test_dual_arithmetic_single_neighbor():
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
     world = init_world(inst, cfg)
+    tree = np.array([1], dtype=np.int8)
     mine = Primals(w=np.array([1.0]), u=np.array([1.0, 0.0]),
-                   z=TreeIndicator([1]), y=np.array([1, 0], dtype=np.int8))
+                   z=tree, y=np.array([1, 0], dtype=np.int8))
     other = Primals(w=np.array([0.0]), u=np.array([0.0, 0.0]),
-                    z=TreeIndicator([1]), y=np.array([0, 0], dtype=np.int8))
+                    z=tree, y=np.array([0, 0], dtype=np.int8))
     # one neighbor, one unit step by the full disagreement, each way
     nxt = agent_dual_step(world, [mine, other])
     assert np.array_equal(nxt.xi, np.array([[1.0], [-1.0]]))
     assert np.array_equal(nxt.nu, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
+def test_drivers_hold_every_tree_as_an_int8_row():
+    # from the relaxed anchor on, z is one int8 0/1 vector (central) or one
+    # such row per agent (a world), and the report's tree is row 0's
+    inst = random_instance(6, 0.5, seed=2)
+    cfg = SolverConfig(rho=1.0, max_iters=4)
+    drivers = (
+        (init_state, lambda s, rt: step(s, inst, cfg, rt), solve_central,
+         (inst.dim_w,)),
+        (init_world, lambda w, rt: sync_round(w, cfg, rt), solve_distributed,
+         (inst.n, inst.dim_w)),
+    )
+    for init, advance, solve, shape in drivers:
+        state, rt = init(inst, cfg), SubproblemRuntime()
+        assert state.z.dtype == np.int8 and state.z.shape == shape
+        for _ in range(cfg.max_iters):
+            state = advance(state, rt)
+            assert state.z.dtype == np.int8 and state.z.shape == shape
+            assert np.isin(state.z, (0, 1)).all()
+        report = solve(inst, cfg)
+        assert report.iterations == state.k == cfg.max_iters
+        assert report.tree == TreeIndicator(np.atleast_2d(state.z)[0])
 
 
 def test_steps_require_a_runtime():
@@ -263,7 +281,7 @@ def test_condensed_matches_full_dual_any_rho():
             b = fd.agents[i]
             assert np.allclose(world.u[i], b.u, atol=1e-8)
             assert np.allclose(world.w[i], b.w, atol=1e-8)
-            assert np.array_equal(world.z[i].vector, b.z.vector)
+            assert np.array_equal(world.z[i], b.z.vector)
             assert np.array_equal(world.y[i], b.y)
             assert np.allclose(world.mu[i], b.mu / rho, atol=1e-8)
             assert np.allclose(world.eta[i], b.eta / rho, atol=1e-8)
@@ -294,19 +312,20 @@ def awkward_floats(rng, shape):
 
 
 def random_tree(inst, rng):
+    """A spanning tree's int8 0/1 row."""
     return project_tree(awkward_floats(rng, inst.dim_w), np.zeros(inst.dim_w),
-                        inst.graph)
+                        inst.graph).vector
 
 
 def random_world(inst, rng, tree):
-    """A world with awkward floats, int8 flow roundings and trees or
-    relaxed vectors for z."""
+    """A world with awkward floats, int8 flow roundings and, for z, int8
+    tree rows or the all-ones relaxed anchor."""
     n = inst.n
     world = init_world(inst, SolverConfig())
     return dataclasses.replace(
         world,
-        z=[random_tree(inst, rng) if tree else rng.random(inst.dim_w)
-           for _ in range(n)],
+        z=(np.array([random_tree(inst, rng) for _ in range(n)]) if tree
+           else world.z),
         y=rng.integers(0, 2, size=(n, inst.dim_u)).astype(np.int8),
         **{name: awkward_floats(rng, (n, inst.dim_u if name in ("u", "eta", "nu")
                                       else inst.dim_w))
@@ -348,9 +367,8 @@ def test_in_place_round_arithmetic_matches_the_plain_expressions(seed, tree):
             assert_same_bits(getattr(nxt, name)[i], expected)
         own = staged[i]
         for row, expected in zip((nxt.mu[i], nxt.eta[i]), local_duals(
-                world.mu[i], world.eta[i], own.z.vector, own.w, own.y, own.u)):
+                world.mu[i], world.eta[i], own.z, own.w, own.y, own.u)):
             assert_same_bits(row, expected)
-        for name in ("u", "w", "y"):
+        for name in ("u", "w", "z", "y"):
             assert_same_bits(getattr(nxt, name)[i], getattr(own, name))
-        assert nxt.z[i] is own.z
     assert consensus_gap(world) == consensus_gap_reference(world)

@@ -117,6 +117,10 @@ def test_validation_errors():
         QuadraticProgram(d=np.array([-1.0]), q=np.zeros(1))
     with pytest.raises(ValueError):
         QuadraticProgram(d=np.ones(2), q=np.zeros(1))
+    # no variables was once accepted, and solve_qp then raised numpy's
+    # zero-size reduction error from the residual checks
+    with pytest.raises(ValueError, match="at least one variable"):
+        QuadraticProgram(d=np.ones(0), q=np.zeros(0))
     with pytest.raises(ValueError):
         QuadraticProgram(d=np.ones(1), q=np.zeros(1),
                          lo=np.array([1.0]), hi=np.array([0.0]))
