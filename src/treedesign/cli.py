@@ -4,6 +4,9 @@ Subcommands: gen, solve-central, solve-dist, oracle, project, sweep, dump-qp.
 Random seeds are always explicit flags, never ambient state; repeating any
 cell with identical flags reproduces its summary row and trace file byte for
 byte (wall-clock columns can be zeroed with --no-wall-time for comparisons).
+The solver and oracle flags take their defaults from SolverConfig and
+EnumerationBudget, and the sweep runs from its parsed flags. A rejected
+input ends in one error line and exit code 2.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from .central import (SolverConfig, build_centralized_subproblem,
                       relaxed_start, solve_central)
 from .distributed import solve_distributed
+from .graphs import GraphGenerationError
 from .mcf import (
     format_instance,
     random_instance,
@@ -40,27 +43,7 @@ from .report import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SweepSpec", "run_experiment", "main"]
-
-
-@dataclass
-class SweepSpec:
-    """One experiment grid; every (n, seed, rho, mode) combination is a cell."""
-
-    ns: list
-    seeds: list
-    rhos: list
-    modes: list
-    p: float = 0.5
-    commodities: int | None = None
-    hop_slack: int = 2
-    tol: float = 1e-4
-    max_iters: int = 500
-    oracle: bool = True
-    oracle_budget: EnumerationBudget = field(default_factory=EnumerationBudget)
-    out_dir: Path = Path(".")
-    wall_time: bool = True
-    trace_per_agent: bool = True
+__all__ = ["run_experiment", "main"]
 
 
 def _trace_rows_distributed(report, per_agent):
@@ -94,22 +77,33 @@ _SOLVERS = {"central": solve_central, "dist": solve_distributed}
 _SOLVE_MODES = {"solve-central": "central", "solve-dist": "dist"}
 
 
-def run_experiment(spec):
-    """Run every sweep cell; returns summary rows in (n, seed, rho, mode) order.
+def run_experiment(args):
+    """Run the grid of the parsed ``sweep`` flags ``args``; returns summary
+    rows in (n, seed, rho, mode) order.
 
+    Each distinct --n, seed and rho value is one grid value. Rhos whose
+    ``:g`` trace names collide raise ValueError before ``args.out`` is made.
     Cell failures are recorded in the row's status column and the sweep
-    continues. Each (n, seed) instance and its oracle solution are built once
-    and shared by that instance's rho/mode cells.
+    continues. Each (n, seed) instance and its oracle solution are built
+    once and shared by that instance's rho/mode cells.
     """
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(rho, mode) for rho in sorted(spec.rhos) for mode in sorted(spec.modes)]
+    seeds = (range(args.seeds) if args.seed_list is None
+             else _parse_list(args.seed_list, int))
+    rhos = sorted(set(_parse_list(args.rhos, float)))
+    for a, b in zip(rhos, rhos[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ValueError(f"rhos {a!r} and {b!r} share the trace name rho{a:g}")
+    modes = ["central", "dist"] if args.modes == "both" else [args.modes]
+    budget = _oracle_budget(args)
+    args.out.mkdir(parents=True, exist_ok=True)
+    cells = [(rho, mode) for rho in rhos for mode in modes]
     rows = []
-    for n in sorted(spec.ns):
-        for seed in sorted(spec.seeds):
+    for n in sorted(set(args.n)):
+        for seed in sorted(set(seeds)):
             try:
                 inst = random_instance(
-                    n, spec.p, seed, n_commodities=spec.commodities,
-                    hop_slack=spec.hop_slack,
+                    n, args.p, seed, n_commodities=args.commodities,
+                    hop_slack=args.hop_slack,
                 )
             except Exception as exc:  # cell failures must not kill the sweep
                 logger.error("instance (n=%d, seed=%d) failed: %s", n, seed, exc)
@@ -117,40 +111,37 @@ def run_experiment(spec):
                             for rho, mode in cells)
                 continue
             oracle_result = None
-            if spec.oracle:
+            if not args.no_oracle:
                 try:
-                    oracle_result = exact_solve(inst, spec.oracle_budget)
+                    oracle_result = exact_solve(inst, budget)
                 except BudgetExceededError:
                     pass
-            rows.extend(_run_cell(spec, inst, oracle_result, n, seed, rho, mode)
+            rows.extend(_run_cell(args, inst, oracle_result, n, seed, rho, mode)
                         for rho, mode in cells)
     return rows
 
 
 def _error_row(n, m, seed, rho, mode, exc):
-    return (n, m, seed, float(rho), mode, "", "", False, None, None,
+    return (n, m, seed, rho, mode, "", "", False, None, None,
             f"error: {exc}", 0.0, "")
 
 
-def _run_cell(spec, inst, oracle_result, n, seed, rho, mode):
+def _run_cell(args, inst, oracle_result, n, seed, rho, mode):
     trace_name = f"trace_n{n}_s{seed}_rho{rho:g}_{mode}.csv"
-    trace_path = spec.out_dir / trace_name
     t0 = time.perf_counter()
     try:
-        if mode not in _SOLVERS:
-            raise ValueError(f"unknown mode {mode!r}")
-        cfg = SolverConfig(rho=rho, tol=spec.tol, max_iters=spec.max_iters)
+        cfg = SolverConfig(rho=rho, tol=args.tol, max_iters=args.max_iters)
         report = _SOLVERS[mode](inst, cfg)
     except Exception as exc:
         logger.error("cell (n=%d, seed=%d, rho=%g, %s) failed: %s",
                      n, seed, rho, mode, exc)
         return _error_row(n, inst.m, seed, rho, mode, exc)
-    wall_ms = (time.perf_counter() - t0) * 1000.0 if spec.wall_time else 0.0
-    _write_trace(report, trace_path, per_agent=spec.trace_per_agent)
+    wall_ms = 0.0 if args.no_wall_time else (time.perf_counter() - t0) * 1000.0
+    _write_trace(report, args.out / trace_name, per_agent=args.trace_per_agent)
     gap = None
     oracle_obj = None
     status = report.status
-    if spec.oracle:
+    if not args.no_oracle:
         if oracle_result is None:
             status = "oracle-skipped"
         elif oracle_result.feasible:
@@ -160,7 +151,7 @@ def _run_cell(spec, inst, oracle_result, n, seed, rho, mode):
         else:
             status = "oracle-infeasible"
     return (
-        n, inst.m, seed, float(rho), mode, report.iterations,
+        n, inst.m, seed, rho, mode, report.iterations,
         report.objective, report.feasible, gap, oracle_obj, status,
         wall_ms, trace_name,
     )
@@ -179,11 +170,12 @@ _FLAGS = {
                         help="hop bound slack over the longest shortest path"),
     "--commodities": dict(type=int, default=None,
                           help="commodity count (default floor(n/5), min 1)"),
-    "--rho": dict(type=float, default=1.0, help="penalty parameter"),
-    "--tol": dict(type=float, default=1e-4, help="stopping tolerance"),
-    "--max-iters": dict(type=int, default=500, help="iteration cap"),
-    "--oracle-max-edges": dict(type=int, default=24),
-    "--oracle-max-trees": dict(type=int, default=10_000_000),
+    "--rho": dict(type=float, default=SolverConfig.rho, help="penalty parameter"),
+    "--tol": dict(type=float, default=SolverConfig.tol, help="stopping tolerance"),
+    "--max-iters": dict(type=int, default=SolverConfig.max_iters,
+                        help="iteration cap"),
+    "--oracle-max-edges": dict(type=int, default=EnumerationBudget.max_edges),
+    "--oracle-max-trees": dict(type=int, default=EnumerationBudget.max_trees),
     "--trace-aggregate": dict(
         dest="trace_per_agent", action="store_false",
         help="one aggregated distributed trace row per round"),
@@ -318,25 +310,8 @@ def _cmd_dump_qp(args):
 
 
 def _cmd_sweep(args):
-    spec = SweepSpec(
-        ns=args.n,
-        seeds=list(range(args.seeds)) if args.seed_list is None
-        else _parse_list(args.seed_list, int),
-        rhos=_parse_list(args.rhos, float),
-        modes=["central", "dist"] if args.modes == "both" else [args.modes],
-        p=args.p,
-        commodities=args.commodities,
-        hop_slack=args.hop_slack,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        oracle=not args.no_oracle,
-        oracle_budget=_oracle_budget(args),
-        out_dir=args.out,
-        wall_time=not args.no_wall_time,
-        trace_per_agent=args.trace_per_agent,
-    )
-    rows = run_experiment(spec)
-    summary = spec.out_dir / "summary.csv"
+    rows = run_experiment(args)
+    summary = args.out / "summary.csv"
     write_csv(summary, SUMMARY_COLUMNS, rows)
     print(f"wrote {summary} ({len(rows)} rows)")
     return 0
@@ -395,7 +370,7 @@ def build_parser():
                    help="number of seeds (0..k-1)")
     p.add_argument("--seed-list", type=str, default=None,
                    help="explicit comma-separated seeds (overrides --seeds)")
-    p.add_argument("--rhos", type=str, default="1.0",
+    p.add_argument("--rhos", type=str, default=repr(SolverConfig.rho),
                    help="comma-separated penalty values")
     p.add_argument("--modes", choices=["central", "dist", "both"],
                    default="both")
@@ -417,7 +392,8 @@ def main(argv=None):
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceededError,
+            GraphGenerationError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

@@ -13,8 +13,8 @@ and :func:`central.local_duals` on every agent's rows at once), solving in
 the runtime that :func:`central.run_outer_loop` passes to each round; only
 the subproblem, built here, differs. Agents within a phase are
 data-independent -- results are identical for any processing order, which
-is tested. Message passing is simulated in-process, not a network stack;
-determinism outranks realism at desk scale.
+is tested with phase 1 in reverse. Message passing is simulated in-process,
+not a network stack; determinism outranks realism at desk scale.
 
 Communication follows the instance graph: each neighbor pair is one
 consensus constraint, with a quadratic of coefficient rho and a unit dual
@@ -180,22 +180,15 @@ def agent_dual_step(world, staged):
                                nu=nu, xi=xi, k=world.k + 1)
 
 
-def sync_round(world, cfg, runtime, order=None):
+def sync_round(world, cfg, runtime):
     """One synchronous round over all agents, solving in ``runtime``.
 
-    Phase 1 reads only the round-k rows, phase 2 only phase-1 output, so
-    any processing order gives bit-identical results. ``order``, when
-    given, must list every agent id once; any other raises ValueError.
+    Phase 1 runs the agents in id order; it reads only the round-k rows and
+    phase 2 only phase-1 output, so any order gives bit-identical results.
     """
-    n = world.inst.n
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of the agent "
-                         f"ids 0 to {n - 1}")
     q = agent_linear_cost(world.inst, world, cfg.rho)
-    staged = [None] * n
-    for i in order:
-        staged[i] = agent_primal_step(world, i, q[i], cfg, runtime)
+    staged = [agent_primal_step(world, i, q[i], cfg, runtime)
+              for i in range(world.inst.n)]
     return agent_dual_step(world, staged)
 
 

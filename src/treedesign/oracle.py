@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import TreeIndicator
+from .mcf import objective
 
 __all__ = [
     "EnumerationBudget",
@@ -203,8 +204,7 @@ def exact_solve(inst, budget=DEFAULT_BUDGET):
     tree = TreeIndicator.from_indices(g.m, best_combo)
     # recompute through the same dot product the solvers report, so equal
     # trees give bit-identical objectives and a gap of exactly zero
-    final_cost = float(np.dot(costs, tree.vector.astype(float)))
-    return ExactSolution(tree, final_cost, enumerated)
+    return ExactSolution(tree, objective(inst, tree), enumerated)
 
 
 def _all_paths_within(adj, pairs, d, n):

@@ -13,7 +13,6 @@ import treedesign
 from treedesign.central import (SolverConfig, build_centralized_subproblem,
                                 init_state, solve_central)
 from treedesign.cli import (
-    SweepSpec,
     _trace_rows_distributed,
     build_parser,
     compute_gap,
@@ -21,7 +20,9 @@ from treedesign.cli import (
     run_experiment,
 )
 from treedesign.distributed import solve_distributed
+from treedesign.graphs import MAX_ATTEMPTS
 from treedesign.mcf import random_instance, read_instance
+from treedesign.oracle import EnumerationBudget
 from treedesign.report import DISTRIBUTED_TRACE_COLUMNS, SUMMARY_COLUMNS, write_csv
 
 from helpers import read_csv, trace_rows_distributed_reference
@@ -38,12 +39,15 @@ def test_compute_gap_examples(caplog):
     assert any("internal error" in r.message for r in caplog.records)
 
 
+def _sweep_args(*argv):
+    return build_parser().parse_args(["sweep", *argv])
+
+
 def test_sweep_row_counting(tmp_path):
-    spec = SweepSpec(
-        ns=[6], seeds=[0, 1, 2], rhos=[0.1, 1.0], modes=["central", "dist"],
-        max_iters=60, out_dir=tmp_path, wall_time=False,
-    )
-    rows = run_experiment(spec)
+    args = _sweep_args("--n", "6", "--seed-list", "0,1,2", "--rhos", "0.1,1.0",
+                       "--modes", "both", "--max-iters", "60", "--no-wall-time",
+                       "--out", str(tmp_path))
+    rows = run_experiment(args)
     assert len(rows) == 12
     keys = [(r[0], r[2], r[3], r[4]) for r in rows]
     assert keys == sorted(keys)
@@ -55,38 +59,28 @@ def test_sweep_row_counting(tmp_path):
 
 
 def test_sweep_oracle_skipped_when_budget_exceeded(tmp_path):
-    spec = SweepSpec(
-        ns=[10], seeds=[0], rhos=[1.0], modes=["central"],
-        p=1.0,  # complete graph: m = 45 exceeds the default edge budget
-        max_iters=5, out_dir=tmp_path, wall_time=False,
+    args = _sweep_args(
+        "--n", "10", "--seed-list", "0", "--rhos", "1.0", "--modes", "central",
+        "--p", "1.0",  # complete graph: m = 45 exceeds the default edge budget
+        "--max-iters", "5", "--no-wall-time", "--out", str(tmp_path),
     )
-    rows = run_experiment(spec)
+    rows = run_experiment(args)
     assert len(rows) == 1
     assert rows[0][10] == "oracle-skipped"
     assert rows[0][8] is None and rows[0][9] is None
-
-
-def test_sweep_cell_error_is_recorded(tmp_path):
-    spec = SweepSpec(
-        ns=[6], seeds=[0], rhos=[1.0], modes=["bogus"],
-        max_iters=5, out_dir=tmp_path, wall_time=False, oracle=False,
-    )
-    rows = run_experiment(spec)
-    assert rows == [(6, random_instance(6, 0.5, 0).m, 0, 1.0, "bogus", "", "",
-                     False, None, None, "error: unknown mode 'bogus'", 0.0, "")]
 
 
 def test_sweep_records_a_rejected_rho_as_an_error_row(tmp_path):
     # the settings are checked inside the cell, so a rejected rho is that
     # cell's error row and the other cells run as they would alone
     def sweep(rhos, out):
-        return run_experiment(SweepSpec(
-            ns=[6], seeds=[0], rhos=rhos, modes=["central"], oracle=False,
-            max_iters=5, out_dir=out, wall_time=False,
+        return run_experiment(_sweep_args(
+            "--n", "6", "--seed-list", "0", "--rhos", rhos, "--modes", "central",
+            "--no-oracle", "--max-iters", "5", "--no-wall-time", "--out", str(out),
         ))
 
-    rows = sweep([0.0, 1.0], tmp_path / "mixed")
-    alone = sweep([1.0], tmp_path / "alone")
+    rows = sweep("0.0,1.0", tmp_path / "mixed")
+    alone = sweep("1.0", tmp_path / "alone")
     assert rows[0] == (6, random_instance(6, 0.5, 0).m, 0, 0.0, "central", "",
                        "", False, None, None,
                        "error: rho must be finite and positive, got 0.0", 0.0, "")
@@ -100,9 +94,10 @@ def test_sweep_records_a_rejected_rho_as_an_error_row(tmp_path):
 
 def test_sweep_records_an_instance_that_fails_to_build(tmp_path):
     def sweep(ns, out):
-        return run_experiment(SweepSpec(
-            ns=ns, seeds=[0], rhos=[1.0, 0.1], modes=["dist", "central"],
-            oracle=True, max_iters=40, out_dir=out, wall_time=False,
+        return run_experiment(_sweep_args(
+            *(arg for n in ns for arg in ("--n", str(n))), "--seed-list", "0",
+            "--rhos", "1.0,0.1", "--modes", "both", "--max-iters", "40",
+            "--no-wall-time", "--out", str(out),
         ))
 
     rows = sweep([6, 1], tmp_path / "mixed")
@@ -122,6 +117,33 @@ def test_sweep_records_an_instance_that_fails_to_build(tmp_path):
     for name in traces:
         assert ((tmp_path / "mixed" / name).read_bytes()
                 == (tmp_path / "alone" / name).read_bytes())
+
+
+def test_sweep_runs_each_grid_value_once(tmp_path):
+    # a repeated --n, seed or rho is one grid value, so each cell runs once
+    def sweep(out, *grid):
+        assert main(["sweep", *grid, "--modes", "central", "--no-oracle",
+                     "--max-iters", "5", "--no-wall-time", "--out", str(out)]) == 0
+        return sorted(p.name for p in out.iterdir())
+
+    files = sweep(tmp_path / "repeated", "--n", "6", "--n", "6",
+                  "--seed-list", "0,0", "--rhos", "1,1.0")
+    assert files == sweep(tmp_path / "once", "--n", "6", "--seed-list", "0",
+                          "--rhos", "1")
+    assert files == ["summary.csv", "trace_n6_s0_rho1_central.csv"]
+    for name in files:
+        assert ((tmp_path / "repeated" / name).read_bytes()
+                == (tmp_path / "once" / name).read_bytes())
+
+
+def test_sweep_rejects_rhos_that_share_a_trace_name(tmp_path, capsys):
+    # trace names print rho with :g, so two rhos that print alike would
+    # write one trace file; the sweep stops before it makes --out
+    out = tmp_path / "out"
+    _assert_rejected(capsys, ["sweep", "--n", "6", "--rhos", "1,0.5,1.0000001",
+                              "--out", str(out)],
+                     "rhos 1.0 and 1.0000001 share the trace name rho1")
+    assert not out.exists()
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -293,8 +315,9 @@ def test_aggregated_trace_is_byte_identical_to_the_per_round_scan(tmp_path):
     ["dump-qp", "--n", "6", "--tol", "0.5"],
     ["dump-qp", "--n", "6", "--max-iters", "1"],
     ["gen", "--n", "6", "--instance", "inst.txt"],
+    ["sweep", "--n", "6", "--modes", "bogus", "--out", "o"],
 ], ids=["solve-central-trace-aggregate", "dump-qp-tol", "dump-qp-max-iters",
-        "gen-instance"])
+        "gen-instance", "sweep-modes-bogus"])
 def test_parser_rejects_retired_flags(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
@@ -309,6 +332,16 @@ def test_sweep_flags_and_defaults():
         oracle_max_trees=10_000_000, no_wall_time=False, trace_per_agent=True,
         out=Path("o"),
     )
+    # each default that a library object owns is read from it
+    cfg, budget = SolverConfig(), EnumerationBudget()
+    defaults = parser.parse_args(["solve-dist", "--n", "6"])
+    assert (defaults.rho, defaults.tol, defaults.max_iters) == (
+        cfg.rho, cfg.tol, cfg.max_iters)
+    defaults = parser.parse_args(["sweep", "--n", "6", "--out", "o"])
+    assert (defaults.rhos, defaults.tol, defaults.max_iters) == (
+        repr(cfg.rho), cfg.tol, cfg.max_iters)
+    assert (defaults.oracle_max_edges, defaults.oracle_max_trees) == (
+        budget.max_edges, budget.max_trees)
     args = parser.parse_args([
         "sweep", "--n", "6", "--n", "8", "--p", "0.4", "--seeds", "2",
         "--seed-list", "1,3", "--rhos", "0.1,1", "--modes", "dist",
@@ -333,6 +366,19 @@ def test_parser_rejects_missing_input(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     _assert_rejected(capsys, ["solve-dist", "--instance", str(missing)],
                      f"[Errno 2] No such file or directory: '{missing}'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--n", "10", "--p", "1"], "graph has m=45 edges, budget allows 24"),
+    (["gen", "--n", "40", "--p", "0.01"],
+     "could not generate connected graph for (n=40, p=0.01, seed=0) "
+     f"within {MAX_ATTEMPTS} attempts"),
+], ids=["oracle-over-budget", "gen-unconnectable"])
+def test_library_errors_end_in_one_error_line(capsys, argv, message):
+    # an instance over the oracle's budget, or a graph the generator cannot
+    # connect, is rejected input too: exit code 2, not a traceback, and not
+    # the oracle's exit code 1 for an infeasible instance
+    _assert_rejected(capsys, argv, message)
 
 
 def test_cli_module_runs_without_runtime_warning():
