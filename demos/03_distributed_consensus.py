@@ -34,7 +34,7 @@ inst = random_instance(6, 0.5, seed=3)
 print(inst, "hop bound", inst.hop_bound)
 
 cfg = SolverConfig(rho=0.1, tol=1e-4, max_iters=400)
-world = init_world(inst, cfg)
+world = init_world(inst)
 runtime = SubproblemRuntime()
 print("\nround   consensus gap   per-agent objectives")
 for r in range(1, 101):
@@ -52,7 +52,7 @@ print(f"\nfull driver: {report.status} after {report.iterations} rounds, "
 # delta). Aggregating them per agent recovers the condensed consensus duals
 # exactly; the identity alpha + beta = 0 holds at every round.
 cfg_ref = SolverConfig(rho=1.0, tol=1e-12, max_iters=10, qp_tol=1e-10)
-cond = init_world(inst, cfg_ref)
+cond = init_world(inst)
 ref = init_full_dual_world(inst, cfg_ref)
 rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
 for _ in range(10):

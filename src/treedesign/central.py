@@ -242,8 +242,8 @@ def local_duals(mu, eta, z, w, y, u):
     return mu + (z - w), eta + (y - u)
 
 
-def init_state(inst, cfg):
-    """The centralized start, :func:`relaxed_start`."""
+def init_state(inst):
+    """The centralized start, :func:`relaxed_start` of ``inst``."""
     return CentralState(**relaxed_start(inst))
 
 
@@ -291,7 +291,7 @@ def run_outer_loop(inst, cfg, mode, init, advance, record):
     """The outer loop and answer extraction shared by both drivers.
 
     The loop owns the run's one :class:`SubproblemRuntime` and reports its
-    counters. ``init(inst, cfg)`` gives the starting state and
+    counters. ``init(inst)`` gives the starting state and
     ``advance(state, runtime)`` the next; a state counts its iterations in
     ``k``. A state holds its variable copies' relaxations ``w``, trees ``z``
     and flows ``y`` as one vector each (the central state) or one row per
@@ -308,7 +308,7 @@ def run_outer_loop(inst, cfg, mode, init, advance, record):
     """
     t0 = time.perf_counter()
     runtime = SubproblemRuntime()
-    state = init(inst, cfg)
+    state = init(inst)
     trace = []
     trees_validated = 0
     status = "not-run" if cfg.max_iters == 0 else "max-iters"

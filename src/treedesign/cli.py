@@ -32,6 +32,7 @@ from .mcf import (
 )
 from .oracle import BudgetExceededError, EnumerationBudget, exact_solve
 from .projection import mst_kruskal, projection_weights
+from .qp import InfeasibleSubproblemError
 from .report import (
     CENTRAL_TRACE_COLUMNS,
     DISTRIBUTED_TRACE_COLUMNS,
@@ -81,8 +82,9 @@ def run_experiment(args):
     """Run the grid of the parsed ``sweep`` flags ``args``; returns summary
     rows in (n, seed, rho, mode) order.
 
-    Each distinct --n, seed and rho value is one grid value. Rhos whose
-    ``:g`` trace names collide raise ValueError before ``args.out`` is made.
+    Each distinct --n, seed and rho value is one grid value. An empty seed
+    or rho list, and rhos whose ``:g`` trace names collide, raise ValueError
+    before ``args.out`` is made.
     Cell failures are recorded in the row's status column and the sweep
     continues. Each (n, seed) instance and its oracle solution are built
     once and shared by that instance's rho/mode cells.
@@ -90,6 +92,8 @@ def run_experiment(args):
     seeds = (range(args.seeds) if args.seed_list is None
              else _parse_list(args.seed_list, int))
     rhos = sorted(set(_parse_list(args.rhos, float)))
+    if not (seeds and rhos):
+        raise ValueError(f"the sweep grid has no {'rhos' if seeds else 'seeds'}")
     for a, b in zip(rhos, rhos[1:]):
         if f"{a:g}" == f"{b:g}":
             raise ValueError(f"rhos {a!r} and {b!r} share the trace name rho{a:g}")
@@ -392,8 +396,8 @@ def main(argv=None):
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, BudgetExceededError,
-            GraphGenerationError) as exc:
+    except (ValueError, OSError, BudgetExceededError, GraphGenerationError,
+            InfeasibleSubproblemError) as exc:
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 

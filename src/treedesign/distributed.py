@@ -80,8 +80,8 @@ class World:
     k: int = 0
 
 
-def init_world(inst, cfg):
-    """All agents start identical (relaxed w0, zero duals)."""
+def init_world(inst):
+    """All agents start identical, at ``relaxed_start(inst)``, zero duals."""
     neighbors = [[j for _, j in inst.graph.incident(i)] for i in range(inst.n)]
     slots = tuple(
         (np.array([i for i, nb in enumerate(neighbors) if len(nb) > s]),

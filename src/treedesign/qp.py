@@ -6,18 +6,18 @@
 Solved by an operator-splitting iteration: a linear KKT step on the smooth
 part alternates with projection onto the stacked constraint interval. A
 QpWorkspace fixes everything except the linear cost: it scales the rows,
-assembles one KKT template and factors the iteration's KKT matrix once, and
-each solve takes a new q (the only thing an outer ADMM iteration changes),
-optionally warm-started from an earlier solution's (v, z, lam) or from a
-bare point v (a WarmStart). A final active-set polish tightens residuals
-well below the iteration tolerance, and the residuals it computes to accept
-or reject the polished point are the ones reported. The iteration's KKT
-matrix is symmetric quasi-definite, so SuperLU factors it under a symmetric
+assembles the iteration's KKT matrix and factors it once, and each solve
+takes a new q (the only thing an outer ADMM iteration changes), optionally
+warm-started from an earlier solution's (v, z, lam) or from a bare point v
+(a WarmStart). A final active-set polish tightens residuals well below the
+iteration tolerance, and the residuals it computes to accept or reject the
+polished point are the ones reported. The iteration's KKT matrix is
+symmetric quasi-definite, so SuperLU factors it under a symmetric
 fill-reducing ordering without pivoting. The polish eliminates the active
 box rows exactly and factors the Schur complement of the active constraint
-rows, which is positive definite: densely with one Cholesky factor where the
-map below holds the constraint rows dense, and sparsely with SuperLU, again
-without pivoting, for structures too large for the map.
+rows, which is positive definite: densely with one Cholesky factor where
+the map below holds the constraint rows dense, and sparsely with SuperLU,
+again without pivoting, for structures too large for the map.
 
 Each solve runs one inner loop on one step. With rho fixed, the iteration
 is an affine map followed by a clip. Put w = z_pre + lam/rho, the point the
@@ -91,10 +91,6 @@ class InfeasibleSubproblemError(RuntimeError):
     """Raised by callers for whom an infeasible subproblem is fatal."""
 
 
-def _empty_system(n):
-    return sp.csr_matrix((0, n)), np.zeros(0)
-
-
 def _matvec(a, x, out):
     """``a @ x`` for a CSR matrix ``a``, written into ``out`` and returned.
 
@@ -130,7 +126,7 @@ def factor_kkt(kkt):
 
 @dataclass
 class QuadraticProgram:
-    """Problem data. Constraint matrices are sparse row structures."""
+    """Problem data. Constraint matrices are stored as canonical CSR."""
 
     d: np.ndarray
     q: np.ndarray
@@ -159,8 +155,11 @@ class QuadraticProgram:
             if (a is None) != (b is None):
                 raise ValueError(f"{rows} and {rhs} go together, but "
                                  f"{rows if a is None else rhs} is missing")
-            a, b = _empty_system(n) if a is None else \
+            a, b = (sp.csr_matrix((0, n)), np.zeros(0)) if a is None else \
                 (sp.csr_matrix(a), np.asarray(b, dtype=float))
+            if not a.has_canonical_format:  # sum in a copy, not the caller's
+                a = a.copy()
+                a.sum_duplicates()
             setattr(self, rows, a)
             setattr(self, rhs, b)
         if self.a_eq.shape[1] != n or self.a_in.shape[1] != n:
@@ -238,7 +237,7 @@ def _fitted(name, a, size):
 
 
 class QpWorkspace:
-    """Scaled constraint system, KKT template and factorization for one
+    """Scaled constraint system, KKT matrix and factorization for one
     fixed structure.
 
     The diagonal, the constraint rows and the box of ``qp`` are fixed for the
@@ -247,14 +246,14 @@ class QpWorkspace:
     next, so a refactorization happens only when rho adaptation moves it;
     ``refactors`` counts those.
 
-    ``__init__`` pays every structural cost once: it reads the constraint
-    rows once as sorted triplets and scales them, and from those builds the
-    scaled rows ``a_csr``, the CSR transpose ``a_t`` the gradients use, and
-    one CSC template ``[[diag(d) + delta I, A'], [A, -delta I]]`` over all
-    scaled rows, by index arithmetic alone. The iteration's KKT matrix is
-    the template with its diagonal overwritten (``d + sigma`` and
-    ``-1/rho``). Every structure is entry for entry what assembling it with
-    ``sp.vstack`` and ``sp.bmat`` gives.
+    ``__init__`` pays every structural cost once: it reads the canonical
+    constraint rows of ``qp`` once as sorted triplets and scales them, and
+    from those builds the scaled rows ``a_csr``, the CSR transpose ``a_t``
+    the gradients use, and the iteration's CSC KKT matrix ``_kkt`` =
+    ``[[diag(d + sigma), A'], [A, -diag(1/rho)]]`` over all scaled rows, by
+    index arithmetic alone. Each factorization writes its ``-1/rho`` into
+    that one matrix in place. Every structure is entry for entry what
+    assembling it with ``sp.vstack`` and ``sp.bmat`` gives.
 
     The iteration matrix is factored by :func:`factor_kkt` without
     pivoting. That is safe because it is quasi-definite, with ``d + sigma >
@@ -308,7 +307,7 @@ class QpWorkspace:
         m_in = qp.a_in.shape[0]
         self.m_eq, self.m_in, self.n = m_eq, m_in, n
         self.m_total = m_total = m_eq + m_in + n
-        a_eq, a_in = _canonical(qp.a_eq), _canonical(qp.a_in)
+        a_eq, a_in = qp.a_eq, qp.a_in
         rows, cols, vals, scale = _scaled_rows(a_eq, a_in)
         scale_eq, scale_in = scale[:m_eq], scale[m_eq:]
         # A = [A_eq; A_in; I] with scaled constraint rows, row-major; its
@@ -328,11 +327,11 @@ class QpWorkspace:
         self.u = np.concatenate([qp.b_eq / scale_eq, qp.b_in / scale_in, qp.hi])
         self._is_eq = np.zeros(m_total, dtype=bool)
         self._is_eq[:m_eq] = True
-        self._template, self._template_diag = self._assemble_template()
+        self._kkt, self._kkt_diag = self._assemble_kkt()
         # the reported residuals' rows in original units: one product with
         # [A_eq; A_in; I; -I] minus [b_eq; b_in; hi; -lo] gives every slack.
-        # The caller's rows are stacked in canonical form with stored zeros
-        # kept, as sp.vstack does
+        # The canonical rows are stacked with stored zeros kept, as
+        # sp.vstack does
         nnz = a_eq.indptr[-1] + a_in.indptr[-1]
         self._report_rows = sp.csr_matrix(
             (np.concatenate([a_eq.data, a_in.data, np.ones(n), np.full(n, -1.0)]),
@@ -363,9 +362,9 @@ class QpWorkspace:
         self.refactors = 0
         self._refactor(self.RHO0)
 
-    def _assemble_template(self):
-        """The CSC template ``[[diag(d) + delta I, A'], [A, -delta I]]`` and
-        the positions of its diagonal entries.
+    def _assemble_kkt(self):
+        """The CSC KKT matrix ``[[diag(d + sigma), A'], [A, -diag(1/rho)]]``
+        with its trailing diagonal unwritten, and that diagonal's positions.
 
         Column j < n is row j of ``a_t`` (shifted by n) with the diagonal
         put first, and column n + i is row i of ``a_csr`` with the diagonal
@@ -373,7 +372,7 @@ class QpWorkspace:
         ``sp.bmat`` assembles.
         """
         n, m_total, a_t, a_csr = self.n, self.m_total, self.a_t, self.a_csr
-        nnz, delta = a_csr.nnz, self.POLISH_DELTA
+        nnz = a_csr.nnz
         diag = np.concatenate([a_t.indptr[:-1] + np.arange(n),
                                n + nnz + a_csr.indptr[1:] + np.arange(m_total)])
         off = np.ones(n + m_total + 2 * nnz, dtype=bool)
@@ -382,12 +381,12 @@ class QpWorkspace:
         indices[diag] = np.arange(n + m_total)
         indices[off] = np.concatenate([n + a_t.indices, a_csr.indices])
         data = np.empty(len(off))
-        data[diag] = np.concatenate([self.qp.d + delta, np.full(m_total, -delta)])
+        data[diag[:n]] = self.qp.d + self.SIGMA
         data[off] = np.concatenate([a_t.data, a_csr.data])
         indptr = np.concatenate([a_t.indptr + np.arange(n + 1),
                                  n + nnz + a_csr.indptr[1:] + np.arange(1, m_total + 1)])
         size = n + m_total
-        return sp.csc_matrix((data, indices, indptr), shape=(size, size)), diag
+        return sp.csc_matrix((data, indices, indptr), shape=(size, size)), diag[n:]
 
     def _assemble_step_rows(self):
         """The CSR rows ``B = [[0, A, -alpha I_m], [-alpha I_n, I_n, 0]]``
@@ -404,7 +403,7 @@ class QpWorkspace:
         off = np.ones(w_nnz, dtype=bool)
         off[last] = False
         # B has more columns and entries than A, so a_csr's index dtype need
-        # not hold its indices: they start as int64, as the template's do,
+        # not hold its indices: they start as int64, as the KKT matrix's do,
         # and the constructor stores them as int32 where they fit, as
         # sp.bmat does
         indices = np.empty(w_nnz + 2 * n, dtype=np.int64)
@@ -422,15 +421,13 @@ class QpWorkspace:
                              shape=(m_total + n, m_total + 2 * n))
 
     def _refactor(self, rho_base):
-        """Factor (and map) the iteration at ``rho_base``; the workspace
-        takes the new penalty only once that has succeeded."""
+        """Write ``-1/rho`` at ``rho_base`` into ``_kkt``, which SuperLU
+        keeps no reference to, and factor (and map) it; the workspace takes
+        the new penalty only once that has succeeded."""
         rho = np.full(self.m_total, rho_base)
         rho[self._is_eq] *= self.EQ_RHO_FACTOR
-        t = self._template
-        data = t.data.copy()
-        data[self._template_diag] = np.concatenate([self.qp.d + self.SIGMA,
-                                                    -1.0 / rho])
-        lu = factor_kkt(sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape))
+        self._kkt.data[self._kkt_diag] = -1.0 / rho
+        lu = factor_kkt(self._kkt)
         if self._map is not None:
             self._build_xspace_map(lu)
             self._fold[:self.n] = self.SIGMA / rho_base
@@ -823,17 +820,6 @@ def _indptr(major, size):
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
     return indptr
-
-
-def _canonical(a):
-    """``a`` itself when its column indices are sorted and unique in every
-    row, otherwise a copy with duplicates summed: the caller's matrix is
-    never rewritten."""
-    if a.has_canonical_format:
-        return a
-    a = a.copy()
-    a.sum_duplicates()
-    return a
 
 
 def _scaled_rows(a_eq, a_in):

@@ -132,9 +132,10 @@ def row_scales_reference(mat):
     return scales
 
 
-def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
+def workspace_structures_reference(qp):
     """QpWorkspace's structural arrays assembled with ``sp.bmat`` and
-    ``sp.vstack``, keyed by attribute name."""
+    ``sp.vstack``, keyed by attribute name; the KKT matrix is the
+    iteration's at the first penalty, ``RHO0``."""
     n, m_eq, m_in = qp.n, qp.a_eq.shape[0], qp.a_in.shape[0]
     scale_eq = row_scales_reference(qp.a_eq)
     scale_in = row_scales_reference(qp.a_in)
@@ -147,22 +148,25 @@ def workspace_structures_reference(qp, delta=QpWorkspace.POLISH_DELTA):
         format="csc",
     )
     m_total = m_eq + m_in + n
-    template = sp.bmat(
+    rho = np.full(m_total, QpWorkspace.RHO0)
+    rho[:m_eq] *= QpWorkspace.EQ_RHO_FACTOR
+    kkt = sp.bmat(
         [
-            [sp.diags(qp.d + delta), a_rows.T],
-            [a_rows, sp.diags(np.full(m_total, -delta))],
+            [sp.diags(qp.d + QpWorkspace.SIGMA), a_rows.T],
+            [a_rows, sp.diags(-1.0 / rho)],
         ],
         format="csc",
     )
-    template_cols = np.repeat(np.arange(n + m_total), np.diff(template.indptr))
+    kkt_cols = np.repeat(np.arange(n + m_total), np.diff(kkt.indptr))
     eye = sp.identity(n, format="csr")
     a_csr = a_rows.tocsr()
     return {
         "a_csr": a_csr,
         "a_t": a_csr.T.tocsr(),
         "row_scale": np.concatenate([scale_eq, scale_in, np.ones(n)]),
-        "_template": template,
-        "_template_diag": np.flatnonzero(template.indices == template_cols),
+        "_kkt": kkt,
+        # the positions of the -1/rho entries each factorization rewrites
+        "_kkt_diag": np.flatnonzero(kkt.indices == kkt_cols)[n:],
         "_report_rows": sp.vstack([qp.a_eq, qp.a_in, eye, -eye], format="csr"),
     }
 
@@ -806,7 +810,7 @@ class FullDualWorld:
 
 def init_full_dual_world(inst, cfg):
     """Zero arc duals; averages seeded with the (identical) initial primals."""
-    base = init_world(inst, cfg)
+    base = init_world(inst)
     agents = [
         FullDualAgentState(
             u=base.u[0].copy(), w=base.w[0].copy(), z=base.z[0],

@@ -120,7 +120,7 @@ def test_criterion_03_condensed_equals_arc_dual_reference():
     for n, seed in cases:
         inst = random_instance(n, 0.5, seed=seed)
         cfg = SolverConfig(rho=1.0, tol=1e-12, max_iters=10**6, qp_tol=1e-10)
-        world = init_world(inst, cfg)
+        world = init_world(inst)
         ref = init_full_dual_world(inst, cfg)
         rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(20):
@@ -149,7 +149,7 @@ def test_criterion_04_every_iterate_is_a_spanning_tree():
     for seed, rho in ((0, 0.1), (1, 1.0), (2, 10.0)):
         inst = random_instance(7, 0.5, seed=seed)
         cfg = SolverConfig(rho=rho, tol=1e-10, max_iters=0)
-        state = init_state(inst, cfg)
+        state = init_state(inst)
         for _ in range(25):
             state = step(state, inst, cfg, SubproblemRuntime())
             assert is_spanning_tree(inst.graph, state.z)
@@ -158,7 +158,7 @@ def test_criterion_04_every_iterate_is_a_spanning_tree():
     for seed in (0, 1):
         inst = random_instance(6, 0.5, seed=seed)
         cfg = SolverConfig(rho=0.1, tol=1e-10, max_iters=0)
-        world = init_world(inst, cfg)
+        world = init_world(inst)
         rt = SubproblemRuntime()
         for _ in range(15):
             world = sync_round(world, cfg, rt)

@@ -55,8 +55,7 @@ def test_config_rejects_non_finite(field, value):
 
 def test_init_state_defaults():
     inst = k3_instance(hop=2)
-    cfg = SolverConfig()
-    st = init_state(inst, cfg)
+    st = init_state(inst)
     assert np.array_equal(st.w, np.ones(3))
     # the first anchor is the relaxed vector itself, not a projected tree
     assert np.array_equal(np.asarray(st.z), np.ones(3))
@@ -71,7 +70,7 @@ def test_dual_update_arithmetic():
     # mu' = mu + (z - w) componentwise
     inst = single_edge_instance()
     cfg = SolverConfig(rho=1.0)
-    st = init_state(inst, cfg)
+    st = init_state(inst)
     nxt = step(st, inst, cfg, SubproblemRuntime())
     assert np.allclose(nxt.mu, nxt.z - nxt.w, atol=1e-12)
     assert np.allclose(nxt.eta, nxt.y - nxt.u, atol=1e-12)
@@ -80,7 +79,7 @@ def test_dual_update_arithmetic():
 def test_fixed_point_keeps_duals():
     inst = single_edge_instance()
     cfg = SolverConfig(rho=1.0, tol=1e-4, max_iters=10)
-    st = init_state(inst, cfg)
+    st = init_state(inst)
     s1 = step(st, inst, cfg, SubproblemRuntime())
     s2 = step(s1, inst, cfg, SubproblemRuntime())
     # the single-edge instance reaches its fixed point after one iteration
@@ -92,7 +91,7 @@ def test_fixed_point_keeps_duals():
 def test_step_tree_invariant_and_dual_exactness():
     inst = random_instance(6, 0.5, seed=2)
     cfg = SolverConfig(rho=0.5, tol=1e-8, max_iters=0)
-    st = init_state(inst, cfg)
+    st = init_state(inst)
     for _ in range(12):
         prev = st
         st = step(st, inst, cfg, SubproblemRuntime())
@@ -106,7 +105,7 @@ def test_step_tree_invariant_and_dual_exactness():
 
 def test_residual_central_examples():
     inst = k3_instance(hop=2)
-    st = init_state(inst, SolverConfig())
+    st = init_state(inst)
     same = CentralState(w=st.w.copy(), u=st.u.copy(), z=st.z, y=st.y.copy(),
                         mu=st.mu.copy(), eta=st.eta.copy(), k=1)
     assert residual_central(st, same) == 0.0
@@ -183,15 +182,15 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(6, 0.5, seed=2)
     cfg = SolverConfig(rho=1.0)
     rt = SubproblemRuntime()
-    state = step(init_state(inst, cfg), inst, cfg, rt)
+    state = step(init_state(inst), inst, cfg, rt)
     step(state, inst, cfg, rt)  # same instance and rho: reused
     assert len(rt.workspaces) == 1
     other_rho = SolverConfig(rho=0.5)
     with pytest.raises(ValueError, match="bound to another"):
-        step(init_state(inst, other_rho), inst, other_rho, rt)
+        step(init_state(inst), inst, other_rho, rt)
     other_inst = random_instance(6, 0.5, seed=3)
     with pytest.raises(ValueError, match="bound to another"):
-        step(init_state(other_inst, cfg), other_inst, cfg, rt)
+        step(init_state(other_inst), other_inst, cfg, rt)
 
 
 def test_runtime_rejects_nan_residual_of_a_max_iters_solve(monkeypatch, caplog):

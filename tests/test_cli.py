@@ -146,6 +146,20 @@ def test_sweep_rejects_rhos_that_share_a_trace_name(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--seeds", "0"], "the sweep grid has no seeds"),
+    (["--seed-list", ""], "the sweep grid has no seeds"),
+    (["--rhos", ""], "the sweep grid has no rhos"),
+], ids=["no-seeds", "empty-seed-list", "empty-rhos"])
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys, grid, message):
+    # an empty grid would write a header-only summary and pass for a
+    # successful experiment; the sweep stops before it makes --out
+    out = tmp_path / "out"
+    _assert_rejected(capsys, ["sweep", "--n", "6", *grid, "--out", str(out)],
+                     message)
+    assert not out.exists()
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -253,7 +267,7 @@ def test_dump_qp_is_the_first_centralized_subproblem(tmp_path, rho):
     parsed = _parse_qp_dump((tmp_path / "qp.txt").read_text(encoding="utf-8"))
     inst = read_instance(inst_path)
     cfg = SolverConfig(rho=rho)
-    state = init_state(inst, cfg)
+    state = init_state(inst)
     qp = build_centralized_subproblem(inst, state.z, state.y, state.mu,
                                       state.eta, cfg.rho)
     # repr floats round-trip, so every value compares bit for bit
@@ -379,6 +393,31 @@ def test_library_errors_end_in_one_error_line(capsys, argv, message):
     # connect, is rejected input too: exit code 2, not a traceback, and not
     # the oracle's exit code 1 for an infeasible instance
     _assert_rejected(capsys, argv, message)
+
+
+def test_empty_relaxed_set_ends_in_one_error_line(tmp_path, capsys,
+                                                  monkeypatch):
+    # no path from 0 to 3 has one hop, so the relaxed set is empty: both
+    # solvers reject the instance with exit code 2, not a traceback, and
+    # not the oracle's exit code 1 for an infeasible instance
+    path = tmp_path / "inst.txt"
+    path.write_text("nodes 4\nedge 0 1 1.0\nedge 1 2 1.0\nedge 2 3 1.0\n"
+                    "commodity 0 3\nhopbound 1\n", encoding="utf-8")
+    message = "continuous subproblem infeasible: the relaxed constraint set is empty"
+    _assert_rejected(capsys, ["solve-central", "--instance", str(path)], message)
+    _assert_rejected(capsys, ["solve-dist", "--instance", str(path)],
+                     f"agent 0: {message}")
+    assert main(["oracle", "--instance", str(path)]) == 1
+    # a sweep cell records it as that cell's error row
+    monkeypatch.setattr("treedesign.cli.random_instance",
+                        lambda *args, **kwargs: read_instance(path))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "4", "--no-oracle", "--no-wall-time",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out / "summary.csv")
+    assert [row[4] for row in rows] == ["central", "dist"]
+    assert [row[10] for row in rows] == [f"error: {message}",
+                                         f"error: agent 0: {message}"]
 
 
 def test_cli_module_runs_without_runtime_warning():

@@ -55,7 +55,7 @@ def test_agent_step_without_neighbors_keeps_consensus_duals():
     # with the local objective, and no consensus terms
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
-    world = dataclasses.replace(init_world(inst, cfg), slots=())
+    world = dataclasses.replace(init_world(inst), slots=())
     nxt = sync_round(world, cfg, SubproblemRuntime())
     assert not np.any(nxt.nu)
     assert not np.any(nxt.xi)
@@ -68,8 +68,7 @@ def test_agent_step_without_neighbors_keeps_consensus_duals():
 
 def test_identical_staged_primals_produce_zero_consensus_increments():
     inst = k3_instance(hop=2)
-    cfg = SolverConfig(rho=0.5)
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     vec = np.zeros(inst.dim_w, dtype=np.int8)
     vec[[0, 1]] = 1
     mine = Primals(w=np.full(inst.dim_w, 0.5), u=np.full(inst.dim_u, 0.25),
@@ -82,8 +81,7 @@ def test_identical_staged_primals_produce_zero_consensus_increments():
 
 def test_dual_arithmetic_single_neighbor():
     inst = two_node_instance()
-    cfg = SolverConfig(rho=1.0)
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     tree = np.array([1], dtype=np.int8)
     mine = Primals(w=np.array([1.0]), u=np.array([1.0, 0.0]),
                    z=tree, y=np.array([1, 0], dtype=np.int8))
@@ -107,7 +105,7 @@ def test_drivers_hold_every_tree_as_an_int8_row():
          (inst.n, inst.dim_w)),
     )
     for init, advance, solve, shape in drivers:
-        state, rt = init(inst, cfg), SubproblemRuntime()
+        state, rt = init(inst), SubproblemRuntime()
         assert state.z.dtype == np.int8 and state.z.shape == shape
         for _ in range(cfg.max_iters):
             state = advance(state, rt)
@@ -122,10 +120,10 @@ def test_steps_require_a_runtime():
     # the drivers' outer loop owns each run's runtime; no step makes its own
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     q = agent_linear_cost(inst, world, cfg.rho)
     with pytest.raises(TypeError, match="runtime"):
-        step(init_state(inst, cfg), inst, cfg)
+        step(init_state(inst), inst, cfg)
     with pytest.raises(TypeError, match="runtime"):
         agent_primal_step(world, 0, q[0], cfg)
     with pytest.raises(TypeError, match="runtime"):
@@ -135,7 +133,7 @@ def test_steps_require_a_runtime():
 def test_round_is_order_independent():
     inst = random_instance(5, 0.7, seed=3)
     cfg = SolverConfig(rho=0.3)
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     # desynchronize trees a little
     world = sync_round(world, cfg, SubproblemRuntime())
     fwd = sync_round(world, cfg, SubproblemRuntime())
@@ -154,7 +152,7 @@ def test_round_is_order_independent():
 def test_symmetric_two_agent_world_stays_symmetric():
     inst = two_node_instance()
     cfg = SolverConfig(rho=1.0)
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     for _ in range(5):
         world = sync_round(world, cfg, SubproblemRuntime())
         assert agents_equal(world, 0, world, 1)
@@ -162,8 +160,7 @@ def test_symmetric_two_agent_world_stays_symmetric():
 
 def test_residual_distributed_examples():
     inst = k3_instance(hop=2)
-    cfg = SolverConfig()
-    world = init_world(inst, cfg)
+    world = init_world(inst)
     same = dataclasses.replace(clone_world(world), k=1)
     assert residual_distributed(world, same) == 0.0
     bumped = dataclasses.replace(clone_world(world), k=1)
@@ -177,7 +174,7 @@ def test_residual_distributed_examples():
 
 def test_consensus_gap_properties():
     inst = k3_instance(hop=2)
-    world = init_world(inst, SolverConfig())
+    world = init_world(inst)
     assert consensus_gap(world) == 0.0
     bumped = clone_world(world)
     delta = np.array([0.3, 0.4, 0.0])
@@ -192,7 +189,7 @@ def test_partners_are_the_graph_neighbors_once_each(n, p, seed):
     # slot s pairs every agent with more than s neighbors with its s-th
     # neighbor, so reading agent i's partners slot by slot lists them all
     inst = two_node_instance() if n == 2 else random_instance(n, p, seed=seed)
-    world = init_world(inst, SolverConfig())
+    world = init_world(inst)
     for i in range(inst.n):
         neighbors = sorted(j for (a, b) in inst.graph.edges for j in (a, b)
                            if i in (a, b) and j != i)
@@ -261,7 +258,7 @@ def test_condensed_matches_full_dual_any_rho():
     for rho in (0.1, 1.0, 2.5):
         inst = random_instance(4, 0.7, seed=2)
         cfg = SolverConfig(rho=rho, tol=1e-12, max_iters=10, qp_tol=1e-10)
-        world = init_world(inst, cfg)
+        world = init_world(inst)
         fd = init_full_dual_world(inst, cfg)
         rt1, rt2 = SubproblemRuntime(), SubproblemRuntime()
         for _ in range(6):
@@ -284,14 +281,14 @@ def test_runtime_key_is_bound_to_instance_and_rho():
     inst = random_instance(5, 0.6, seed=4)
     cfg = SolverConfig(rho=1.0)
     rt = SubproblemRuntime()
-    world = sync_round(init_world(inst, cfg), cfg, rt)
+    world = sync_round(init_world(inst), cfg, rt)
     sync_round(world, cfg, rt)  # same instance and rho: reused
     other_rho = SolverConfig(rho=2.0)
     with pytest.raises(ValueError, match="bound to another"):
-        sync_round(init_world(inst, other_rho), other_rho, rt)
+        sync_round(init_world(inst), other_rho, rt)
     twin = random_instance(5, 0.6, seed=4)
     with pytest.raises(ValueError, match="bound to another"):
-        sync_round(init_world(twin, cfg), cfg, rt)
+        sync_round(init_world(twin), cfg, rt)
 
 
 def awkward_floats(rng, shape):
@@ -312,7 +309,7 @@ def random_world(inst, rng, tree):
     """A world with awkward floats, int8 flow roundings and, for z, int8
     tree rows or the all-ones relaxed anchor."""
     n = inst.n
-    world = init_world(inst, SolverConfig())
+    world = init_world(inst)
     return dataclasses.replace(
         world,
         z=(np.array([random_tree(inst, rng) for _ in range(n)]) if tree

@@ -49,7 +49,7 @@ from helpers import (
 def _world(inst, w=None, u=None):
     """A world whose agents all sit at zero, with copies w and u (rows, or
     one vector every agent holds) when given."""
-    world = init_world(inst, SolverConfig())
+    world = init_world(inst)
     rows = {name: np.zeros_like(getattr(world, name))
             for name in ("u", "w", "y", "mu", "eta")}
     for name, value in (("w", w), ("u", u)):

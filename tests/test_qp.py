@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from treedesign import central
 from treedesign import qp as qp_module
 from treedesign.central import SolverConfig, solve_central
-from treedesign.mcf import random_instance, relaxed_qp, shortest_path_point
+from treedesign.mcf import (constraint_blocks, random_instance, relaxed_qp,
+                            shortest_path_point)
 from treedesign.qp import (
     QpSolution,
     QpWorkspace,
     QuadraticProgram,
     WarmStart,
-    _canonical,
     _clip,
     _matvec,
     factor_kkt,
@@ -556,20 +556,35 @@ def test_matvec_equals_the_sparse_product(make, dtype):
 
 
 def test_caller_constraint_matrices_are_not_rewritten():
-    # a non-canonical matrix (a repeated column) is canonicalized in a copy
+    # a non-canonical matrix (a repeated column) is stored canonical, as a
+    # copy with its duplicates summed
     a_in = csr([1.0, 2.0, 3.0], [0, 0, 1], [0, 3, 3, 3], 2)
     arrays = [arr.copy() for arr in (a_in.indptr, a_in.indices, a_in.data)]
     qp = QuadraticProgram(d=np.ones(2), q=np.zeros(2), a_in=a_in,
                           b_in=np.ones(3), lo=np.zeros(2), hi=np.ones(2))
+    assert qp.a_in.has_canonical_format
+    assert np.array_equal(qp.a_in.indptr, [0, 2, 2, 2])
+    assert np.array_equal(qp.a_in.indices, [0, 1])
+    assert np.array_equal(qp.a_in.data, [3.0, 3.0])
     ws = QpWorkspace(qp)
     for before, after in zip(arrays, (a_in.indptr, a_in.indices, a_in.data)):
         assert np.array_equal(before, after)
     assert np.array_equal(ws.a_csr[:3].toarray(), [[1.0, 1.0], [0, 0], [0, 0]])
     assert ws.solve(np.zeros(2)).status == "solved"
-    # the library's own constraint blocks are canonical, so not copied
+    # duplicates are summed before the finiteness check, so a sum that
+    # overflows is rejected
+    with pytest.raises(ValueError, match="a_in must be finite"):
+        QuadraticProgram(d=np.ones(2), q=np.zeros(2),
+                         a_in=csr([1e308, 1e308], [0, 0], [0, 2], 2),
+                         b_in=np.ones(1))
+    # the library's own constraint blocks are canonical, so stored as they
+    # are, without a copy
     inst = random_instance(5, 0.6, seed=1)
     qp = relaxed_qp(inst, 1.0, np.zeros(inst.dim_total))
-    assert _canonical(qp.a_eq) is qp.a_eq and _canonical(qp.a_in) is qp.a_in
+    a_eq, _, a_in, _ = constraint_blocks(inst)
+    for stored, block in ((qp.a_eq, a_eq), (qp.a_in, a_in)):
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(stored, name), getattr(block, name))
 
 
 def assert_same_structures(make_qp):
@@ -806,6 +821,24 @@ def test_dense_map_is_the_scaled_inverse_kkt_matrix(seed):
         ref = map_reference(ws, qp.q)
         gap = float(np.max(np.abs(ws._map - ref)))
         assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(ref)))), (rho_base, gap)
+
+
+def test_refactors_rewrite_the_one_kkt_matrix():
+    # every factorization writes its -1/rho into the one KKT matrix, which
+    # then is the sp.bmat iteration matrix at the workspace's penalty, also
+    # after a failed factorization left its own diagonal there
+    qp, _ = random_feasible_qp(np.random.default_rng(25))
+    for make in (xspace_workspace, sparse_workspace):
+        ws = make(qp)
+        kkt = ws._kkt
+        for rho_base in (1.0, ws.RHO_MAX, float("nan"), ws.RHO_MIN):
+            if np.isnan(rho_base):
+                with pytest.raises(RuntimeError):
+                    ws._refactor(rho_base)
+                continue
+            ws._refactor(rho_base)
+            assert ws._kkt is kkt and ws._rho_base == rho_base
+            assert_same_csc(ws._kkt, iteration_kkt_reference(ws, ws.rho))
 
 
 def test_failed_refactor_keeps_the_old_penalty():
